@@ -1,6 +1,6 @@
 """Run one benchmark workload and print its metrics.
 
-    python3 perfbench/run.py --workload evaluate-sweep --seed 1 --seconds 28 --trace 0
+    python3 perfbench/run.py --workload evaluate-sweep --seed 1 --seconds 24 --trace 0
 
 Run it from the root of a tsadeval checkout: it imports the package from
 ``src/`` of that checkout and refuses to run without it. It caps BLAS
@@ -31,7 +31,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=28.0)
+    parser.add_argument("--seconds", type=float, default=24.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 

@@ -1,22 +1,35 @@
 """Tests of the benchmark itself: its oracle, its metrics, and known defects
 of the program that the benchmark's inputs must not hide."""
 
+import contextlib
+import io
 import json
 import math
+from math import comb
 
 import numpy as np
 import pytest
 
 from perfbench.harness import ROOT, run_workload
-from perfbench.oracle import best_point_wise_f1, point_wise_f1_at
-from perfbench.workloads import WORKLOADS, Sizes
+from perfbench.oracle import (
+    attack_f1,
+    best_point_wise_f1,
+    point_wise_f1_at,
+    prob_zero_hits,
+)
+from perfbench.workloads import WORKLOADS, AttackMix, Sizes
+from tsadeval.adversary import run_attack, trial_seed
 from tsadeval.cli import main
 from tsadeval.metrics import LabelSeries
 from tsadeval.pca_baseline import AnomalyScoreSeries, sweep_threshold
-from tsadeval.protocols import Protocol
+from tsadeval.protocols import Protocol, score
 
 TINY = Sizes(
-    sweep_points=2000, sweep_events=5, attack_trials=2, pipeline_train_points=5000
+    sweep_points=2000,
+    sweep_events=5,
+    attack_trials=10,
+    pipeline_train_points=5000,
+    setup_reps=1,
 )
 
 
@@ -66,14 +79,69 @@ def test_oracle_equals_sweep_on_random_series():
         _assert_oracle_matches_sweep(scores, labels)
 
 
+@pytest.mark.filterwarnings("ignore:false_alarm_rate over")
+def test_attack_oracle_equals_score_on_random_layouts():
+    rng = np.random.default_rng(20261018)
+    for case in range(200):
+        n = int(rng.integers(1, 80))
+        labels = LabelSeries(
+            (rng.random(n) < rng.uniform(0.0, 0.7)).astype(np.int8)
+        )
+        starts = np.array([e.start for e in labels.events], dtype=np.int64)
+        ends = np.array([e.end for e in labels.events], dtype=np.int64)
+        alpha = int(rng.integers(0, n + 1))
+        preds = [run_attack(labels, alpha, trial_seed(case, i)) for i in range(4)]
+        alarms = np.array([np.flatnonzero(p.values) for p in preds])
+        got = attack_f1(starts, ends, n, alarms.reshape(len(preds), alpha))
+        for protocol in Protocol:
+            expected = [score(labels, p, protocol).f1 for p in preds]
+            np.testing.assert_allclose(
+                got[protocol.value], expected, rtol=0, atol=1e-12
+            )
+
+
+@pytest.mark.parametrize(
+    "total,anomalous,alpha", [(10, 3, 7), (10, 3, 8), (40, 5, 6)]
+)
+def test_prob_zero_hits_is_exact(total, anomalous, alpha):
+    expected = comb(total - anomalous, alpha) / comb(total, alpha)
+    assert prob_zero_hits(total, anomalous, alpha) == pytest.approx(
+        expected, rel=1e-12, abs=1e-300
+    )
+
+
+def test_attack_check_rejects_wrong_summaries(tmp_path):
+    workload = AttackMix(TINY, 5, tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(workload.commands[0]) == 0
+    assert workload.check() is None
+    report_path = workload.out / "report.json"
+    original = report_path.read_text()
+
+    def mutated(protocol, key, change):
+        report = json.loads(original)
+        stats = report["results"]["f1_summary"][protocol]
+        stats[key] = change(stats[key])
+        report_path.write_text(json.dumps(report))
+        return workload.check()
+
+    # a saturated point-adjust score, a composite far off, one trial missing
+    assert mutated("point-adjust", "mean", lambda v: 1.0)
+    assert mutated("point-adjust", "max", lambda v: 1.5)
+    assert mutated("composite", "mean", lambda v: v * 1.5)
+    assert mutated("point-wise", "mean", lambda v: v * 9 / 10)
+    report = json.loads(original)
+    report["results"]["empirical_prob_zero_hits"] = 0.1
+    report_path.write_text(json.dumps(report))
+    assert workload.check()
+
+
 @pytest.mark.parametrize("trace", [0, 1])
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_tiny_workload_emits_every_metric(workload, trace):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     expected = spec["per_layer" if trace else "end_to_end"]
-    run = run_workload(
-        workload, seed=3, seconds=0, trace=bool(trace), sizes=TINY, setup_reps=1
-    )
+    run = run_workload(workload, seed=3, seconds=0, trace=bool(trace), sizes=TINY)
     result = run["result"]
     assert run["failures"] == []
     assert result["correct"] and result["failed"] == 0

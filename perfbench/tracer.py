@@ -7,6 +7,12 @@ amount of work the call did (rows, points, segments, bytes). Nothing under
 ``src/`` changes, and the originals are put back by ``uninstall``. Spans
 stay in compact arrays in memory and are written once, by ``save``.
 
+Working out a call's amount (counting the distinct scores a sweep was
+given, the lines of a CSV just written) is the tracer's own bookkeeping,
+done after the call's span has ended. Its time is booked against every
+span still open, and ``layer_metrics`` takes it out of their durations;
+``bookkeeping_s`` totals it so that traced operations can leave it out too.
+
 A span group names the layer and the job, such as ``data_io.read``. No
 group's function calls another function of the same group, so summing a
 group's durations counts no time twice.
@@ -126,6 +132,8 @@ class Tracer:
         self.amount = array("q")
         self.nbytes = array("q")
         self.cpu = array("d")
+        self.booked = array("d")
+        self._bookkeeping = array("d", [0.0])
         self._stack = [-1]
         self._saved: list = []
 
@@ -159,10 +167,12 @@ class Tracer:
 
         count_cpu = group.startswith("data_io.")
         clock = time.perf_counter
-        cpu_clock = time.process_time
+        # this thread's CPU only: BLAS threads would push CPU above wall time
+        cpu_clock = time.thread_time
         stack, spans_group, spans_parent = self._stack, self.group, self.parent
-        starts, ends, amounts, nbytes, cpus = (
-            self.start, self.end, self.amount, self.nbytes, self.cpu
+        starts, ends, amounts, nbytes, cpus, booked, bookkeeping = (
+            self.start, self.end, self.amount, self.nbytes, self.cpu,
+            self.booked, self._bookkeeping,
         )
 
         def traced(*args, **kwargs):
@@ -174,6 +184,7 @@ class Tracer:
             amounts.append(0)
             nbytes.append(0)
             cpus.append(0.0)
+            booked.append(0.0)
             stack.append(idx)
             cpu_start = cpu_clock() if count_cpu else 0.0
             start = clock()
@@ -188,9 +199,18 @@ class Tracer:
                 ends[idx] = end
             if amount is not None:
                 amounts[idx], nbytes[idx] = amount(args, kwargs, result)
+                spent = clock() - end
+                bookkeeping[0] += spent
+                for open_span in stack[1:]:
+                    booked[open_span] += spent
             return result
 
         return traced
+
+    @property
+    def bookkeeping_s(self) -> float:
+        """Total time spent working out amounts since the tracer was made."""
+        return self._bookkeeping[0]
 
     def arrays(self) -> dict:
         return {
@@ -201,6 +221,7 @@ class Tracer:
             "amount": np.frombuffer(self.amount, dtype=np.int64).copy(),
             "nbytes": np.frombuffer(self.nbytes, dtype=np.int64).copy(),
             "cpu": np.frombuffer(self.cpu, dtype=np.float64).copy(),
+            "booked": np.frombuffer(self.booked, dtype=np.float64).copy(),
         }
 
     def save(self, path: Path) -> None:
@@ -212,7 +233,7 @@ class Tracer:
         """Per-layer metrics per operation, from the spans of n_ops operations."""
         a = self.arrays()
         group, parent = a["group"], a["parent"]
-        duration = a["end"] - a["start"]
+        duration = a["end"] - a["start"] - a["booked"]
         code = self.code
 
         def is_group(name):

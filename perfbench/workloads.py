@@ -2,9 +2,10 @@
 
 Inputs come from the seed alone and from benchmark code alone, so a change
 to the program cannot change what it is asked to do. Each check is owned
-here and shares no code with tsadeval: the best point-wise F1 comes from
-``perfbench.oracle``, the attack bounds are those of acceptance criterion
-05, and the pipeline's event-wise F1 floor was fixed from seeds 1000-1059
+here and shares no code with tsadeval: the best point-wise F1 and the
+attack's expected F1 distribution come from ``perfbench.oracle``, the
+attack's bounds on top are those of acceptance criterion 05, and the
+pipeline's event-wise F1 floor was fixed from seeds 1000-1059
 (lowest F1 seen: 0.768), none of which were used while building.
 """
 
@@ -13,34 +14,46 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from perfbench.oracle import best_point_wise_f1, point_wise_f1_at
+from perfbench.oracle import (
+    attack_f1,
+    best_point_wise_f1,
+    point_wise_f1_at,
+    prob_zero_hits,
+)
 
 F1_TOLERANCE = 1e-12
-PIPELINE_EVENT_WISE_F1_FLOOR = 0.6
 ATTACK_MIN_MEAN_POINT_ADJUST_F1 = 0.90
 ATTACK_MAX_MEAN_EVENT_WISE_F1 = 0.05
+ATTACK_EVENT_LENGTHS = (100,) * 17 + (450,) * 17 + (44_650,)
+ATTACK_POINTS = 450_000
+ATTACK_ALPHA = 1000
+ATTACK_PROTOCOLS = ("point-wise", "point-adjust", "composite", "event-wise")
+# trials of the benchmark's own attack, run once per run to fix the
+# expected F1 distribution; and how many standard errors a mean may be off
+ATTACK_REFERENCE_TRIALS = 2000
+ATTACK_STANDARD_ERRORS = 6.0
+PIPELINE_EVENT_WISE_F1_FLOOR = 0.6
+PIPELINE_TEST_POINTS = 8000
+PIPELINE_CHANNELS = 8
+PIPELINE_EVENT_LENGTHS = (60, 90, 120, 150, 200)
 
 
 @dataclass(frozen=True)
 class Sizes:
-    """Input sizes; the defaults are the benchmark's workload definitions."""
+    """Sizes of one run; the defaults are the benchmark's definitions."""
 
     sweep_points: int = 50_000
     sweep_events: int = 25
-    attack_event_lengths: tuple = (100,) * 17 + (450,) * 17 + (44_650,)
-    attack_points: int = 450_000
-    attack_alpha: int = 1000
     attack_trials: int = 100
     pipeline_train_points: int = 100_000
-    pipeline_test_points: int = 8000
-    pipeline_channels: int = 8
-    pipeline_event_lengths: tuple = (60, 90, 120, 150, 200)
+    setup_reps: int = 4
 
 
 def _write_column(path: Path, header: str, values) -> None:
@@ -113,6 +126,48 @@ class EvaluateSweep:
         return _check_best_threshold(_report(self.out), self.scores, self.labels)
 
 
+def _attack_reference(seed: int) -> dict:
+    """Mean and spread of each protocol's F1 under the benchmark's own attack.
+
+    The events lie at fixed, evenly spaced positions chosen here. With
+    uniform alarms the F1 distributions depend on the series length and the
+    event lengths alone, up to alarms that touch an event's edge, which
+    move a mean by far less than the tolerance.
+    """
+    lengths = np.array(ATTACK_EVENT_LENGTHS, dtype=np.int64)
+    gap = (ATTACK_POINTS - int(lengths.sum())) // (lengths.size + 1)
+    starts = gap * np.arange(1, lengths.size + 1) + np.cumsum(lengths) - lengths
+    ends = starts + lengths - 1
+    rng = np.random.default_rng((seed, 2))
+    f1 = {p: [] for p in ATTACK_PROTOCOLS}
+    block = 100  # trials scored at once, to keep the arrays small
+    for _ in range(ATTACK_REFERENCE_TRIALS // block):
+        alarms = np.stack(
+            [rng.choice(ATTACK_POINTS, ATTACK_ALPHA, replace=False)
+             for _ in range(block)]
+        )
+        per_trial = attack_f1(starts, ends, ATTACK_POINTS, alarms)
+        for p in ATTACK_PROTOCOLS:
+            f1[p].append(per_trial[p])
+    return {
+        p: (float(np.mean(v)), float(np.std(v)))
+        for p, v in ((p, np.concatenate(f1[p])) for p in ATTACK_PROTOCOLS)
+    }
+
+
+def _summary_problem(name: str, stats: dict) -> Optional[str]:
+    """The reported statistics of one protocol are ordered and inside [0, 1]."""
+    order = ("min", "q05", "q25", "median", "q75", "q95", "max")
+    values = [stats[k] for k in order]
+    if not (0.0 <= values[0] and values[-1] <= 1.0):
+        return f"{name} F1 outside [0, 1]: {stats}"
+    if values != sorted(values) or not stats["min"] <= stats["mean"] <= stats["max"]:
+        return f"{name} F1 statistics out of order: {stats}"
+    if stats["std"] < 0.0:
+        return f"{name} F1 std is negative"
+    return None
+
+
 class AttackMix:
     """``attack --synthetic-spec`` on the criterion-05 event mix."""
 
@@ -123,42 +178,81 @@ class AttackMix:
         spec_path.write_text(
             json.dumps(
                 {
-                    "total_points": sizes.attack_points,
-                    "event_lengths": list(sizes.attack_event_lengths),
+                    "total_points": ATTACK_POINTS,
+                    "event_lengths": list(ATTACK_EVENT_LENGTHS),
                     "n_channels": 1,
                     "anomaly_signal": "mean-shift",
                     "seed": seed,
                 }
             )
         )
-        self.sizes = sizes
+        self.trials = sizes.attack_trials
+        self.reference = _attack_reference(seed)
         self.out = workdir / "out"
         self.commands = [
             ["attack", "--synthetic-spec", str(spec_path),
-             "--alpha", str(sizes.attack_alpha),
-             "--trials", str(sizes.attack_trials),
+             "--alpha", str(ATTACK_ALPHA),
+             "--trials", str(self.trials),
              "--seed", str(seed), "--out", str(self.out)],
         ]
-        self.points = sizes.attack_points
-        self.throughput = {"trials_per_s": ("trials/s", sizes.attack_trials)}
+        self.points = ATTACK_POINTS
+        self.throughput = {"trials_per_s": ("trials/s", self.trials)}
 
     def check(self) -> Optional[str]:
+        """Labels as specified, every protocol's F1 as a random flagger gets.
+
+        Each mean must lie within ATTACK_STANDARD_ERRORS standard errors of
+        the benchmark's own attack. Point-wise F1 is 2 hits / (alpha +
+        anomalous points), so its minimum, maximum and sum over the trials
+        must be whole numbers of hits: a run of fewer trials fails that.
+        The criterion-05 bounds hold on top.
+        """
         results = _report(self.out)
+        anomalous = sum(ATTACK_EVENT_LENGTHS)
         expected = {
-            "total_points": self.sizes.attack_points,
-            "n_events": len(self.sizes.attack_event_lengths),
-            "n_anomalous": sum(self.sizes.attack_event_lengths),
+            "total_points": ATTACK_POINTS,
+            "n_events": len(ATTACK_EVENT_LENGTHS),
+            "n_anomalous": anomalous,
         }
         for key, value in expected.items():
             if results["labels"][key] != value:
                 return f"labels {key} is {results['labels'][key]}, not {value}"
         summary = results["f1_summary"]
-        adjusted = summary["point-adjust"]["mean"]
-        event_wise = summary["event-wise"]["mean"]
-        if adjusted < ATTACK_MIN_MEAN_POINT_ADJUST_F1:
-            return f"mean point-adjust F1 {adjusted!r} below 0.90"
-        if event_wise > ATTACK_MAX_MEAN_EVENT_WISE_F1:
-            return f"mean event-wise F1 {event_wise!r} above 0.05"
+        if sorted(summary) != sorted(ATTACK_PROTOCOLS):
+            return f"f1_summary has protocols {sorted(summary)}"
+        for name in ATTACK_PROTOCOLS:
+            stats = summary[name]
+            problem = _summary_problem(name, stats)
+            if problem:
+                return problem
+            mean, std = self.reference[name]
+            tolerance = ATTACK_STANDARD_ERRORS * std * math.sqrt(
+                1.0 / self.trials + 1.0 / ATTACK_REFERENCE_TRIALS
+            )
+            if abs(stats["mean"] - mean) > tolerance:
+                return (
+                    f"mean {name} F1 {stats['mean']!r} is not within "
+                    f"{tolerance:.3g} of the expected {mean!r}"
+                )
+        half = (ATTACK_ALPHA + anomalous) / 2.0
+        point_wise = summary["point-wise"]
+        for value in (point_wise["min"], point_wise["max"],
+                      point_wise["mean"] * self.trials):
+            if abs(value * half - round(value * half)) > 1e-6:
+                return f"point-wise F1 {value!r} is not a whole number of hits"
+        p_zero = prob_zero_hits(ATTACK_POINTS, anomalous, ATTACK_ALPHA)
+        zero_tolerance = ATTACK_STANDARD_ERRORS * math.sqrt(
+            p_zero * (1.0 - p_zero) / self.trials
+        )
+        if abs(results["empirical_prob_zero_hits"] - p_zero) > zero_tolerance:
+            return (
+                f"empirical_prob_zero_hits {results['empirical_prob_zero_hits']!r}"
+                f" is far from the exact {p_zero!r}"
+            )
+        if summary["point-adjust"]["mean"] < ATTACK_MIN_MEAN_POINT_ADJUST_F1:
+            return "mean point-adjust F1 below 0.90"
+        if summary["event-wise"]["mean"] > ATTACK_MAX_MEAN_EVENT_WISE_F1:
+            return "mean event-wise F1 above 0.05"
         return None
 
 
@@ -177,15 +271,14 @@ class BaselinePipeline:
         spec_path.write_text(
             json.dumps(
                 {
-                    "total_points": sizes.pipeline_test_points,
-                    "event_lengths": list(sizes.pipeline_event_lengths),
-                    "n_channels": sizes.pipeline_channels,
+                    "total_points": PIPELINE_TEST_POINTS,
+                    "event_lengths": list(PIPELINE_EVENT_LENGTHS),
+                    "n_channels": PIPELINE_CHANNELS,
                     "anomaly_signal": "mean-shift",
                     "seed": seed,
                 }
             )
         )
-        self.sizes = sizes
         self.test = workdir / "test.csv"
         self.events = workdir / "events.csv"
         self.out = workdir / "out"
@@ -197,8 +290,8 @@ class BaselinePipeline:
             ["baseline", "--train", str(train), "--test", str(self.test),
              "--out", str(self.out)],
         ]
-        self.points = sizes.pipeline_test_points
-        rows = sizes.pipeline_train_points + sizes.pipeline_test_points
+        self.points = PIPELINE_TEST_POINTS
+        rows = sizes.pipeline_train_points + PIPELINE_TEST_POINTS
         self.throughput = {"rows_per_s": ("rows/s", rows)}
 
     def check(self) -> Optional[str]:
@@ -214,7 +307,7 @@ class BaselinePipeline:
                 int(row["end"]) - int(row["start"]) + 1
                 for row in csv.DictReader(fh)
             )
-        if lengths != tuple(self.sizes.pipeline_event_lengths):
+        if lengths != PIPELINE_EVENT_LENGTHS:
             return f"test event lengths {lengths} differ from the spec"
         with open(self.test, newline="") as fh:
             labels = np.array([int(row["label"]) for row in csv.DictReader(fh)])
