@@ -28,7 +28,7 @@ import numpy as np
 from scipy import stats
 
 from tsadeval.metrics import LabelSeries, PredictionSeries, point_confusion
-from tsadeval.protocols import Protocol, score, score_point_adjust
+from tsadeval.protocols import Protocol, score
 
 __all__ = [
     "AttackSetup",
@@ -319,27 +319,10 @@ def monte_carlo_f1_pa(
     index)) and runs the actual point-adjust scorer; nothing analytic is
     reused, so this doubles as an independent check of the closed forms.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    labels = setup.labels()
-    counts = np.zeros(setup.alpha + 1, dtype=np.int64)
-    f1_by_hits = np.full(setup.alpha + 1, np.nan)
-    for i in range(trials):
-        preds = run_attack(labels, setup.alpha, trial_seed(seed, i))
-        hits = point_confusion(labels, preds).tp
-        report = score_point_adjust(labels, preds)
-        counts[hits] += 1
-        f1_by_hits[hits] = report.f1
-    observed = np.flatnonzero(counts)
-    return F1PaDistribution(
-        setup=setup,
-        model="monte-carlo",
-        hits=observed.astype(np.int64),
-        f1=f1_by_hits[observed],
-        probability=counts[observed] / trials,
-        trials=trials,
-        seed=seed,
+    outcomes = random_flag_trials(
+        setup.labels(), setup.alpha, trials, seed, (Protocol.POINT_ADJUST,)
     )
+    return outcomes.point_adjust_distribution(setup)
 
 
 @dataclass(frozen=True)
@@ -355,6 +338,26 @@ class RandomFlagTrials:
     def mean_f1(self, protocol: Protocol) -> float:
         return float(self.f1_by_protocol[Protocol(protocol)].mean())
 
+    def point_adjust_distribution(self, setup: AttackSetup) -> F1PaDistribution:
+        """Group the trials' point-adjust F1 by hit count.
+
+        On a single-segment layout the adjusted F1 is a function of the hit
+        count alone, so every trial with the same count has the same F1.
+        """
+        counts = np.bincount(self.hits)
+        f1_by_hits = np.empty(counts.size)
+        f1_by_hits[self.hits] = self.f1_by_protocol[Protocol.POINT_ADJUST]
+        observed = np.flatnonzero(counts)
+        return F1PaDistribution(
+            setup=setup,
+            model="monte-carlo",
+            hits=observed,
+            f1=f1_by_hits[observed],
+            probability=counts[observed] / self.trials,
+            trials=self.trials,
+            seed=self.seed,
+        )
+
 
 def random_flag_trials(
     labels: LabelSeries,
@@ -365,9 +368,9 @@ def random_flag_trials(
 ) -> RandomFlagTrials:
     """Run repeated attacks against arbitrary labels, scoring each trial.
 
-    Unlike monte_carlo_f1_pa this accepts any label layout (multiple
-    events, varying lengths) and any protocol subset, which is how the
-    attack is evaluated against realistic event mixes.
+    Accepts any label layout (multiple events, varying lengths) and any
+    protocol subset, which is how the attack is evaluated against realistic
+    event mixes; monte_carlo_f1_pa is this loop on one centred segment.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

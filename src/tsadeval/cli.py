@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -47,6 +46,7 @@ from tsadeval.adversary import (
     worst_case_table,
 )
 from tsadeval.data_io import (
+    atomic_open,
     atomic_write_text,
     check_label_consistency,
     generate_synthetic,
@@ -68,13 +68,17 @@ from tsadeval.metrics import LabelSeries
 from tsadeval.pca_baseline import (
     AnomalyScoreSeries,
     PcaConfig,
-    ScoredModel,
     fit,
     predictions_at_threshold,
     score_frame,
     sweep_threshold,
 )
-from tsadeval.protocols import Protocol, ProtocolReport, score_all
+from tsadeval.protocols import (
+    DEPRECATED_PROTOCOLS,
+    Protocol,
+    ProtocolReport,
+    score_all,
+)
 
 __all__ = ["main"]
 
@@ -155,6 +159,9 @@ def _report_row(report: ProtocolReport) -> dict:
 
 
 def _csv_row(row: dict) -> dict:
+    """Format one CSV row: floats as shortest round-trip text (repr of a
+    Python float, never numpy's np.float64(...) spelling), None as empty
+    and booleans as true/false."""
     out = {}
     for key, value in row.items():
         if value is None:
@@ -162,7 +169,7 @@ def _csv_row(row: dict) -> dict:
         elif isinstance(value, bool):
             out[key] = "true" if value else "false"
         elif isinstance(value, float):
-            out[key] = repr(value)
+            out[key] = repr(float(value))
         else:
             out[key] = value
     return out
@@ -339,26 +346,6 @@ def _quantiles(values: np.ndarray) -> dict:
     }
 
 
-def _empirical_distribution_rows(
-    hits: np.ndarray, f1: np.ndarray, trials: int
-) -> list:
-    rows = []
-    cumulative = 0.0
-    for s in np.unique(hits):
-        mask = hits == s
-        probability = float(mask.sum()) / trials
-        cumulative += probability
-        rows.append(
-            {
-                "s": int(s),
-                "f1_value": repr(float(f1[mask][0])),
-                "probability": repr(probability),
-                "cumulative": repr(cumulative),
-            }
-        )
-    return rows
-
-
 def _cmd_attack(args: argparse.Namespace) -> int:
     labels, inputs = _attack_labels(args)
     trials = random_flag_trials(
@@ -368,7 +355,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         p.value: _quantiles(trials.f1_by_protocol[p]) for p in args.protocols
     }
     for p in args.protocols:
-        summary[p.value]["deprecated_protocol"] = p in {Protocol.POINT_ADJUST}
+        summary[p.value]["deprecated_protocol"] = p in DEPRECATED_PROTOCOLS
     results: dict = {
         "labels": {
             "total_points": len(labels),
@@ -408,11 +395,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             write_csv(
                 out / "distribution.csv",
                 ["s", "f1_value", "probability", "cumulative"],
-                _empirical_distribution_rows(
-                    trials.hits,
-                    trials.f1_by_protocol[Protocol.POINT_ADJUST],
-                    args.trials,
-                ),
+                [
+                    _csv_row(row)
+                    for row in trials.point_adjust_distribution(setup).rows()
+                ],
             )
     manifest = _manifest(
         "attack",
@@ -451,10 +437,7 @@ def _cmd_attack_cdf(args: argparse.Namespace) -> int:
     write_csv(
         out / "distribution.csv",
         ["s", "f1_value", "probability", "cumulative"],
-        [
-            {k: repr(v) if isinstance(v, float) else v for k, v in row.items()}
-            for row in dist.rows()
-        ],
+        [_csv_row(row) for row in dist.rows()],
     )
     results = {
         "model": dist.model,
@@ -492,15 +475,7 @@ def _cmd_attack_worst(args: argparse.Namespace) -> int:
     write_csv(
         out / "worst_case.csv",
         ["alpha", "p_perfect_recall", "worst_precision_pa", "worst_f1_pa"],
-        [
-            {
-                "alpha": r.alpha,
-                "p_perfect_recall": repr(r.p_perfect_recall),
-                "worst_precision_pa": repr(r.worst_precision_pa),
-                "worst_f1_pa": repr(r.worst_f1_pa),
-            }
-            for r in rows
-        ],
+        [_csv_row(asdict(r)) for r in rows],
     )
     manifest = _manifest(
         "attack-worst",
@@ -563,12 +538,10 @@ def _cmd_far_study(args: argparse.Namespace) -> int:
     grid = default_far_grid(args.far_min, args.far_max, args.far_points)
     table = f1_far_table(args.recall, grid, args.shapes)
     columns = [_shape_column(s) for s in args.shapes]
-    rows = []
-    for i, far in enumerate(grid):
-        row = {"far": repr(float(far))}
-        for j, col in enumerate(columns):
-            row[col] = repr(float(table[i, j]))
-        rows.append(row)
+    rows = [
+        _csv_row({"far": far, **dict(zip(columns, table[i]))})
+        for i, far in enumerate(grid)
+    ]
     out = _out_dir(args)
     write_csv(out / "far_study.csv", ["far"] + columns, rows)
     manifest = _manifest(
@@ -676,7 +649,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     rows = [_report_row(r) for r in reports]
     out = _out_dir(args)
     model_path = Path(args.model_out) if args.model_out else out / "model.npz"
-    _save_model_atomic(model, model_path)
+    with atomic_open(model_path, "wb") as fh:
+        model.save(fh)
     write_csv(
         out / "scores.csv",
         ["score"],
@@ -711,22 +685,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     )
     _print_rows(rows)
     return 0
-
-
-def _save_model_atomic(model: ScoredModel, path: Path) -> None:
-    # np.savez appends .npz to names lacking it, which would dodge the
-    # rename; keep the temp name honest instead.
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent or Path("."), prefix=path.name + ".", suffix=".npz"
-    )
-    os.close(fd)
-    try:
-        model.save(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------

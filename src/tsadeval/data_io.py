@@ -65,13 +65,17 @@ __all__ = [
 
 
 @contextmanager
-def atomic_open(path: "str | Path") -> Iterator:
-    """Open a temp file for writing and rename it over `path` on success."""
+def atomic_open(path: "str | Path", mode: str = "w") -> Iterator:
+    """Open a temp file for writing and rename it over `path` on success.
+
+    mode is "w" for text, with no newline translation (what csv expects),
+    or "wb" for binary.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
         dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp"
     )
-    handle = os.fdopen(fd, "w", newline="")
+    handle = os.fdopen(fd, mode, newline=None if "b" in mode else "")
     try:
         yield handle
         handle.close()
@@ -451,7 +455,8 @@ class SyntheticSpec:
 
     The seed is mandatory: identical specs must yield identical frames.
     gap_policy is the minimum number of normal points between consecutive
-    events, so distinct events never merge under run-length segmentation.
+    events. It must be at least 1: events that touch would merge into one
+    run, and the labels would hold fewer events than event_lengths.
     """
 
     total_points: int
@@ -475,8 +480,11 @@ class SyntheticSpec:
             raise ValueError("n_channels must be >= 1")
         if any(length < 1 for length in self.event_lengths):
             raise ValueError("event lengths must be >= 1")
-        if self.gap_policy < 0:
-            raise ValueError("gap_policy must be >= 0")
+        if self.gap_policy < 1:
+            raise ValueError(
+                f"gap_policy must be >= 1, got {self.gap_policy}; "
+                "events with no gap between them merge into one"
+            )
         if self.signal_strength <= 0:
             raise ValueError("signal_strength must be > 0")
         n = len(self.event_lengths)
@@ -655,8 +663,8 @@ def _generate(
 def generate_synthetic(spec: SyntheticSpec) -> MvtsFrame:
     """Deterministic multivariate frame with labelled injected events.
 
-    The positive runs of the labels reproduce spec.event_lengths exactly
-    (gap_policy >= 1 keeps events from merging).
+    The positive runs of the labels reproduce spec.event_lengths exactly,
+    because a spec's gap_policy of at least 1 keeps events apart.
     """
     values, flags = _generate(spec, train_points=0)
     return MvtsFrame(values=values, labels=LabelSeries(flags))

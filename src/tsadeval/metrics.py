@@ -4,6 +4,10 @@ Everything downstream (protocols, the random-flag study, the PCA baseline)
 is built on the primitives here. Conventions used throughout the package:
 
 * indices are 0-based; segments are inclusive on both ends,
+* the runs of 1s in a series are represented by two read-only int64
+  arrays, ``starts`` and ``ends``, found once per series and cached;
+  Segment objects are built from them only at the boundary (file IO and
+  the public ``events``/``segments``/``segmentize`` views),
 * labels and predictions must be exactly 0/1 (booleans are accepted,
   anything else is rejected rather than coerced),
 * precision, recall and F1 are defined as 0.0 whenever their denominator
@@ -25,6 +29,7 @@ __all__ = [
     "ConfusionCounts",
     "as_binary_array",
     "segmentize",
+    "require_same_length",
     "point_confusion",
     "precision_recall_f1",
     "prf_from_counts",
@@ -80,19 +85,29 @@ def as_binary_array(flags: FlagsLike) -> np.ndarray:
     return arr.astype(np.int8)
 
 
+def _run_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive (starts, ends) of the maximal runs of 1s in a 0/1 array."""
+    padded = np.zeros(values.size + 2, dtype=bool)
+    padded[1:-1] = values
+    # np.diff of booleans marks each change; with False on both sides the
+    # changes alternate between a run's start and one past its end
+    changes = np.flatnonzero(np.diff(padded))
+    return changes[::2], changes[1::2] - 1
+
+
+def _as_segments(starts: np.ndarray, ends: np.ndarray) -> list[Segment]:
+    return [Segment(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
+
+
 def segmentize(flags: FlagsLike) -> list[Segment]:
     """Extract the maximal runs of 1s as inclusive segments, in order."""
-    values = as_binary_array(flags)
-    edges = np.diff(values, prepend=np.int8(0), append=np.int8(0))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
-    return [Segment(int(s), int(e)) for s, e in zip(starts, ends)]
+    return _as_segments(*_run_bounds(as_binary_array(flags)))
 
 
 class _BinarySeries:
-    """Immutable 0/1 series with lazily cached run segments."""
+    """Immutable 0/1 series with lazily cached run bounds."""
 
-    __slots__ = ("values", "_segments")
+    __slots__ = ("values", "_bounds")
 
     def __init__(self, values: FlagsLike):
         arr = as_binary_array(values)
@@ -100,7 +115,7 @@ class _BinarySeries:
             raise ValueError("series must hold at least one point")
         arr.setflags(write=False)
         self.values: np.ndarray = arr
-        self._segments: list[Segment] | None = None
+        self._bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -118,10 +133,23 @@ class _BinarySeries:
     def n_positive(self) -> int:
         return int(np.count_nonzero(self.values))
 
-    def _runs(self) -> list[Segment]:
-        if self._segments is None:
-            self._segments = segmentize(self.values)
-        return self._segments
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._bounds is None:
+            starts, ends = _run_bounds(self.values)
+            starts.setflags(write=False)
+            ends.setflags(write=False)
+            self._bounds = (starts, ends)
+        return self._bounds
+
+    @property
+    def starts(self) -> np.ndarray:
+        """First index of each run of 1s, ascending (read-only int64)."""
+        return self._runs()[0]
+
+    @property
+    def ends(self) -> np.ndarray:
+        """Last index, inclusive, of each run of 1s (read-only int64)."""
+        return self._runs()[1]
 
 
 class LabelSeries(_BinarySeries):
@@ -129,11 +157,11 @@ class LabelSeries(_BinarySeries):
 
     @property
     def events(self) -> list[Segment]:
-        return self._runs()
+        return _as_segments(self.starts, self.ends)
 
     @property
     def n_events(self) -> int:
-        return len(self._runs())
+        return int(self.starts.size)
 
     @property
     def n_anomalous(self) -> int:
@@ -153,7 +181,7 @@ class PredictionSeries(_BinarySeries):
 
     @property
     def segments(self) -> list[Segment]:
-        return self._runs()
+        return _as_segments(self.starts, self.ends)
 
 
 @dataclass(frozen=True)
@@ -175,14 +203,19 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def point_confusion(
-    labels: LabelSeries, preds: PredictionSeries
-) -> ConfusionCounts:
-    """Count point-level TP/FP/FN/TN; series lengths must match."""
+def require_same_length(labels: LabelSeries, preds: PredictionSeries) -> None:
+    """Raise ValueError unless labels and predictions have equal length."""
     if len(labels) != len(preds):
         raise ValueError(
             f"length mismatch: {len(labels)} labels vs {len(preds)} predictions"
         )
+
+
+def point_confusion(
+    labels: LabelSeries, preds: PredictionSeries
+) -> ConfusionCounts:
+    """Count point-level TP/FP/FN/TN; series lengths must match."""
+    require_same_length(labels, preds)
     lv = labels.values
     pv = preds.values
     tp = int(np.count_nonzero(lv & pv))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import BinaryIO, Optional, Union
 
 import numpy as np
 
@@ -130,8 +130,9 @@ class ScoredModel:
     def n_components(self) -> int:
         return int(self.basis.shape[1])
 
-    def save(self, path: Union[str, Path]) -> None:
-        """Persist to .npz; float64 arrays round-trip bit-exactly."""
+    def save(self, path: Union[str, Path, BinaryIO]) -> None:
+        """Persist to .npz (a path or a binary file); float64 arrays
+        round-trip bit-exactly."""
         np.savez(
             path,
             format=np.array(_FORMAT_TAG),

@@ -23,12 +23,14 @@ from typing import Optional
 import numpy as np
 
 from tsadeval.metrics import (
-    ConfusionCounts,
     LabelSeries,
     PredictionSeries,
     false_alarm_rate,
     harmonic_f1,
     point_confusion,
+    precision_recall_f1,
+    prf_from_counts,
+    require_same_length,
 )
 
 __all__ = [
@@ -92,11 +94,21 @@ class ProtocolReport:
         return self.protocol in DEPRECATED_PROTOCOLS
 
 
-def _require_same_length(labels: LabelSeries, preds: PredictionSeries) -> None:
-    if len(labels) != len(preds):
-        raise ValueError(
-            f"length mismatch: {len(labels)} labels vs {len(preds)} predictions"
-        )
+def _overlap_counts(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    other_starts: np.ndarray,
+    other_ends: np.ndarray,
+) -> np.ndarray:
+    """For each run (starts, ends), how many other runs share a point with it.
+
+    Both run sets are sorted and disjoint. Of the other runs starting at or
+    before a run's end, those ending before its start are exactly the ones
+    that miss it.
+    """
+    return np.searchsorted(other_starts, ends, side="right") - np.searchsorted(
+        other_ends, starts
+    )
 
 
 def point_adjust(
@@ -109,41 +121,28 @@ def point_adjust(
     events are untouched, so the operation is idempotent and never
     increases the false-positive count.
     """
-    _require_same_length(labels, preds)
-    adjusted = preds.values.copy()
-    for ev in labels.events:
-        window = adjusted[ev.start : ev.end + 1]
-        if window.any():
-            window[:] = 1
-    return PredictionSeries(adjusted)
+    require_same_length(labels, preds)
+    hit = _overlap_counts(labels.starts, labels.ends, preds.starts, preds.ends) > 0
+    # the series alternates normal stretches and events: repeat False over
+    # each stretch and the event's hit flag over each event
+    bounds = np.concatenate(
+        ([0], np.column_stack((labels.starts, labels.ends + 1)).ravel(), [len(labels)])
+    )
+    flags = np.zeros(bounds.size - 1, dtype=bool)
+    flags[1::2] = hit
+    return PredictionSeries(preds.values | np.repeat(flags, np.diff(bounds)))
 
 
-def _detected_event_count(labels: LabelSeries, preds: PredictionSeries) -> int:
-    """Number of true events containing at least one positive prediction."""
-    if not labels.events:
-        return 0
-    prefix = np.concatenate(([0], np.cumsum(preds.values, dtype=np.int64)))
-    hits = 0
-    for ev in labels.events:
-        if prefix[ev.end + 1] > prefix[ev.start]:
-            hits += 1
-    return hits
-
-
-def _false_segment_count(labels: LabelSeries, preds: PredictionSeries) -> int:
-    """Number of predicted segments containing no anomalous point at all."""
-    if not preds.segments:
-        return 0
-    prefix = np.concatenate(([0], np.cumsum(labels.values, dtype=np.int64)))
-    false_segments = 0
-    for seg in preds.segments:
-        if prefix[seg.end + 1] == prefix[seg.start]:
-            false_segments += 1
-    return false_segments
-
-
-def _event_recall(labels: LabelSeries, tp_e: int) -> float:
-    return tp_e / labels.n_events if labels.n_events > 0 else 0.0
+def _event_counts(
+    labels: LabelSeries, preds: PredictionSeries
+) -> tuple[int, int, int]:
+    """(tp_e, fp_e, fn_e): events detected, predicted segments touching no
+    anomalous point, events missed."""
+    detected = _overlap_counts(labels.starts, labels.ends, preds.starts, preds.ends)
+    touching = _overlap_counts(preds.starts, preds.ends, labels.starts, labels.ends)
+    tp_e = int(np.count_nonzero(detected))
+    fp_e = preds.starts.size - int(np.count_nonzero(touching))
+    return tp_e, fp_e, labels.n_events - tp_e
 
 
 def score_point_wise(
@@ -151,7 +150,7 @@ def score_point_wise(
 ) -> ProtocolReport:
     """Plain point-level precision/recall/F1 plus the false-alarm rate."""
     counts = point_confusion(labels, preds)
-    precision, recall, f1 = _prf(counts)
+    precision, recall, f1 = precision_recall_f1(counts)
     return ProtocolReport(
         protocol=Protocol.POINT_WISE,
         precision=precision,
@@ -167,7 +166,7 @@ def score_point_adjust(
     """Point-wise rates computed after the point-adjust expansion."""
     adjusted = point_adjust(labels, preds)
     counts = point_confusion(labels, adjusted)
-    precision, recall, f1 = _prf(counts)
+    precision, recall, f1 = precision_recall_f1(counts)
     return ProtocolReport(
         protocol=Protocol.POINT_ADJUST,
         precision=precision,
@@ -181,11 +180,10 @@ def score_composite(
     labels: LabelSeries, preds: PredictionSeries
 ) -> ProtocolReport:
     """Event-level recall harmonically paired with point-level precision."""
-    _require_same_length(labels, preds)
     counts = point_confusion(labels, preds)
-    precision = _precision(counts)
-    tp_e = _detected_event_count(labels, preds)
-    recall = _event_recall(labels, tp_e)
+    precision, _, _ = precision_recall_f1(counts)
+    tp_e, fp_e, fn_e = _event_counts(labels, preds)
+    _, recall, _ = prf_from_counts(tp_e, fp_e, fn_e)
     return ProtocolReport(
         protocol=Protocol.COMPOSITE,
         precision=precision,
@@ -193,7 +191,7 @@ def score_composite(
         f1=harmonic_f1(precision, recall),
         far=false_alarm_rate(counts),
         tp_e=tp_e,
-        fn_e=labels.n_events - tp_e,
+        fn_e=fn_e,
     )
 
 
@@ -208,14 +206,11 @@ def score_event_wise(
     all-positive prediction score 0 whenever any normal point exists, a
     degenerate case the segment counts alone would reward.
     """
-    _require_same_length(labels, preds)
     counts = point_confusion(labels, preds)
     far = false_alarm_rate(counts)
-    tp_e = _detected_event_count(labels, preds)
-    fp_e = _false_segment_count(labels, preds)
-    base = tp_e / (tp_e + fp_e) if tp_e + fp_e > 0 else 0.0
+    tp_e, fp_e, fn_e = _event_counts(labels, preds)
+    base, recall, _ = prf_from_counts(tp_e, fp_e, fn_e)
     precision = base * (1.0 - far)
-    recall = _event_recall(labels, tp_e)
     return ProtocolReport(
         protocol=Protocol.EVENT_WISE,
         precision=precision,
@@ -224,7 +219,7 @@ def score_event_wise(
         far=far,
         tp_e=tp_e,
         fp_e=fp_e,
-        fn_e=labels.n_events - tp_e,
+        fn_e=fn_e,
     )
 
 
@@ -251,14 +246,3 @@ def score_all(
     """Score one pair under several protocols, in the order given."""
     return [score(labels, preds, p) for p in protocols]
 
-
-def _precision(counts: ConfusionCounts) -> float:
-    denom = counts.tp + counts.fp
-    return counts.tp / denom if denom > 0 else 0.0
-
-
-def _prf(counts: ConfusionCounts) -> tuple[float, float, float]:
-    precision = _precision(counts)
-    denom = counts.tp + counts.fn
-    recall = counts.tp / denom if denom > 0 else 0.0
-    return precision, recall, harmonic_f1(precision, recall)

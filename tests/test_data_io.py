@@ -288,6 +288,7 @@ class TestSyntheticSpec:
             dict(gap_policy=-1),
             dict(signal_strength=0.0),
             dict(total_points=100, event_lengths=(50, 50, 50)),
+            dict(gap_policy=0),
         ],
     )
     def test_validation(self, overrides):

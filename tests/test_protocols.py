@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsadeval.metrics import LabelSeries, PredictionSeries
 from tsadeval.protocols import (
@@ -37,6 +39,38 @@ def naive_point_adjust(label_values, pred_values):
         else:
             i += 1
     return out
+
+
+def naive_runs(values):
+    """Reference run finder: inclusive (start, end) pairs, point by point."""
+    runs = []
+    start = None
+    for i, v in enumerate(list(values) + [0]):
+        if v == 1 and start is None:
+            start = i
+        elif v == 0 and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    return runs
+
+
+def naive_event_counts(label_values, pred_values):
+    """Reference (tp_e, fp_e, fn_e): events with a predicted point, predicted
+    segments with no anomalous point, events with no predicted point."""
+    events = naive_runs(label_values)
+    segments = naive_runs(pred_values)
+    tp_e = sum(any(pred_values[s : e + 1]) for s, e in events)
+    fp_e = sum(not any(label_values[s : e + 1]) for s, e in segments)
+    return tp_e, fp_e, len(events) - tp_e
+
+
+@st.composite
+def flag_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    flags = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    labels = draw(st.one_of(flags, st.just([0] * n), st.just([1] * n)))
+    preds = draw(st.one_of(flags, st.just([0] * n), st.just([1] * n)))
+    return labels, preds
 
 
 def random_pair(rng, max_points=200):
@@ -100,6 +134,36 @@ class TestEventWiseExample:
         assert r.precision == pytest.approx(0.365714, abs=1e-6)
         assert r.recall == pytest.approx(2 / 3, abs=1e-12)
         assert r.f1 == pytest.approx(0.472325, abs=1e-6)
+
+
+class TestEventCountsAgainstNaive:
+    @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
+    @settings(max_examples=300, deadline=None)
+    @given(flag_pairs())
+    @example(([1], [1]))
+    @example(([0], [0]))
+    @example(([1], [0]))
+    @example(([0], [1]))
+    @example(([0, 0, 0, 0], [1, 0, 1, 1]))
+    @example(([1, 1, 1, 1], [0, 1, 0, 0]))
+    @example(([0, 1, 1, 0, 1], [0, 0, 0, 0, 0]))
+    @example(([0, 1, 1, 0, 1], [1, 1, 1, 1, 1]))
+    def test_counts_and_adjustment(self, pair):
+        label_values, pred_values = pair
+        labels = LabelSeries(label_values)
+        preds = PredictionSeries(pred_values)
+        tp_e, fp_e, fn_e = naive_event_counts(label_values, pred_values)
+        composite = score_composite(labels, preds)
+        event_wise = score_event_wise(labels, preds)
+        assert (composite.tp_e, composite.fn_e) == (tp_e, fn_e)
+        assert (event_wise.tp_e, event_wise.fp_e, event_wise.fn_e) == (
+            tp_e,
+            fp_e,
+            fn_e,
+        )
+        assert point_adjust(labels, preds).values.tolist() == (
+            naive_point_adjust(label_values, pred_values)
+        )
 
 
 class TestPointAdjustBehaviour:
