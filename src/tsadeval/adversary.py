@@ -338,7 +338,9 @@ class RandomFlagTrials:
     def mean_f1(self, protocol: Protocol) -> float:
         return float(self.f1_by_protocol[Protocol(protocol)].mean())
 
-    def point_adjust_distribution(self, setup: AttackSetup) -> F1PaDistribution:
+    def point_adjust_distribution(
+        self, setup: AttackSetup
+    ) -> F1PaDistribution:
         """Group the trials' point-adjust F1 by hit count.
 
         On a single-segment layout the adjusted F1 is a function of the hit

@@ -203,7 +203,9 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def require_same_length(labels: LabelSeries, preds: PredictionSeries) -> None:
+def require_same_length(
+    labels: LabelSeries, preds: PredictionSeries
+) -> None:
     """Raise ValueError unless labels and predictions have equal length."""
     if len(labels) != len(preds):
         raise ValueError(

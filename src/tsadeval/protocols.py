@@ -122,15 +122,15 @@ def point_adjust(
     increases the false-positive count.
     """
     require_same_length(labels, preds)
-    hit = _overlap_counts(labels.starts, labels.ends, preds.starts, preds.ends) > 0
+    starts, ends = labels.starts, labels.ends
+    hits = _overlap_counts(starts, ends, preds.starts, preds.ends)
     # the series alternates normal stretches and events: repeat False over
-    # each stretch and the event's hit flag over each event
-    bounds = np.concatenate(
-        ([0], np.column_stack((labels.starts, labels.ends + 1)).ravel(), [len(labels)])
-    )
-    flags = np.zeros(bounds.size - 1, dtype=bool)
-    flags[1::2] = hit
-    return PredictionSeries(preds.values | np.repeat(flags, np.diff(bounds)))
+    # each stretch and the event's detected flag over each event
+    inner = np.column_stack((starts, ends + 1)).ravel()
+    lengths = np.diff(np.concatenate(([0], inner, [len(labels)])))
+    flags = np.zeros(lengths.size, dtype=bool)
+    flags[1::2] = hits > 0
+    return PredictionSeries(preds.values | np.repeat(flags, lengths))
 
 
 def _event_counts(
@@ -138,11 +138,11 @@ def _event_counts(
 ) -> tuple[int, int, int]:
     """(tp_e, fp_e, fn_e): events detected, predicted segments touching no
     anomalous point, events missed."""
-    detected = _overlap_counts(labels.starts, labels.ends, preds.starts, preds.ends)
-    touching = _overlap_counts(preds.starts, preds.ends, labels.starts, labels.ends)
-    tp_e = int(np.count_nonzero(detected))
-    fp_e = preds.starts.size - int(np.count_nonzero(touching))
-    return tp_e, fp_e, labels.n_events - tp_e
+    events = (labels.starts, labels.ends)
+    segments = (preds.starts, preds.ends)
+    tp_e = int(np.count_nonzero(_overlap_counts(*events, *segments)))
+    true_segments = int(np.count_nonzero(_overlap_counts(*segments, *events)))
+    return tp_e, preds.starts.size - true_segments, labels.n_events - tp_e
 
 
 def score_point_wise(
