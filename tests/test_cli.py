@@ -611,6 +611,58 @@ class TestCheckLabels:
         assert read_report(out)["results"]["is_consistent"] is True
 
 
+INPUT_ERRORS = {
+    "evaluate-missing-file": [
+        "evaluate", "--labels", "labels.csv", "--predictions", "nope.csv",
+    ],
+    "evaluate-label-header-as-predictions": [
+        "evaluate", "--labels", "labels.csv", "--predictions", "labels.csv",
+    ],
+    "attack-conflicting-sources": [
+        "attack", "--labels", "labels.csv", "--synthetic-spec", "spec.json",
+        "--alpha", "1",
+    ],
+    "attack-alpha-exceeds-series": [
+        "attack", "--labels", "labels.csv", "--alpha", "11", "--trials", "5",
+    ],
+    "attack-cdf-alpha-exceeds-series": [
+        "attack-cdf", "--total-points", "10", "--segment-length", "2",
+        "--alpha", "11",
+    ],
+    "attack-worst-empty-alpha-range": [
+        "attack-worst", "--segment-length", "5", "--contamination", "0.1",
+        "--alpha-min", "5", "--alpha-max", "4",
+    ],
+    "far-study-min-above-max": [
+        "far-study", "--far-min", "0.2", "--far-max", "0.1",
+    ],
+    "baseline-unlabelled-test": [
+        "baseline", "--train", "train.csv", "--test", "test.csv",
+    ],
+    "check-labels-missing-events": [
+        "check-labels", "--labels", "labels.csv", "--events", "nope.csv",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_error_leaves_out_uncreated(
+    case, tmp_path, spec_file, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    write_column(tmp_path / "labels.csv", "label", WORKED_LABELS)
+    rng = np.random.default_rng(0)
+    for name in ("train.csv", "test.csv"):
+        with open(tmp_path / name, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["c0", "c1"])
+            for row in rng.standard_normal((20, 2)):
+                writer.writerow([repr(float(v)) for v in row])
+    assert main([*INPUT_ERRORS[case], "--out", "out"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestReproducibility:
     def test_attack_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TSADEVAL_TIMESTAMP", "2026-08-16T00:00:00+00:00")

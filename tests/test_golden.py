@@ -3,8 +3,9 @@
 Each case runs one or more commands at small fixed sizes in a fresh
 directory, with the manifest timestamp pinned and relative paths (the
 report records input paths as given), then hashes every file the commands
-left behind. A refactor that keeps behaviour keeps these hashes; a change
-that alters any output on purpose must say so and update them.
+left behind and compares everything they printed to stdout. A refactor
+that keeps behaviour keeps these hashes and that text; a change that
+alters any output on purpose must say so and update them.
 """
 
 import hashlib
@@ -60,6 +61,14 @@ CASES = {
                 "489fb8ca6e969bc76fbbd692c8c5bff7b60a992de8834e4ec7a43c346154b851"
             ),
         },
+        (
+            "protocol        precision     recall         f1        far\n"
+            "----------------------------------------------------------\n"
+            "point-wise       0.500000   0.333333   0.400000   0.142857\n"
+            "point-adjust     0.714286   0.833333   0.769231   0.142857  (deprecated)\n"
+            "composite        0.500000   0.666667   0.571429   0.142857\n"
+            "event-wise       0.214286   0.666667   0.324324   0.142857\n"
+        ),
     ),
     "evaluate-scores": (
         [["evaluate", "--labels", "labels.csv", "--scores", "scores.csv",
@@ -72,6 +81,14 @@ CASES = {
                 "296616d3c0b92dd124c74536e3673fe49372707919beb02d779508f6b8922e75"
             ),
         },
+        (
+            "protocol        precision     recall         f1        far\n"
+            "----------------------------------------------------------\n"
+            "point-wise       1.000000   0.722222   0.838710   0.000000\n"
+            "point-adjust     1.000000   1.000000   1.000000   0.000000  (deprecated)\n"
+            "composite        1.000000   1.000000   1.000000   0.000000\n"
+            "event-wise       1.000000   1.000000   1.000000   0.000000\n"
+        ),
     ),
     "attack-single-segment": (
         [["attack", "--total-points", "300", "--segment-length", "30",
@@ -85,6 +102,11 @@ CASES = {
                 "bd73a261eb325d38e0cdc37dcc2a4fd859a2ff669a0e88c1948783f2a3951a22"
             ),
         },
+        (
+            "random flagger, alpha=10, 200 trials over 300 points / 1 event(s)\n"
+            "  point-adjust   mean F1 0.579061  median 0.869565  q95 0.895522  (deprecated)\n"
+            "  composite      mean F1 0.178675  median 0.181818  q95 0.461538\n"
+        ),
     ),
     "attack-synthetic-spec": (
         [["attack", "--synthetic-spec", "spec.json", "--alpha", "15",
@@ -94,6 +116,13 @@ CASES = {
                 "1692c01f28e0e2c94fa1b6bfed1234c24bbd47908c232abf8d2813bb76d8061c"
             ),
         },
+        (
+            "random flagger, alpha=15, 50 trials over 400 points / 3 event(s)\n"
+            "  point-wise     mean F1 0.057600  median 0.053333  q95 0.106667\n"
+            "  point-adjust   mean F1 0.636479  median 0.707965  q95 0.826446  (deprecated)\n"
+            "  composite      mean F1 0.220745  median 0.222222  q95 0.380952\n"
+            "  event-wise     mean F1 0.178374  median 0.215096  q95 0.259720\n"
+        ),
     ),
     "attack-cdf-bernoulli": (
         [["attack-cdf", "--total-points", "200", "--segment-length", "20",
@@ -106,6 +135,9 @@ CASES = {
                 "4c4fa3d9b2bc7c7bfba371593ca488ed13fdd79db1b24f43454df79f250c9c6e"
             ),
         },
+        (
+            "P(F1=0) = 0.430467, mean F1 = 0.489014 (bernoulli-approx)\n"
+        ),
     ),
     "attack-cdf-hypergeometric": (
         [["attack-cdf", "--total-points", "200", "--segment-length", "20",
@@ -118,6 +150,9 @@ CASES = {
                 "22d2ea078d57939ef7402dcd1227cebaef598b672bc1ffb4c7d691af2f6c3eda"
             ),
         },
+        (
+            "P(F1=0) = 0.423644, mean F1 = 0.494690 (exact-hypergeometric)\n"
+        ),
     ),
     "attack-worst": (
         [["attack-worst", "--segment-length", "20", "--contamination", "0.05",
@@ -130,6 +165,9 @@ CASES = {
                 "b8a69e6ba8808bac0e52215ea304a74f2ba81b87d08c4afa107401becd353b8c"
             ),
         },
+        (
+            "10 rows; at alpha=28: P(perfect recall)=0.762173, worst F1=0.597015\n"
+        ),
     ),
     "far-study": (
         [["far-study", "--far-points", "8", "--shapes", "1000:500,1000:10",
@@ -142,6 +180,9 @@ CASES = {
                 "642d08e509529cdb7ae9deb010e7160bfb1e0ac275d03e7f143b8e53370dde4d"
             ),
         },
+        (
+            "8 x 2 expected-F1 grid written; F1 spans [0.090041, 0.993976]\n"
+        ),
     ),
     "synth": (
         [SYNTH],
@@ -159,6 +200,9 @@ CASES = {
                 "a639abdc800fd46af1c2b0552c117cf136d6a486ac06d09e3041b0848ec4b4ac"
             ),
         },
+        (
+            "wrote train.csv, test.csv, synth_events.csv; 3 events over 400 points\n"
+        ),
     ),
     "baseline": (
         [SYNTH, ["baseline", "--train", "train.csv", "--test", "test.csv",
@@ -189,6 +233,16 @@ CASES = {
                 "a639abdc800fd46af1c2b0552c117cf136d6a486ac06d09e3041b0848ec4b4ac"
             ),
         },
+        (
+            "wrote train.csv, test.csv, synth_events.csv; 3 events over 400 points\n"
+            "PCA baseline: 2 of 3 components, threshold 1.03182\n"
+            "protocol        precision     recall         f1        far\n"
+            "----------------------------------------------------------\n"
+            "point-wise       0.750000   0.650000   0.696429   0.038235\n"
+            "point-adjust     0.821918   1.000000   0.902256   0.038235  (deprecated)\n"
+            "composite        0.750000   1.000000   0.857143   0.038235\n"
+            "event-wise       0.721324   1.000000   0.838103   0.038235\n"
+        ),
     ),
     "check-labels": (
         [["check-labels", "--labels", "labels.csv", "--events", "events.csv",
@@ -198,6 +252,9 @@ CASES = {
                 "62715e793b6e551bded61cae7a0da86b76e06d97727fca43be12311454440430"
             ),
         },
+        (
+            "1 points only in the integrated labels, 0 only in the reconstruction, across 1 runs\n"
+        ),
     ),
 }
 
@@ -207,8 +264,8 @@ def _sha256(path):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_outputs_match_pinned_hashes(case, tmp_path, monkeypatch):
-    runs, expected = CASES[case]
+def test_outputs_match_pinned_hashes(case, tmp_path, monkeypatch, capsys):
+    runs, expected, stdout = CASES[case]
     monkeypatch.setenv("TSADEVAL_TIMESTAMP", TIMESTAMP)
     monkeypatch.delenv("TSADEVAL_OUT", raising=False)
     monkeypatch.chdir(tmp_path)
@@ -224,3 +281,4 @@ def test_outputs_match_pinned_hashes(case, tmp_path, monkeypatch):
         if path.is_file() and path.relative_to(tmp_path).as_posix() not in INPUTS
     }
     assert produced == expected
+    assert capsys.readouterr().out == stdout
