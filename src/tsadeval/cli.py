@@ -11,13 +11,17 @@ Commands:
 * baseline      fit, score and evaluate the PCA baseline
 * check-labels  compare point labels against an exported event list
 
-Every command writes `report.json` into --out (default ".", overridable
-via the TSADEVAL_OUT environment variable) embedding a run manifest:
-command line, resolved configuration, seeds, SHA-256 digests of the input
-files, package version and a timestamp. With a fixed seed all outputs are
-byte-identical across runs except the manifest timestamp, which can be
-pinned via TSADEVAL_TIMESTAMP. Exit status is 0 only if the report was
-fully written; input and usage errors exit with status 2.
+Every command except synth computes a `Report`, and one function writes
+its CSV tables and `report.json` into --out (default ".", overridable via
+the TSADEVAL_OUT environment variable), then prints its lines. The report
+embeds a run manifest: command line, resolved configuration, seeds,
+SHA-256 digests of the input files, package version and a timestamp.
+synth writes no report.json; it writes one `<out-file>.manifest.json`
+sidecar holding the manifest and the SHA-256 of every file it wrote. With
+a fixed seed all outputs are byte-identical across runs except the
+manifest timestamp, which can be pinned via TSADEVAL_TIMESTAMP. Exit
+status is 0 only if every output was fully written; input and usage
+errors exit with status 2 and write nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -93,6 +97,7 @@ REPORT_CSV_FIELDS = [
     "fn_e",
     "deprecated_protocol",
 ]
+DISTRIBUTION_CSV_FIELDS = ["s", "f1_value", "probability", "cumulative"]
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +105,19 @@ REPORT_CSV_FIELDS = [
 
 
 @dataclass
-class RunManifest:
-    command: str
-    argv: list
+class Report:
+    """What one reporting command computed, before anything is written.
+
+    tables maps a CSV file name to its fieldnames and unformatted rows;
+    lines are printed to stdout after the files are written.
+    """
+
     config: dict
-    seeds: list
-    inputs: dict
-    version: str
-    timestamp: str
+    results: dict
+    lines: list
+    seeds: list = field(default_factory=list)
+    inputs: list = field(default_factory=list)
+    tables: dict = field(default_factory=dict)
 
 
 def _timestamp() -> str:
@@ -117,18 +127,21 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _manifest(
-    command: str, config: dict, seeds: list, inputs: Sequence
-) -> RunManifest:
-    return RunManifest(
-        command=command,
-        argv=sys.argv[1:],
-        config=config,
-        seeds=[int(s) for s in seeds],
-        inputs={str(p): sha256_digest(p) for p in inputs},
-        version=__version__,
-        timestamp=_timestamp(),
-    )
+def _manifest(command: str, config: dict, seeds: list, inputs: Sequence) -> dict:
+    return {
+        "command": command,
+        "argv": sys.argv[1:],
+        "config": config,
+        "seeds": [int(s) for s in seeds],
+        "inputs": {str(p): sha256_digest(p) for p in inputs},
+        "version": __version__,
+        "timestamp": _timestamp(),
+    }
+
+
+def _write_json(path: Path, manifest: dict, key: str, value: dict) -> None:
+    payload = {"manifest": manifest, key: value}
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -137,11 +150,18 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _write_report(out: Path, manifest: RunManifest, results: dict) -> Path:
-    payload = {"manifest": asdict(manifest), "results": results}
-    target = out / "report.json"
-    atomic_write_text(target, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target
+def _write_outputs(args: argparse.Namespace) -> int:
+    """Run a reporting command, then write its tables and report.json into
+    --out and print its lines. The command writes nothing itself, so an
+    input error leaves --out untouched."""
+    report = args.compute(args)
+    manifest = _manifest(args.command, report.config, report.seeds, report.inputs)
+    out = _out_dir(args)
+    for name, (fieldnames, rows) in report.tables.items():
+        write_csv(out / name, fieldnames, (_csv_row(r) for r in rows))
+    _write_json(out / "report.json", manifest, "results", report.results)
+    print(*report.lines, sep="\n")
+    return 0
 
 
 def _report_row(report: ProtocolReport) -> dict:
@@ -175,17 +195,14 @@ def _csv_row(row: dict) -> dict:
     return out
 
 
-def _print_rows(rows: Sequence[dict]) -> None:
+def _row_lines(rows: Sequence[dict]) -> list:
     header = f"{'protocol':<14} {'precision':>10} {'recall':>10} {'f1':>10} {'far':>10}"
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        note = "  (deprecated)" if row["deprecated_protocol"] else ""
-        print(
-            f"{row['protocol']:<14} {row['precision']:>10.6f} "
-            f"{row['recall']:>10.6f} {row['f1']:>10.6f} {row['far']:>10.6f}"
-            f"{note}"
-        )
+    return [header, "-" * len(header)] + [
+        f"{row['protocol']:<14} {row['precision']:>10.6f} "
+        f"{row['recall']:>10.6f} {row['f1']:>10.6f} {row['far']:>10.6f}"
+        + ("  (deprecated)" if row["deprecated_protocol"] else "")
+        for row in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +286,7 @@ def _policy_name(policy) -> str:
 # evaluate
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> Report:
     labels = load_label_series(args.labels)
     inputs = [args.labels]
     threshold = None
@@ -282,23 +299,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         scores = AnomalyScoreSeries(raw)
         threshold = _resolve_threshold(args.threshold_policy, scores, labels)
         preds = predictions_at_threshold(scores, threshold)
-    reports = score_all(labels, preds, args.protocols)
-    rows = [_report_row(r) for r in reports]
-    out = _out_dir(args)
-    manifest = _manifest(
-        "evaluate",
-        {
+    rows = [_report_row(r) for r in score_all(labels, preds, args.protocols)]
+    return Report(
+        config={
             "protocols": [p.value for p in args.protocols],
             "threshold_policy": _policy_name(args.threshold_policy),
             "threshold": threshold,
         },
-        seeds=[],
+        results={"threshold": threshold, "rows": rows},
+        lines=_row_lines(rows),
         inputs=inputs,
+        tables={"report.csv": (REPORT_CSV_FIELDS, rows)},
     )
-    write_csv(out / "report.csv", REPORT_CSV_FIELDS, [_csv_row(r) for r in rows])
-    _write_report(out, manifest, {"threshold": threshold, "rows": rows})
-    _print_rows(rows)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +358,7 @@ def _quantiles(values: np.ndarray) -> dict:
     }
 
 
-def _cmd_attack(args: argparse.Namespace) -> int:
+def _cmd_attack(args: argparse.Namespace) -> Report:
     labels, inputs = _attack_labels(args)
     trials = random_flag_trials(
         labels, args.alpha, args.trials, args.seed, args.protocols
@@ -366,7 +378,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         "f1_summary": summary,
         "empirical_prob_zero_hits": float(np.mean(trials.hits == 0)),
     }
-    out = _out_dir(args)
+    tables = {}
     if labels.n_events == 1:
         setup = AttackSetup(
             total_points=len(labels),
@@ -392,120 +404,97 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             }
         results["analytic_single_segment"] = analytic
         if Protocol.POINT_ADJUST in args.protocols:
-            write_csv(
-                out / "distribution.csv",
-                ["s", "f1_value", "probability", "cumulative"],
-                [
-                    _csv_row(row)
-                    for row in trials.point_adjust_distribution(setup).rows()
-                ],
+            tables["distribution.csv"] = (
+                DISTRIBUTION_CSV_FIELDS,
+                trials.point_adjust_distribution(setup).rows(),
             )
-    manifest = _manifest(
-        "attack",
-        {
+    lines = [
+        f"random flagger, alpha={args.alpha}, {args.trials} trials over "
+        f"{len(labels)} points / {labels.n_events} event(s)"
+    ] + [
+        f"  {name:<14} mean F1 {stats['mean']:.6f}  "
+        f"median {stats['median']:.6f}  q95 {stats['q95']:.6f}"
+        + ("  (deprecated)" if stats["deprecated_protocol"] else "")
+        for name, stats in summary.items()
+    ]
+    return Report(
+        config={
             "alpha": args.alpha,
             "trials": args.trials,
             "protocols": [p.value for p in args.protocols],
             "total_points": args.total_points,
             "segment_length": args.segment_length,
         },
+        results=results,
+        lines=lines,
         seeds=[args.seed],
         inputs=inputs,
+        tables=tables,
     )
-    _write_report(out, manifest, results)
-    print(
-        f"random flagger, alpha={args.alpha}, {args.trials} trials over "
-        f"{len(labels)} points / {labels.n_events} event(s)"
-    )
-    for name, stats in summary.items():
-        note = "  (deprecated)" if stats["deprecated_protocol"] else ""
-        print(
-            f"  {name:<14} mean F1 {stats['mean']:.6f}  "
-            f"median {stats['median']:.6f}  q95 {stats['q95']:.6f}{note}"
-        )
-    return 0
 
 
-def _cmd_attack_cdf(args: argparse.Namespace) -> int:
+def _cmd_attack_cdf(args: argparse.Namespace) -> Report:
     setup = AttackSetup(
         total_points=args.total_points,
         anomalous_length=args.segment_length,
         alpha=args.alpha,
     )
     dist = f1_pa_distribution(setup, SamplingModel(args.model))
-    out = _out_dir(args)
-    write_csv(
-        out / "distribution.csv",
-        ["s", "f1_value", "probability", "cumulative"],
-        [_csv_row(row) for row in dist.rows()],
-    )
-    results = {
-        "model": dist.model,
-        "prob_zero": dist.prob_zero,
-        "mean_f1": dist.mean_f1,
-        "prob_f1_at_least_worst_case": dist.prob_f1_at_least(
-            worst_case_f1_pa(setup.anomalous_length, setup.alpha)
-        ),
-    }
-    manifest = _manifest(
-        "attack-cdf",
-        {
+    return Report(
+        config={
             "total_points": args.total_points,
             "segment_length": args.segment_length,
             "alpha": args.alpha,
             "model": args.model,
         },
-        seeds=[],
-        inputs=[],
+        results={
+            "model": dist.model,
+            "prob_zero": dist.prob_zero,
+            "mean_f1": dist.mean_f1,
+            "prob_f1_at_least_worst_case": dist.prob_f1_at_least(
+                worst_case_f1_pa(setup.anomalous_length, setup.alpha)
+            ),
+        },
+        lines=[
+            f"P(F1=0) = {dist.prob_zero:.6f}, mean F1 = {dist.mean_f1:.6f} "
+            f"({dist.model})"
+        ],
+        tables={"distribution.csv": (DISTRIBUTION_CSV_FIELDS, dist.rows())},
     )
-    _write_report(out, manifest, results)
-    print(
-        f"P(F1=0) = {dist.prob_zero:.6f}, mean F1 = {dist.mean_f1:.6f} "
-        f"({dist.model})"
-    )
-    return 0
 
 
-def _cmd_attack_worst(args: argparse.Namespace) -> int:
+def _cmd_attack_worst(args: argparse.Namespace) -> Report:
     alphas = list(range(args.alpha_min, args.alpha_max + 1, args.alpha_step))
     if not alphas:
         raise ValueError("empty alpha range")
     rows = worst_case_table(args.segment_length, args.contamination, alphas)
-    out = _out_dir(args)
-    write_csv(
-        out / "worst_case.csv",
-        ["alpha", "p_perfect_recall", "worst_precision_pa", "worst_f1_pa"],
-        [_csv_row(asdict(r)) for r in rows],
-    )
-    manifest = _manifest(
-        "attack-worst",
-        {
+    last = rows[-1]
+    return Report(
+        config={
             "segment_length": args.segment_length,
             "contamination": args.contamination,
             "alpha_min": args.alpha_min,
             "alpha_max": args.alpha_max,
             "alpha_step": args.alpha_step,
         },
-        seeds=[],
-        inputs=[],
-    )
-    last = rows[-1]
-    _write_report(
-        out,
-        manifest,
-        {
+        results={
             "n_rows": len(rows),
             "final_alpha": last.alpha,
             "final_p_perfect_recall": last.p_perfect_recall,
             "final_worst_f1_pa": last.worst_f1_pa,
         },
+        lines=[
+            f"{len(rows)} rows; at alpha={last.alpha}: "
+            f"P(perfect recall)={last.p_perfect_recall:.6f}, "
+            f"worst F1={last.worst_f1_pa:.6f}"
+        ],
+        tables={
+            "worst_case.csv": (
+                ["alpha", "p_perfect_recall", "worst_precision_pa", "worst_f1_pa"],
+                [asdict(r) for r in rows],
+            )
+        },
     )
-    print(
-        f"{len(rows)} rows; at alpha={last.alpha}: "
-        f"P(perfect recall)={last.p_perfect_recall:.6f}, "
-        f"worst F1={last.worst_f1_pa:.6f}"
-    )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -534,19 +523,15 @@ def _shape_column(shape: DatasetShape) -> str:
     return f"f1_n{shape.n_normal}_a{shape.n_anomalous}"
 
 
-def _cmd_far_study(args: argparse.Namespace) -> int:
+def _cmd_far_study(args: argparse.Namespace) -> Report:
     grid = default_far_grid(args.far_min, args.far_max, args.far_points)
     table = f1_far_table(args.recall, grid, args.shapes)
     columns = [_shape_column(s) for s in args.shapes]
     rows = [
-        _csv_row({"far": far, **dict(zip(columns, table[i]))})
-        for i, far in enumerate(grid)
+        {"far": far, **dict(zip(columns, table[i]))} for i, far in enumerate(grid)
     ]
-    out = _out_dir(args)
-    write_csv(out / "far_study.csv", ["far"] + columns, rows)
-    manifest = _manifest(
-        "far-study",
-        {
+    return Report(
+        config={
             "recall": args.recall,
             "far_min": args.far_min,
             "far_max": args.far_max,
@@ -556,23 +541,17 @@ def _cmd_far_study(args: argparse.Namespace) -> int:
                 for s in args.shapes
             ],
         },
-        seeds=[],
-        inputs=[],
-    )
-    _write_report(
-        out,
-        manifest,
-        {
+        results={
             "n_rows": len(rows),
             "columns": columns,
             "f1_range": [float(table.min()), float(table.max())],
         },
+        lines=[
+            f"{len(rows)} x {len(columns)} expected-F1 grid written; "
+            f"F1 spans [{table.min():.6f}, {table.max():.6f}]"
+        ],
+        tables={"far_study.csv": (["far"] + columns, rows)},
     )
-    print(
-        f"{len(rows)} x {len(columns)} expected-F1 grid written; "
-        f"F1 spans [{table.min():.6f}, {table.max():.6f}]"
-    )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +591,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         seeds=[spec.seed],
         inputs=[args.spec],
     )
-    sidecar = Path(args.out_file).with_name(
-        Path(args.out_file).name + ".manifest.json"
+    _write_json(
+        Path(args.out_file).with_name(Path(args.out_file).name + ".manifest.json"),
+        manifest,
+        "outputs",
+        {str(p): sha256_digest(p) for p in written},
     )
-    payload = {
-        "manifest": asdict(manifest),
-        "outputs": {str(p): sha256_digest(p) for p in written},
-    }
-    atomic_write_text(sidecar, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(
         f"wrote {', '.join(str(w) for w in written)}; "
         f"{test.labels.n_events} events over {test.n_points} points"
@@ -631,7 +608,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 # baseline
 
 
-def _cmd_baseline(args: argparse.Namespace) -> int:
+def _cmd_baseline(args: argparse.Namespace) -> Report:
     train = load_frame(args.train)
     test = load_frame(args.test)
     if test.labels is None:
@@ -645,68 +622,50 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     scores = score_frame(model, test)
     threshold = _resolve_threshold(args.threshold_policy, scores, test.labels)
     preds = predictions_at_threshold(scores, threshold)
-    reports = score_all(test.labels, preds, args.protocols)
-    rows = [_report_row(r) for r in reports]
+    rows = [_report_row(r) for r in score_all(test.labels, preds, args.protocols)]
     out = _out_dir(args)
     model_path = Path(args.model_out) if args.model_out else out / "model.npz"
     with atomic_open(model_path, "wb") as fh:
         model.save(fh)
-    write_csv(
-        out / "scores.csv",
-        ["score"],
-        ({"score": repr(float(s))} for s in scores.scores),
-    )
-    write_csv(out / "report.csv", REPORT_CSV_FIELDS, [_csv_row(r) for r in rows])
-    manifest = _manifest(
-        "baseline",
-        {
+    return Report(
+        config={
             "variance_target": args.variance_target,
             "clip_quantiles": [args.clip_low, args.clip_high],
             "smooth_window": args.smooth_window,
             "threshold_policy": _policy_name(args.threshold_policy),
             "protocols": [p.value for p in args.protocols],
         },
-        seeds=[],
-        inputs=[args.train, args.test],
-    )
-    _write_report(
-        out,
-        manifest,
-        {
+        results={
             "n_components": model.n_components,
             "threshold": threshold,
             "model_path": os.path.relpath(model_path, out),
             "rows": rows,
         },
+        lines=[
+            f"PCA baseline: {model.n_components} of {model.n_channels} "
+            f"components, threshold {threshold:.6g}"
+        ]
+        + _row_lines(rows),
+        inputs=[args.train, args.test],
+        tables={
+            "scores.csv": (["score"], ({"score": s} for s in scores.scores)),
+            "report.csv": (REPORT_CSV_FIELDS, rows),
+        },
     )
-    print(
-        f"PCA baseline: {model.n_components} of {model.n_channels} "
-        f"components, threshold {threshold:.6g}"
-    )
-    _print_rows(rows)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # check-labels
 
 
-def _cmd_check_labels(args: argparse.Namespace) -> int:
+def _cmd_check_labels(args: argparse.Namespace) -> Report:
     labels = load_label_series(args.labels)
     events = load_events(args.events, end_exclusive=args.end_exclusive)
     reconstructed = labels_from_events(events, len(labels))
     report = check_label_consistency(labels, reconstructed)
-    out = _out_dir(args)
-    manifest = _manifest(
-        "check-labels",
-        {"end_exclusive": args.end_exclusive},
-        seeds=[],
-        inputs=[args.labels, args.events],
-    )
-    _write_report(
-        out,
-        manifest,
-        {
+    return Report(
+        config={"end_exclusive": args.end_exclusive},
+        results={
             "is_consistent": report.is_consistent,
             "total_points": report.total_points,
             "integrated_only_points": report.integrated_only,
@@ -720,9 +679,9 @@ def _cmd_check_labels(args: argparse.Namespace) -> int:
                 for run in report.runs
             ],
         },
+        lines=[report.summary()],
+        inputs=[args.labels, args.events],
     )
-    print(report.summary())
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +704,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_protocols(p)
     _add_threshold_policy(p)
     _add_out(p)
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_write_outputs, compute=_cmd_evaluate)
 
     p = sub.add_parser("attack", help="random-flag stress test")
     p.add_argument("--labels")
@@ -757,7 +716,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_protocols(p)
     _add_out(p)
-    p.set_defaults(func=_cmd_attack)
+    p.set_defaults(func=_write_outputs, compute=_cmd_attack)
 
     p = sub.add_parser("attack-cdf", help="analytic adjusted-F1 distribution")
     p.add_argument("--total-points", type=int, required=True)
@@ -769,7 +728,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=SamplingModel.BERNOULLI_APPROX.value,
     )
     _add_out(p)
-    p.set_defaults(func=_cmd_attack_cdf)
+    p.set_defaults(func=_write_outputs, compute=_cmd_attack_cdf)
 
     p = sub.add_parser("attack-worst", help="analytic worst-case curves")
     p.add_argument("--segment-length", type=int, required=True)
@@ -778,7 +737,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-max", type=int, required=True)
     p.add_argument("--alpha-step", type=int, default=1)
     _add_out(p)
-    p.set_defaults(func=_cmd_attack_worst)
+    p.set_defaults(func=_write_outputs, compute=_cmd_attack_worst)
 
     p = sub.add_parser("far-study", help="expected F1 across class balances")
     p.add_argument("--recall", type=float, default=0.99)
@@ -792,7 +751,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated n_normal:n_anomalous pairs",
     )
     _add_out(p)
-    p.set_defaults(func=_cmd_far_study)
+    p.set_defaults(func=_write_outputs, compute=_cmd_far_study)
 
     p = sub.add_parser("synth", help="generate a synthetic labelled frame")
     p.add_argument("--spec", required=True)
@@ -813,7 +772,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_protocols(p)
     _add_threshold_policy(p)
     _add_out(p)
-    p.set_defaults(func=_cmd_baseline)
+    p.set_defaults(func=_write_outputs, compute=_cmd_baseline)
 
     p = sub.add_parser("check-labels", help="labels vs exported event list")
     p.add_argument("--labels", required=True)
@@ -824,7 +783,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="event ends point one past the last anomalous index",
     )
     _add_out(p)
-    p.set_defaults(func=_cmd_check_labels)
+    p.set_defaults(func=_write_outputs, compute=_cmd_check_labels)
 
     return parser
 
