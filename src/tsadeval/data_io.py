@@ -419,10 +419,10 @@ def check_label_consistency(
     diff = integrated.values.astype(np.int8) - reconstructed.values
     runs = [
         DisagreementRun(segment=seg, direction="integrated-only")
-        for seg in _runs_of(diff == 1)
+        for seg in segmentize(diff == 1)
     ] + [
         DisagreementRun(segment=seg, direction="reconstructed-only")
-        for seg in _runs_of(diff == -1)
+        for seg in segmentize(diff == -1)
     ]
     runs.sort(key=lambda r: r.segment.start)
     return ConsistencyReport(
@@ -431,10 +431,6 @@ def check_label_consistency(
         reconstructed_only=int(np.count_nonzero(diff == -1)),
         runs=tuple(runs),
     )
-
-
-def _runs_of(mask: np.ndarray) -> list[Segment]:
-    return segmentize(mask.astype(np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +577,7 @@ def synthetic_labels(spec: SyntheticSpec) -> LabelSeries:
     events = place_events(
         spec.total_points, spec.event_lengths, spec.gap_policy, placement_rng
     )
-    values = np.zeros(spec.total_points, dtype=np.int8)
-    for ev in events:
-        values[ev.start : ev.end + 1] = 1
-    return LabelSeries(values)
+    return labels_from_events(events, spec.total_points)
 
 
 _AR_COEF = 0.9
@@ -642,9 +635,12 @@ def _inject(
 def _generate(
     spec: SyntheticSpec, train_points: int
 ) -> tuple:
+    """Values of train_points clean rows then the spec's test rows, and the
+    test rows' labels."""
     values_rng, placement_rng, injection_rng = _spec_streams(spec)
-    n_total = train_points + spec.total_points
-    values = _backbone(n_total, spec.n_channels, values_rng)
+    values = _backbone(
+        train_points + spec.total_points, spec.n_channels, values_rng
+    )
     sigma = values.std(axis=0)
     test_events = place_events(
         spec.total_points, spec.event_lengths, spec.gap_policy, placement_rng
@@ -654,10 +650,7 @@ def _generate(
         for ev in test_events
     ]
     _inject(values, shifted, sigma, spec, injection_rng)
-    flags = np.zeros(n_total, dtype=np.int8)
-    for ev in shifted:
-        flags[ev.start : ev.end + 1] = 1
-    return values, flags
+    return values, labels_from_events(test_events, spec.total_points)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> MvtsFrame:
@@ -666,8 +659,8 @@ def generate_synthetic(spec: SyntheticSpec) -> MvtsFrame:
     The positive runs of the labels reproduce spec.event_lengths exactly,
     because a spec's gap_policy of at least 1 keeps events apart.
     """
-    values, flags = _generate(spec, train_points=0)
-    return MvtsFrame(values=values, labels=LabelSeries(flags))
+    values, labels = _generate(spec, train_points=0)
+    return MvtsFrame(values=values, labels=labels)
 
 
 def generate_train_test(
@@ -682,13 +675,9 @@ def generate_train_test(
     """
     if train_points < 1:
         raise ValueError("train_points must be >= 1")
-    values, flags = _generate(spec, train_points=train_points)
+    values, labels = _generate(spec, train_points=train_points)
     train = MvtsFrame(
         values=values[:train_points],
         labels=LabelSeries(np.zeros(train_points, dtype=np.int8)),
     )
-    test = MvtsFrame(
-        values=values[train_points:],
-        labels=LabelSeries(flags[train_points:]),
-    )
-    return train, test
+    return train, MvtsFrame(values=values[train_points:], labels=labels)
