@@ -623,8 +623,11 @@ def _cmd_baseline(args: argparse.Namespace) -> Report:
     threshold = _resolve_threshold(args.threshold_policy, scores, test.labels)
     preds = predictions_at_threshold(scores, threshold)
     rows = [_report_row(r) for r in score_all(test.labels, preds, args.protocols)]
-    out = _out_dir(args)
-    model_path = Path(args.model_out) if args.model_out else out / "model.npz"
+    # --out is created only when the model goes into it, so a bad
+    # --model-out leaves --out untouched
+    model_path = (
+        Path(args.model_out) if args.model_out else _out_dir(args) / "model.npz"
+    )
     with atomic_open(model_path, "wb") as fh:
         model.save(fh)
     return Report(
@@ -638,7 +641,7 @@ def _cmd_baseline(args: argparse.Namespace) -> Report:
         results={
             "n_components": model.n_components,
             "threshold": threshold,
-            "model_path": os.path.relpath(model_path, out),
+            "model_path": os.path.relpath(model_path, args.out),
             "rows": rows,
         },
         lines=[

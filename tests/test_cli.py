@@ -639,6 +639,10 @@ INPUT_ERRORS = {
     "baseline-unlabelled-test": [
         "baseline", "--train", "train.csv", "--test", "test.csv",
     ],
+    "baseline-model-out-in-missing-dir": [
+        "baseline", "--train", "train.csv", "--test", "labelled.csv",
+        "--model-out", "nodir/model.npz",
+    ],
     "check-labels-missing-events": [
         "check-labels", "--labels", "labels.csv", "--events", "nope.csv",
     ],
@@ -652,12 +656,15 @@ def test_input_error_leaves_out_uncreated(
     monkeypatch.chdir(tmp_path)
     write_column(tmp_path / "labels.csv", "label", WORKED_LABELS)
     rng = np.random.default_rng(0)
-    for name in ("train.csv", "test.csv"):
+    for name, labels in [
+        ("train.csv", None), ("test.csv", None), ("labelled.csv", WORKED_LABELS)
+    ]:
         with open(tmp_path / name, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["c0", "c1"])
-            for row in rng.standard_normal((20, 2)):
-                writer.writerow([repr(float(v)) for v in row])
+            writer.writerow(["c0", "c1"] + (["label"] if labels else []))
+            for i, row in enumerate(rng.standard_normal((10, 2))):
+                cells = [repr(float(v)) for v in row]
+                writer.writerow(cells + ([labels[i]] if labels else []))
     assert main([*INPUT_ERRORS[case], "--out", "out"]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
