@@ -21,7 +21,7 @@ sidecar holding the manifest and the SHA-256 of every file it wrote. With
 a fixed seed all outputs are byte-identical across runs except the
 manifest timestamp, which can be pinned via TSADEVAL_TIMESTAMP. Exit
 status is 0 only if every output was fully written; input and usage
-errors exit with status 2 and write nothing.
+errors exit with status 2, and a reporting command then writes nothing.
 """
 
 from __future__ import annotations
@@ -152,8 +152,9 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _write_outputs(args: argparse.Namespace) -> int:
     """Run a reporting command, then write its tables and report.json into
-    --out and print its lines. The command writes nothing itself, so an
-    input error leaves --out untouched."""
+    --out and print its lines. Commands compute everything before anything
+    is written (baseline's model file is the one they write themselves), so
+    an input error leaves --out untouched."""
     report = args.compute(args)
     manifest = _manifest(args.command, report.config, report.seeds, report.inputs)
     out = _out_dir(args)
