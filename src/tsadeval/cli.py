@@ -21,12 +21,14 @@ sidecar holding the manifest and the SHA-256 of every file it wrote. With
 a fixed seed all outputs are byte-identical across runs except the
 manifest timestamp, which can be pinned via TSADEVAL_TIMESTAMP. Exit
 status is 0 only if every output was fully written; input and usage
-errors exit with status 2, and a reporting command then writes nothing.
+errors exit with status 2, and a reporting command then writes nothing;
+synth checks every output's directory before it writes its first file.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -148,6 +150,16 @@ def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _require_dirs(paths: Sequence) -> None:
+    """Raise, naming the path, unless every path's directory exists, so a
+    command that writes several files fails before it writes any."""
+    for path in paths:
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(
+                errno.ENOENT, os.strerror(errno.ENOENT), str(path)
+            )
 
 
 def _write_outputs(args: argparse.Namespace) -> int:
@@ -561,10 +573,14 @@ def _cmd_far_study(args: argparse.Namespace) -> Report:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = load_synthetic_spec(args.spec)
+    if args.train_points and not args.train_out:
+        raise ValueError("--train-points requires --train-out")
+    outputs = [args.out_file, args.events_out]
+    if args.train_points:
+        outputs.append(args.train_out)
+    _require_dirs([p for p in outputs if p])
     written = []
     if args.train_points:
-        if not args.train_out:
-            raise ValueError("--train-points requires --train-out")
         train, test = generate_train_test(spec, args.train_points)
         write_frame(train, args.train_out)
         written.append(args.train_out)

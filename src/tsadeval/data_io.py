@@ -72,9 +72,13 @@ def atomic_open(path: "str | Path", mode: str = "w") -> Iterator:
     or "wb" for binary.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp"
-    )
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+        )
+    except OSError as exc:
+        # name the path asked for, not the random temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     handle = os.fdopen(fd, mode, newline=None if "b" in mode else "")
     try:
         yield handle

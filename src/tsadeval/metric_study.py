@@ -102,10 +102,13 @@ def f1_far_table(
     contamination: more anomalous mass means the same false-alarm rate
     buys proportionally fewer false positives per true positive.
     """
-    far_grid = np.asarray(far_grid, dtype=float)
-    table = np.empty((far_grid.size, len(shapes)))
-    for i, far in enumerate(far_grid):
-        det = DetectorSpec(recall=recall, far=float(far))
-        for j, shape in enumerate(shapes):
-            table[i, j] = expected_f1(det, shape)[2]
-    return table
+    DetectorSpec(recall=recall, far=0.0)  # rejects a recall outside [0, 1]
+    far = np.asarray(far_grid, dtype=float)[:, None]
+    outside = ~((0.0 <= far) & (far <= 1.0))
+    if outside.any():
+        raise ValueError(f"far {far[outside][0]} outside [0, 1]")
+    n_normal = np.array([[s.n_normal for s in shapes]], dtype=float)
+    n_anomalous = np.array([[s.n_anomalous for s in shapes]], dtype=float)
+    # expected_counts over the whole (far, shape) grid at once
+    tp = recall * n_anomalous
+    return prf_from_counts(tp, far * n_normal, n_anomalous - tp)[2]

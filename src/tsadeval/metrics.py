@@ -227,23 +227,42 @@ def point_confusion(
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
-def harmonic_f1(precision: float, recall: float) -> float:
-    """Harmonic mean of precision and recall, 0.0 when both are 0."""
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def _ratio(num, den) -> np.ndarray:
+    """num / den elementwise, 0.0 wherever den is 0."""
+    num, den = np.broadcast_arrays(
+        np.asarray(num, dtype=np.float64), np.asarray(den, dtype=np.float64)
+    )
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
 
 
-def prf_from_counts(
-    tp: float, fp: float, fn: float
-) -> tuple[float, float, float]:
+def harmonic_f1(precision, recall):
+    """Harmonic mean of precision and recall, 0.0 when both are 0.
+
+    Arrays give the elementwise mean with the same operations, so a value
+    computed either way is bit-identical.
+    """
+    total = precision + recall
+    if isinstance(total, np.ndarray):
+        return _ratio(2.0 * precision * recall, total)
+    return 0.0 if total == 0.0 else 2.0 * precision * recall / total
+
+
+def prf_from_counts(tp, fp, fn):
     """(precision, recall, f1) from possibly fractional expected counts.
 
     Zero denominators yield 0.0 rather than raising, so degenerate series
-    (no positives anywhere) score 0 instead of crashing a sweep.
+    (no positives anywhere) score 0 instead of crashing a sweep. Scalar
+    counts give floats; arrays of counts (broadcast together) give arrays,
+    computed elementwise with the same operations.
     """
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    flagged, actual = tp + fp, tp + fn
+    # isinstance, unlike np.ndim, keeps the attack loop's scalar calls cheap
+    if isinstance(flagged, np.ndarray) or isinstance(actual, np.ndarray):
+        precision = _ratio(tp, flagged)
+        recall = _ratio(tp, actual)
+    else:
+        precision = tp / flagged if flagged > 0 else 0.0
+        recall = tp / actual if actual > 0 else 0.0
     return precision, recall, harmonic_f1(precision, recall)
 
 

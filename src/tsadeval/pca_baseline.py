@@ -23,7 +23,12 @@ from typing import BinaryIO, Optional, Union
 import numpy as np
 
 from tsadeval.data_io import MvtsFrame
-from tsadeval.metrics import LabelSeries, PredictionSeries
+from tsadeval.metrics import (
+    LabelSeries,
+    PredictionSeries,
+    harmonic_f1,
+    prf_from_counts,
+)
 from tsadeval.protocols import Protocol, ProtocolReport, score
 
 __all__ = [
@@ -271,37 +276,99 @@ def predictions_at_threshold(
     )
 
 
+def _sweep_f1(
+    scores: np.ndarray, labels: LabelSeries, protocol: Protocol
+) -> tuple[np.ndarray, np.ndarray]:
+    """(thresholds, f1): every distinct score plus +inf, from high to low,
+    and the F1 that score() gives the predictions at each threshold.
+
+    The prediction at threshold t is on where score >= t, so every count a
+    protocol needs is "how many precomputed values are >= t". Each value is
+    a score, a minimum or a maximum of scores, so it is replaced by its
+    rank among the distinct scores; a count is then a cumulative sum of a
+    bincount, O(T) after the one sort inside np.unique. F1 is computed from
+    the counts by the same operations as score(), so it is bit-identical.
+    """
+    distinct, rank = np.unique(scores, return_inverse=True)
+    thresholds = np.concatenate(([np.inf], distinct[::-1]))
+
+    def at_or_above(ranks: np.ndarray, weights=None) -> np.ndarray:
+        # summed weight (or number) of the ranks at or above each threshold
+        counts = np.bincount(ranks, weights, minlength=distinct.size)
+        return np.concatenate(([0], np.cumsum(counts[::-1])))
+
+    anomalous = labels.values.astype(bool)
+    tp = at_or_above(rank[anomalous])
+    fp = at_or_above(rank[~anomalous])
+    n_anomalous = labels.n_anomalous
+    if protocol is Protocol.POINT_WISE:
+        return thresholds, prf_from_counts(tp, fp, n_anomalous - tp)[2]
+
+    # an event is detected once the threshold falls to its peak score; the
+    # appended 0 keeps the index one past an event at the series end valid
+    starts, ends = labels.starts, labels.ends
+    bounds = np.column_stack((starts, ends + 1)).ravel()
+    peak = np.maximum.reduceat(np.append(rank, 0), bounds)[::2]
+    if protocol is Protocol.POINT_ADJUST:
+        # a detected event counts its whole length
+        tp = at_or_above(peak, ends - starts + 1)
+        return thresholds, prf_from_counts(tp, fp, n_anomalous - tp)[2]
+    detected = at_or_above(peak)
+    n_events = starts.size
+    if protocol is Protocol.COMPOSITE:
+        precision = prf_from_counts(tp, fp, n_anomalous - tp)[0]
+        recall = prf_from_counts(detected, 0, n_events - detected)[1]
+        return thresholds, harmonic_f1(precision, recall)
+
+    # event-wise fp_e counts the on-runs made only of normal points. Runs of
+    # on normal points are on normal points less on normal-normal pairs;
+    # each on normal/event pair joins such a run to an event, and a normal
+    # gap that is on from one event's last point to the next event's first
+    # is joined twice, so it is added back once. A pair is on at the
+    # smaller of its two ranks.
+    pair = np.minimum(rank[:-1], rank[1:])
+    left, right = anomalous[:-1], anomalous[1:]
+    gap = np.column_stack((ends[:-1] + 1, starts[1:])).ravel()
+    bridge = np.minimum(
+        np.minimum.reduceat(rank, gap)[::2],
+        np.minimum(rank[ends[:-1]], rank[starts[1:]]),
+    )
+    fp_e = (
+        fp
+        - at_or_above(pair[~left & ~right])
+        - at_or_above(pair[left != right])
+        + at_or_above(bridge)
+    )
+    n_normal = labels.n_normal
+    far = fp / n_normal if n_normal else np.zeros(thresholds.size)
+    base, recall, _ = prf_from_counts(detected, fp_e, n_events - detected)
+    return thresholds, harmonic_f1(base * (1.0 - far), recall)
+
+
 def sweep_threshold(
     scores: AnomalyScoreSeries,
     labels: LabelSeries,
     protocol: Protocol = Protocol.POINT_WISE,
 ) -> tuple:
-    """Exhaustive threshold sweep maximizing F1 under the given protocol.
+    """Threshold sweep maximizing F1 under the given protocol.
 
     Candidates are every distinct score plus infinity (the all-negative
     prediction), so the all-positive and all-negative extremes are always
     considered. Returns (threshold, report); ties in F1 resolve toward the
     larger threshold, i.e. the fewest positive points.
 
-    Note the search is exhaustive rather than clever: with event-aware
-    protocols F1 is not monotone between candidate thresholds, and the
-    point of the baseline is trustworthiness, not speed.
+    Every candidate is still scored exactly, with event-aware protocols
+    too, whose F1 is not monotone in the threshold: the counts at all
+    candidates come from one sort, in O(T log T), and score() runs once,
+    at the winning threshold, to build the report.
     """
     if len(scores) != len(labels):
         raise ValueError(
             f"length mismatch: {len(scores)} scores vs {len(labels)} labels"
         )
     protocol = Protocol(protocol)
-    candidates = np.concatenate((np.unique(scores.scores), [np.inf]))
-    best_threshold = np.inf
-    best_report = None
-    best_f1 = -1.0
-    for threshold in candidates[::-1]:
-        report = score(
-            labels, predictions_at_threshold(scores, float(threshold)), protocol
-        )
-        if report.f1 > best_f1:
-            best_f1 = report.f1
-            best_threshold = float(threshold)
-            best_report = report
-    return best_threshold, best_report
+    thresholds, f1 = _sweep_f1(scores.scores, labels, protocol)
+    # argmax takes the first maximum, i.e. the largest threshold
+    threshold = float(thresholds[np.argmax(f1)])
+    report = score(labels, predictions_at_threshold(scores, threshold), protocol)
+    return threshold, report

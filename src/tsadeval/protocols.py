@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from tsadeval.metrics import (
+    ConfusionCounts,
     LabelSeries,
     PredictionSeries,
     false_alarm_rate,
@@ -111,6 +112,13 @@ def _overlap_counts(
     )
 
 
+def _detected_events(labels: LabelSeries, preds: PredictionSeries) -> np.ndarray:
+    """Per true event, whether at least one of its points is predicted."""
+    return (
+        _overlap_counts(labels.starts, labels.ends, preds.starts, preds.ends) > 0
+    )
+
+
 def point_adjust(
     labels: LabelSeries, preds: PredictionSeries
 ) -> PredictionSeries:
@@ -123,13 +131,12 @@ def point_adjust(
     """
     require_same_length(labels, preds)
     starts, ends = labels.starts, labels.ends
-    hits = _overlap_counts(starts, ends, preds.starts, preds.ends)
     # the series alternates normal stretches and events: repeat False over
     # each stretch and the event's detected flag over each event
     inner = np.column_stack((starts, ends + 1)).ravel()
     lengths = np.diff(np.concatenate(([0], inner, [len(labels)])))
     flags = np.zeros(lengths.size, dtype=bool)
-    flags[1::2] = hits > 0
+    flags[1::2] = _detected_events(labels, preds)
     return PredictionSeries(preds.values | np.repeat(flags, lengths))
 
 
@@ -163,9 +170,19 @@ def score_point_wise(
 def score_point_adjust(
     labels: LabelSeries, preds: PredictionSeries
 ) -> ProtocolReport:
-    """Point-wise rates computed after the point-adjust expansion."""
-    adjusted = point_adjust(labels, preds)
-    counts = point_confusion(labels, adjusted)
+    """Point-wise rates computed after the point-adjust expansion.
+
+    The adjusted series is never built: adjustment turns every detected
+    event fully positive and touches nothing else, so its true positives
+    are the detected events' summed length and its false positives and
+    true negatives are the raw ones.
+    """
+    raw = point_confusion(labels, preds)
+    detected = _detected_events(labels, preds)
+    tp = int((labels.ends - labels.starts + 1)[detected].sum())
+    counts = ConfusionCounts(
+        tp=tp, fp=raw.fp, fn=raw.tp + raw.fn - tp, tn=raw.tn
+    )
     precision, recall, f1 = precision_recall_f1(counts)
     return ProtocolReport(
         protocol=Protocol.POINT_ADJUST,

@@ -646,6 +646,14 @@ INPUT_ERRORS = {
     "check-labels-missing-events": [
         "check-labels", "--labels", "labels.csv", "--events", "nope.csv",
     ],
+    "synth-events-out-in-missing-dir": [
+        "synth", "--spec", "spec.json", "--out-file", "synth.csv",
+        "--events-out", "nodir/e.csv",
+    ],
+    "synth-out-file-in-missing-dir": [
+        "synth", "--spec", "spec.json", "--train-points", "500",
+        "--train-out", "synth_train.csv", "--out-file", "nodir/synth.csv",
+    ],
 }
 
 
@@ -665,9 +673,19 @@ def test_input_error_leaves_out_uncreated(
             for i, row in enumerate(rng.standard_normal((10, 2))):
                 cells = [repr(float(v)) for v in row]
                 writer.writerow(cells + ([labels[i]] if labels else []))
-    assert main([*INPUT_ERRORS[case], "--out", "out"]) == 2
-    assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    argv = INPUT_ERRORS[case]
+    if argv[0] != "synth":  # synth writes next to --out-file, not into --out
+        argv = [*argv, "--out", "out"]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    # nothing is written, and an output in a missing directory is named as
+    # given, not by the temp file it would have been written through
+    assert sorted(tmp_path.rglob("*")) == before
+    for arg in argv:
+        if arg.startswith("nodir/"):
+            assert arg in err and ".tmp" not in err
 
 
 class TestReproducibility:

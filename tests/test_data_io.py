@@ -62,6 +62,12 @@ class TestAtomicWrites:
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
 
+    def test_missing_directory_names_the_path(self, tmp_path):
+        target = tmp_path / "nodir" / "z.txt"
+        with pytest.raises(FileNotFoundError) as caught:
+            atomic_write_text(target, "text")
+        assert caught.value.filename == str(target)
+
     def test_write_csv(self, tmp_path):
         target = tmp_path / "r.csv"
         write_csv(target, ["a", "b"], [{"a": 1, "b": 2}, {"a": 3, "b": 4}])

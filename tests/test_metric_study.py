@@ -103,6 +103,15 @@ class TestTable:
             for j, shape in enumerate(self.SHAPES):
                 assert table[i, j] == expected_f1(det, shape)[2]
 
+    @pytest.mark.parametrize(
+        "recall, grid",
+        [(1.2, [0.1]), (-0.1, [0.1]), (0.9, [0.1, 1.5]), (0.9, [-0.1]),
+         (0.9, [float("nan")])],
+    )
+    def test_out_of_range_rejected(self, recall, grid):
+        with pytest.raises(ValueError, match="outside"):
+            f1_far_table(recall, np.array(grid), self.SHAPES)
+
     def test_contamination_ordering_strict(self):
         table = f1_far_table(0.99, default_far_grid(), self.SHAPES)
         assert np.all(table[:, 0] > table[:, 1])

@@ -172,6 +172,15 @@ class TestRates:
         precision, recall, f1 = prf_from_counts(99.0, 100.0, 1.0)
         assert f1 == pytest.approx(198 / 299, abs=1e-12)
 
+    def test_array_counts_match_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        tp, fp, fn = rng.integers(0, 4, (3, 200))
+        arrays = prf_from_counts(tp, fp, fn)
+        for i in range(tp.size):
+            scalars = prf_from_counts(int(tp[i]), int(fp[i]), int(fn[i]))
+            assert tuple(a[i] for a in arrays) == scalars
+        assert all(type(v) is float for v in prf_from_counts(1, 2, 3))
+
     def test_far_all_anomalous_is_zero_with_warning(self):
         counts = ConfusionCounts(tp=3, fp=0, fn=1, tn=0)
         with pytest.warns(UserWarning, match="no normal points"):

@@ -1,7 +1,13 @@
 """PCA baseline: fitting, scoring, persistence and the threshold sweep."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tsadeval import pca_baseline
 
 from tsadeval.data_io import (
     AnomalySignal,
@@ -267,6 +273,90 @@ class TestSweep:
             sweep_threshold(
                 AnomalyScoreSeries(np.array([1.0])), LabelSeries([0, 1])
             )
+
+
+def brute_force_sweep(scores, labels, protocol):
+    """First maximum of score() over the candidates walked from high to low."""
+    candidates = np.concatenate((np.unique(scores.scores), [np.inf]))
+    best_threshold, best_report = None, None
+    for threshold in candidates[::-1]:
+        report = score(
+            labels, predictions_at_threshold(scores, float(threshold)), protocol
+        )
+        if best_report is None or report.f1 > best_report.f1:
+            best_threshold, best_report = float(threshold), report
+    return best_threshold, best_report
+
+
+@st.composite
+def scored_layouts(draw):
+    n = draw(st.integers(min_value=1, max_value=50))
+    flags = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    labels = draw(st.one_of(flags, st.just([0] * n), st.just([1] * n)))
+    # few distinct values give ties; floats give one candidate per point
+    value = st.one_of(
+        st.integers(0, 3).map(float), st.floats(0.0, 1e6, allow_nan=False)
+    )
+    tied = draw(value)
+    scores = draw(
+        st.one_of(
+            st.lists(value, min_size=n, max_size=n),
+            st.just([tied] * n),
+            st.just([0.0] * n),
+        )
+    )
+    return scores, labels
+
+
+class TestSweepAgainstBruteForce:
+    @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
+    @settings(max_examples=300, deadline=None)
+    @given(scored_layouts())
+    @example(([0.5], [1]))
+    @example(([0.5], [0]))
+    @example(([0.1, 0.9, 0.3], [0, 0, 0]))
+    @example(([0.1, 0.9, 0.3], [1, 1, 1]))
+    @example(([0.4, 0.4, 0.4, 0.4], [0, 1, 1, 0]))
+    @example(([0.0, 0.0, 0.0], [1, 0, 1]))
+    @example(([0.9, 0.2, 0.7, 0.7, 0.1, 0.8], [1, 0, 0, 0, 0, 1]))
+    @example(([0.9, 0.8, 0.6, 0.5, 0.7, 0.9], [1, 1, 0, 0, 1, 1]))
+    def test_threshold_and_report_equal_per_candidate_scoring(self, layout):
+        values, label_values = layout
+        scores = AnomalyScoreSeries(np.array(values))
+        labels = LabelSeries(label_values)
+        for protocol in Protocol:
+            assert sweep_threshold(scores, labels, protocol) == (
+                brute_force_sweep(scores, labels, protocol)
+            )
+
+
+class TestSweepCost:
+    @pytest.mark.parametrize("n", [1, 50, 5000])
+    def test_one_score_call_per_sweep(self, n, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return score(*args)
+
+        monkeypatch.setattr(pca_baseline, "score", counted)
+        rng = np.random.default_rng(n)
+        scores = AnomalyScoreSeries(rng.random(n))
+        labels = LabelSeries((rng.random(n) < 0.2).astype(np.int8))
+        for protocol in Protocol:
+            calls.clear()
+            sweep_threshold(scores, labels, protocol)
+            assert len(calls) == 1
+
+    def test_all_anomalous_warns_once_per_sweep(self):
+        scores = AnomalyScoreSeries(np.linspace(0.0, 1.0, 40))
+        labels = LabelSeries(np.ones(40, dtype=np.int8))
+        for protocol in Protocol:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sweep_threshold(scores, labels, protocol)
+            messages = [str(w.message) for w in caught]
+            assert sum("no normal points" in m for m in messages) == 1
 
 
 class TestEndToEnd:

@@ -1,5 +1,7 @@
 """Scoring protocols: worked examples, reference scorers and invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -161,8 +163,12 @@ class TestEventCountsAgainstNaive:
             fp_e,
             fn_e,
         )
-        assert point_adjust(labels, preds).values.tolist() == (
+        adjusted = point_adjust(labels, preds)
+        assert adjusted.values.tolist() == (
             naive_point_adjust(label_values, pred_values)
+        )
+        assert score_point_adjust(labels, preds) == dataclasses.replace(
+            score_point_wise(labels, adjusted), protocol=Protocol.POINT_ADJUST
         )
 
 
