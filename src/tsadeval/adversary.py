@@ -25,7 +25,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from tsadeval.metrics import LabelSeries, PredictionSeries, point_confusion
 from tsadeval.protocols import Protocol, score
@@ -192,6 +191,10 @@ def hit_probabilities(
     setup: AttackSetup, model: SamplingModel = SamplingModel.BERNOULLI_APPROX
 ) -> np.ndarray:
     """P(s hits inside the segment) for s = 0..alpha under the given model."""
+    # imported here, its only use: scipy.stats takes over a second to import
+    # and no other command needs it
+    from scipy import stats
+
     s = np.arange(setup.alpha + 1)
     model = SamplingModel(model)
     if model is SamplingModel.BERNOULLI_APPROX:

@@ -32,6 +32,7 @@ import errno
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -575,6 +576,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     spec = load_synthetic_spec(args.spec)
     if args.train_points and not args.train_out:
         raise ValueError("--train-points requires --train-out")
+    if args.train_out and not args.train_points:
+        raise ValueError("--train-out requires --train-points")
     outputs = [args.out_file, args.events_out]
     if args.train_points:
         outputs.append(args.train_out)
@@ -808,14 +811,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_each_warning_once() -> None:
+    """Show each warning text once until the enclosing catch_warnings exits.
+
+    Every protocol of a run warns alike about a series with no normal
+    points; the user needs to read it once, not once per protocol.
+    """
+    show = warnings.showwarning
+    seen = set()
+
+    def show_once(message, category, filename, lineno, file=None, line=None):
+        key = (category, str(message))
+        if key not in seen:
+            seen.add(key)
+            show(message, category, filename, lineno, file, line)
+
+    warnings.showwarning = show_once
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        _show_each_warning_once()
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

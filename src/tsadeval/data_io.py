@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy import signal
 
 from tsadeval.metrics import LabelSeries, PredictionSeries, Segment, segmentize
 
@@ -597,6 +596,10 @@ def _backbone(
     The decaying singular values concentrate variance in a few directions,
     which is what gives a truncated PCA something to reconstruct.
     """
+    # imported here, its only use, so that commands which generate nothing
+    # do not pay for importing scipy
+    from scipy import signal
+
     q1, _ = np.linalg.qr(rng.standard_normal((n_channels, n_channels)))
     q2, _ = np.linalg.qr(rng.standard_normal((n_channels, n_channels)))
     singulars = _SINGULAR_DECAY ** np.arange(n_channels)

@@ -2,13 +2,20 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsadeval.cli import main
 from tsadeval.data_io import load_frame
+from tsadeval.metrics import LabelSeries, PredictionSeries
 from tsadeval.pca_baseline import ScoredModel
+from tsadeval.protocols import score_all
 
 WORKED_LABELS = [0, 0, 0, 1, 1, 1, 1, 1, 0, 0]
 WORKED_PREDS = [0, 0, 0, 0, 0, 1, 0, 0, 0, 1]
@@ -20,6 +27,17 @@ def write_column(path, name, values):
         writer.writerow([name])
         for v in values:
             writer.writerow([v])
+
+
+def write_frame_csv(path, values, labels=None):
+    """A frame file: one cN column per channel, then labels if given."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = [f"c{j}" for j in range(values.shape[1])]
+        writer.writerow(header + (["label"] if labels is not None else []))
+        for i, row in enumerate(values):
+            cells = [repr(float(v)) for v in row]
+            writer.writerow(cells + ([labels[i]] if labels is not None else []))
 
 
 def read_report(out_dir):
@@ -650,6 +668,10 @@ INPUT_ERRORS = {
         "synth", "--spec", "spec.json", "--out-file", "synth.csv",
         "--events-out", "nodir/e.csv",
     ],
+    "synth-train-out-without-train-points": [
+        "synth", "--spec", "spec.json", "--out-file", "synth.csv",
+        "--train-out", "synth_train.csv",
+    ],
     "synth-out-file-in-missing-dir": [
         "synth", "--spec", "spec.json", "--train-points", "500",
         "--train-out", "synth_train.csv", "--out-file", "nodir/synth.csv",
@@ -667,12 +689,7 @@ def test_input_error_leaves_out_uncreated(
     for name, labels in [
         ("train.csv", None), ("test.csv", None), ("labelled.csv", WORKED_LABELS)
     ]:
-        with open(tmp_path / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["c0", "c1"] + (["label"] if labels else []))
-            for i, row in enumerate(rng.standard_normal((10, 2))):
-                cells = [repr(float(v)) for v in row]
-                writer.writerow(cells + ([labels[i]] if labels else []))
+        write_frame_csv(tmp_path / name, rng.standard_normal((10, 2)), labels)
     argv = INPUT_ERRORS[case]
     if argv[0] != "synth":  # synth writes next to --out-file, not into --out
         argv = [*argv, "--out", "out"]
@@ -686,6 +703,100 @@ def test_input_error_leaves_out_uncreated(
     for arg in argv:
         if arg.startswith("nodir/"):
             assert arg in err and ".tmp" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "baseline"])
+def test_no_normal_points_warned_once_per_run(command, tmp_path):
+    # evaluate and baseline score four protocols after a sweep, and each
+    # step would warn about the all-anomalous labels on its own
+    labels = [1] * 40
+    write_column(tmp_path / "labels.csv", "label", labels)
+    write_column(tmp_path / "scores.csv", "score", [i / 40 for i in range(40)])
+    rng = np.random.default_rng(1)
+    write_frame_csv(tmp_path / "train.csv", rng.standard_normal((40, 3)))
+    write_frame_csv(tmp_path / "test.csv", rng.standard_normal((40, 3)), labels)
+    inputs = {
+        "evaluate": ["--labels", "labels.csv", "--scores", "scores.csv"],
+        "baseline": ["--train", "train.csv", "--test", "test.csv"],
+    }[command]
+    argv = [command, *(str(tmp_path / a) if a.endswith(".csv") else a
+                       for a in inputs), "--out", str(tmp_path / "out")]
+
+    def warned(caught):
+        return sum("no normal points" in str(w.message) for w in caught)
+
+    # "always" shows every call, so the count is the CLI's own doing; the
+    # second run shows that nothing is remembered from the first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(2):
+            assert main(argv) == 0
+            assert warned(caught) == 1
+            caught.clear()
+        score_all(LabelSeries(labels), PredictionSeries(labels))
+        assert warned(caught) == 4
+
+
+# Commands that must run without importing scipy, each on small inputs
+# written by the test below; the guard then runs synth and attack-cdf,
+# which do import it.
+WITHOUT_SCIPY = [
+    ["evaluate", "--labels", "labels.csv", "--scores", "scores.csv"],
+    ["check-labels", "--labels", "labels.csv", "--events", "events.csv"],
+    ["baseline", "--train", "train.csv", "--test", "test.csv"],
+    ["far-study", "--far-points", "5"],
+    ["attack-worst", "--segment-length", "5", "--contamination", "0.1",
+     "--alpha-max", "10"],
+    ["attack", "--synthetic-spec", "spec.json", "--alpha", "20",
+     "--trials", "10"],
+]
+WITH_SCIPY = [
+    ["synth", "--spec", "spec.json", "--out-file", "synth.csv"],
+    ["attack-cdf", "--total-points", "100", "--segment-length", "10",
+     "--alpha", "3", "--out", "out"],
+]
+IMPORT_GUARD = """
+import json, sys
+
+def assert_no_scipy(after):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"{after} imported {loaded[:3]}"
+
+import tsadeval.cli
+assert_no_scipy("import tsadeval.cli")
+from tsadeval.cli import main
+try:
+    main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0
+assert_no_scipy("--help")
+without_scipy, with_scipy = json.loads(sys.argv[1])
+for argv in without_scipy:
+    assert main(argv + ["--out", "out"]) == 0, argv
+    assert_no_scipy(argv[0])
+for argv in with_scipy:
+    assert main(argv) == 0, argv
+"""
+
+
+def test_only_synth_and_analytic_attacks_import_scipy(tmp_path, spec_file):
+    # a fresh interpreter: other tests have already imported scipy here
+    write_column(tmp_path / "labels.csv", "label", WORKED_LABELS)
+    write_column(tmp_path / "scores.csv", "score", [i / 10 for i in range(10)])
+    (tmp_path / "events.csv").write_text("start,end\n3,7\n")
+    rng = np.random.default_rng(2)
+    write_frame_csv(tmp_path / "train.csv", rng.standard_normal((60, 3)))
+    write_frame_csv(
+        tmp_path / "test.csv", rng.standard_normal((60, 3)), WORKED_LABELS * 6
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD,
+         json.dumps([WITHOUT_SCIPY, WITH_SCIPY])],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestReproducibility:

@@ -205,6 +205,35 @@ class TestPointAdjustBehaviour:
 
 
 class TestInvariants:
+    @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
+    @settings(max_examples=300, deadline=None)
+    @given(flag_pairs())
+    @example(([1], [0]))  # length 1
+    @example(([0, 0, 0, 0], [1, 0, 1, 1]))  # no events
+    @example(([1, 1, 1, 1], [0, 1, 0, 0]))  # all anomalous
+    @example(([0, 1, 1, 0, 1], [1, 1, 1, 1, 1]))  # all predicted
+    def test_criterion_06_invariants(self, pair):
+        label_values, pred_values = pair
+        labels = LabelSeries(label_values)
+        preds = PredictionSeries(pred_values)
+        assert (
+            score_point_adjust(labels, preds).f1
+            >= score_point_wise(labels, preds).f1 - 1e-12
+        )
+        once = point_adjust(labels, preds)
+        assert np.array_equal(once.values, point_adjust(labels, once).values)
+        assert (
+            score_composite(labels, preds).recall
+            == score_event_wise(labels, preds).recall
+        )
+        if labels.n_events > 0:
+            perfect = PredictionSeries(label_values)
+            for report in score_all(labels, perfect):
+                assert report.f1 == pytest.approx(1.0, abs=1e-12)
+        if labels.n_normal > 0:
+            all_positive = PredictionSeries([1] * len(label_values))
+            assert score_event_wise(labels, all_positive).f1 == 0.0
+
     def test_adjusted_f1_dominates_point_wise(self):
         rng = np.random.default_rng(6)
         for _ in range(300):
