@@ -191,8 +191,8 @@ def hit_probabilities(
     setup: AttackSetup, model: SamplingModel = SamplingModel.BERNOULLI_APPROX
 ) -> np.ndarray:
     """P(s hits inside the segment) for s = 0..alpha under the given model."""
-    # imported here, its only use: scipy.stats takes over a second to import
-    # and no other command needs it
+    # imported on first call: scipy.stats takes over a second to import,
+    # and most commands never get here
     from scipy import stats
 
     s = np.arange(setup.alpha + 1)

@@ -574,10 +574,8 @@ def _cmd_far_study(args: argparse.Namespace) -> Report:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = load_synthetic_spec(args.spec)
-    if args.train_points and not args.train_out:
-        raise ValueError("--train-points requires --train-out")
-    if args.train_out and not args.train_points:
-        raise ValueError("--train-out requires --train-points")
+    if bool(args.train_points) != bool(args.train_out):
+        raise ValueError("--train-points and --train-out go together")
     outputs = [args.out_file, args.events_out]
     if args.train_points:
         outputs.append(args.train_out)

@@ -596,8 +596,8 @@ def _backbone(
     The decaying singular values concentrate variance in a few directions,
     which is what gives a truncated PCA something to reconstruct.
     """
-    # imported here, its only use, so that commands which generate nothing
-    # do not pay for importing scipy
+    # imported on first call, so that commands which generate no frame do
+    # not pay for importing scipy
     from scipy import signal
 
     q1, _ = np.linalg.qr(rng.standard_normal((n_channels, n_channels)))

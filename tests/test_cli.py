@@ -705,22 +705,25 @@ def test_input_error_leaves_out_uncreated(
             assert arg in err and ".tmp" not in err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "baseline"])
-def test_no_normal_points_warned_once_per_run(command, tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--labels", "labels.csv", "--scores", "scores.csv"],
+        ["baseline", "--train", "train.csv", "--test", "test.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_normal_points_warned_once_per_run(argv, tmp_path, monkeypatch):
     # evaluate and baseline score four protocols after a sweep, and each
     # step would warn about the all-anomalous labels on its own
+    monkeypatch.chdir(tmp_path)
     labels = [1] * 40
     write_column(tmp_path / "labels.csv", "label", labels)
     write_column(tmp_path / "scores.csv", "score", [i / 40 for i in range(40)])
     rng = np.random.default_rng(1)
     write_frame_csv(tmp_path / "train.csv", rng.standard_normal((40, 3)))
     write_frame_csv(tmp_path / "test.csv", rng.standard_normal((40, 3)), labels)
-    inputs = {
-        "evaluate": ["--labels", "labels.csv", "--scores", "scores.csv"],
-        "baseline": ["--train", "train.csv", "--test", "test.csv"],
-    }[command]
-    argv = [command, *(str(tmp_path / a) if a.endswith(".csv") else a
-                       for a in inputs), "--out", str(tmp_path / "out")]
+    argv = [*argv, "--out", "out"]
 
     def warned(caught):
         return sum("no normal points" in str(w.message) for w in caught)
