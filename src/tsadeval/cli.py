@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 import warnings
@@ -261,11 +262,16 @@ def _parse_threshold_policy(text: str):
         return ("best-pw-f1", None)
     if text.startswith("fixed:"):
         try:
-            return ("fixed", float(text.split(":", 1)[1]))
+            value = float(text.split(":", 1)[1])
         except ValueError:
+            value = math.nan
+        # an infinite threshold is valid (the sweep can pick +inf itself);
+        # NaN flags nothing and would make report.json invalid JSON
+        if math.isnan(value):
             raise argparse.ArgumentTypeError(
                 f"bad fixed threshold in {text!r}"
-            ) from None
+            )
+        return ("fixed", value)
     raise argparse.ArgumentTypeError(
         f"threshold policy must be 'best-pw-f1' or 'fixed:<value>', got {text!r}"
     )
@@ -478,6 +484,8 @@ def _cmd_attack_cdf(args: argparse.Namespace) -> Report:
 
 
 def _cmd_attack_worst(args: argparse.Namespace) -> Report:
+    if args.alpha_step < 1:
+        raise ValueError(f"--alpha-step must be >= 1, got {args.alpha_step}")
     alphas = list(range(args.alpha_min, args.alpha_max + 1, args.alpha_step))
     if not alphas:
         raise ValueError("empty alpha range")

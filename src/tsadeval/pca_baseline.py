@@ -23,13 +23,8 @@ from typing import BinaryIO, Optional, Union
 import numpy as np
 
 from tsadeval.data_io import MvtsFrame
-from tsadeval.metrics import (
-    LabelSeries,
-    PredictionSeries,
-    harmonic_f1,
-    prf_from_counts,
-)
-from tsadeval.protocols import Protocol, ProtocolReport, score
+from tsadeval.metrics import LabelSeries, PredictionSeries
+from tsadeval.protocols import Protocol, ProtocolReport, _rates, score
 
 __all__ = [
     "PcaConfig",
@@ -286,8 +281,9 @@ def _sweep_f1(
     protocol needs is "how many precomputed values are >= t". Each value is
     a score, a minimum or a maximum of scores, so it is replaced by its
     rank among the distinct scores; a count is then a cumulative sum of a
-    bincount, O(T) after the one sort inside np.unique. F1 is computed from
-    the counts by the same operations as score(), so it is bit-identical.
+    bincount, O(T) after the one sort inside np.unique. F1 comes from the
+    counts through protocols._rates, the function score() uses, so the two
+    are bit-identical.
     """
     distinct, rank = np.unique(scores, return_inverse=True)
     thresholds = np.concatenate(([np.inf], distinct[::-1]))
@@ -300,9 +296,9 @@ def _sweep_f1(
     anomalous = labels.values.astype(bool)
     tp = at_or_above(rank[anomalous])
     fp = at_or_above(rank[~anomalous])
-    n_anomalous = labels.n_anomalous
+    fn = labels.n_anomalous - tp
     if protocol is Protocol.POINT_WISE:
-        return thresholds, prf_from_counts(tp, fp, n_anomalous - tp)[2]
+        return thresholds, _rates(protocol, tp, fp, fn)[2]
 
     # an event is detected once the threshold falls to its peak score; the
     # appended 0 keeps the index one past an event at the series end valid
@@ -311,14 +307,14 @@ def _sweep_f1(
     peak = np.maximum.reduceat(np.append(rank, 0), bounds)[::2]
     if protocol is Protocol.POINT_ADJUST:
         # a detected event counts its whole length
-        tp = at_or_above(peak, ends - starts + 1)
-        return thresholds, prf_from_counts(tp, fp, n_anomalous - tp)[2]
-    detected = at_or_above(peak)
-    n_events = starts.size
+        adjusted_tp = at_or_above(peak, ends - starts + 1)
+        return thresholds, _rates(
+            protocol, tp, fp, fn, adjusted_tp=adjusted_tp
+        )[2]
+    tp_e = at_or_above(peak)
+    fn_e = starts.size - tp_e
     if protocol is Protocol.COMPOSITE:
-        precision = prf_from_counts(tp, fp, n_anomalous - tp)[0]
-        recall = prf_from_counts(detected, 0, n_events - detected)[1]
-        return thresholds, harmonic_f1(precision, recall)
+        return thresholds, _rates(protocol, tp, fp, fn, tp_e=tp_e, fn_e=fn_e)[2]
 
     # event-wise fp_e counts the on-runs made only of normal points. Runs of
     # on normal points are on normal points less on normal-normal pairs;
@@ -339,10 +335,13 @@ def _sweep_f1(
         - at_or_above(pair[left != right])
         + at_or_above(bridge)
     )
+    # the FAR by hand: false_alarm_rate takes one series' counts and warns
+    # on no normal points, which score() at the winning threshold does once
     n_normal = labels.n_normal
     far = fp / n_normal if n_normal else np.zeros(thresholds.size)
-    base, recall, _ = prf_from_counts(detected, fp_e, n_events - detected)
-    return thresholds, harmonic_f1(base * (1.0 - far), recall)
+    return thresholds, _rates(
+        protocol, tp, fp, fn, far, tp_e=tp_e, fp_e=fp_e, fn_e=fn_e
+    )[2]
 
 
 def sweep_threshold(

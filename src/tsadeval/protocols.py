@@ -23,13 +23,11 @@ from typing import Optional
 import numpy as np
 
 from tsadeval.metrics import (
-    ConfusionCounts,
     LabelSeries,
     PredictionSeries,
     false_alarm_rate,
     harmonic_f1,
     point_confusion,
-    precision_recall_f1,
     prf_from_counts,
     require_same_length,
 )
@@ -152,107 +150,96 @@ def _event_counts(
     return tp_e, preds.starts.size - true_segments, labels.n_events - tp_e
 
 
+def _rates(
+    protocol: Protocol, tp, fp, fn,
+    far=None, adjusted_tp=None, tp_e=None, fp_e=None, fn_e=None,
+):
+    """(precision, recall, f1) of one protocol: the one place each
+    protocol's formula lives.
+
+    tp/fp/fn are the raw point counts. Point-adjust also reads adjusted_tp,
+    the detected events' summed length; composite reads tp_e/fn_e; and
+    event-wise reads tp_e/fp_e/fn_e and far, the false-alarm rate. Scalars
+    give floats; arrays of counts, one per threshold, give arrays by the
+    same operations, so score() and the threshold sweep agree bit for bit.
+    """
+    if protocol is Protocol.POINT_WISE:
+        return prf_from_counts(tp, fp, fn)
+    if protocol is Protocol.POINT_ADJUST:
+        # adjustment turns each detected event fully positive, nothing else
+        return prf_from_counts(adjusted_tp, fp, tp + fn - adjusted_tp)
+    if protocol is Protocol.COMPOSITE:
+        precision = prf_from_counts(tp, fp, fn)[0]
+        recall = prf_from_counts(tp_e, 0, fn_e)[1]
+    else:
+        # the FAR factor makes the all-positive prediction score 0 whenever
+        # any normal point exists, a degenerate case the segment counts
+        # alone would reward
+        base, recall, _ = prf_from_counts(tp_e, fp_e, fn_e)
+        precision = base * (1.0 - far)
+    return precision, recall, harmonic_f1(precision, recall)
+
+
+def score(
+    labels: LabelSeries, preds: PredictionSeries, protocol: Protocol
+) -> ProtocolReport:
+    """Score one pair under one protocol.
+
+    The point-adjusted series is never built; event-wise fp_e counts the
+    predicted segments that touch no anomalous point.
+    """
+    protocol = Protocol(protocol)
+    counts = point_confusion(labels, preds)
+    far = false_alarm_rate(counts)
+    adjusted_tp = tp_e = fp_e = fn_e = None
+    if protocol is Protocol.POINT_ADJUST:
+        detected = _detected_events(labels, preds)
+        adjusted_tp = int((labels.ends - labels.starts + 1)[detected].sum())
+    elif protocol is not Protocol.POINT_WISE:
+        tp_e, fp_e, fn_e = _event_counts(labels, preds)
+    precision, recall, f1 = _rates(
+        protocol, counts.tp, counts.fp, counts.fn, far,
+        adjusted_tp, tp_e, fp_e, fn_e,
+    )
+    return ProtocolReport(
+        protocol=protocol,
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        far=far,
+        tp_e=tp_e,
+        # composite's precision is point-level, so it reports no fp_e
+        fp_e=fp_e if protocol is Protocol.EVENT_WISE else None,
+        fn_e=fn_e,
+    )
+
+
 def score_point_wise(
     labels: LabelSeries, preds: PredictionSeries
 ) -> ProtocolReport:
     """Plain point-level precision/recall/F1 plus the false-alarm rate."""
-    counts = point_confusion(labels, preds)
-    precision, recall, f1 = precision_recall_f1(counts)
-    return ProtocolReport(
-        protocol=Protocol.POINT_WISE,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        far=false_alarm_rate(counts),
-    )
+    return score(labels, preds, Protocol.POINT_WISE)
 
 
 def score_point_adjust(
     labels: LabelSeries, preds: PredictionSeries
 ) -> ProtocolReport:
-    """Point-wise rates computed after the point-adjust expansion.
-
-    The adjusted series is never built: adjustment turns every detected
-    event fully positive and touches nothing else, so its true positives
-    are the detected events' summed length and its false positives and
-    true negatives are the raw ones.
-    """
-    raw = point_confusion(labels, preds)
-    detected = _detected_events(labels, preds)
-    tp = int((labels.ends - labels.starts + 1)[detected].sum())
-    counts = ConfusionCounts(
-        tp=tp, fp=raw.fp, fn=raw.tp + raw.fn - tp, tn=raw.tn
-    )
-    precision, recall, f1 = precision_recall_f1(counts)
-    return ProtocolReport(
-        protocol=Protocol.POINT_ADJUST,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        far=false_alarm_rate(counts),
-    )
+    """Point-wise rates computed after the point-adjust expansion."""
+    return score(labels, preds, Protocol.POINT_ADJUST)
 
 
 def score_composite(
     labels: LabelSeries, preds: PredictionSeries
 ) -> ProtocolReport:
     """Event-level recall harmonically paired with point-level precision."""
-    counts = point_confusion(labels, preds)
-    precision, _, _ = precision_recall_f1(counts)
-    tp_e, fp_e, fn_e = _event_counts(labels, preds)
-    _, recall, _ = prf_from_counts(tp_e, fp_e, fn_e)
-    return ProtocolReport(
-        protocol=Protocol.COMPOSITE,
-        precision=precision,
-        recall=recall,
-        f1=harmonic_f1(precision, recall),
-        far=false_alarm_rate(counts),
-        tp_e=tp_e,
-        fn_e=fn_e,
-    )
+    return score(labels, preds, Protocol.COMPOSITE)
 
 
 def score_event_wise(
     labels: LabelSeries, preds: PredictionSeries
 ) -> ProtocolReport:
-    """Event-level recall and FAR-discounted event-level precision.
-
-    Precision is tp_e / (tp_e + fp_e) scaled by (1 - FAR), where fp_e
-    counts predicted segments that touch no anomalous point and FAR is the
-    point-level false-alarm rate. The FAR factor is what makes the
-    all-positive prediction score 0 whenever any normal point exists, a
-    degenerate case the segment counts alone would reward.
-    """
-    counts = point_confusion(labels, preds)
-    far = false_alarm_rate(counts)
-    tp_e, fp_e, fn_e = _event_counts(labels, preds)
-    base, recall, _ = prf_from_counts(tp_e, fp_e, fn_e)
-    precision = base * (1.0 - far)
-    return ProtocolReport(
-        protocol=Protocol.EVENT_WISE,
-        precision=precision,
-        recall=recall,
-        f1=harmonic_f1(precision, recall),
-        far=far,
-        tp_e=tp_e,
-        fp_e=fp_e,
-        fn_e=fn_e,
-    )
-
-
-_SCORERS = {
-    Protocol.POINT_WISE: score_point_wise,
-    Protocol.POINT_ADJUST: score_point_adjust,
-    Protocol.COMPOSITE: score_composite,
-    Protocol.EVENT_WISE: score_event_wise,
-}
-
-
-def score(
-    labels: LabelSeries, preds: PredictionSeries, protocol: Protocol
-) -> ProtocolReport:
-    """Score one pair under one protocol."""
-    return _SCORERS[Protocol(protocol)](labels, preds)
+    """Event-level recall and FAR-discounted event-level precision."""
+    return score(labels, preds, Protocol.EVENT_WISE)
 
 
 def score_all(

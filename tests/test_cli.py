@@ -647,6 +647,10 @@ INPUT_ERRORS = {
         "attack-cdf", "--total-points", "10", "--segment-length", "2",
         "--alpha", "11",
     ],
+    "attack-worst-zero-alpha-step": [
+        "attack-worst", "--segment-length", "5", "--contamination", "0.1",
+        "--alpha-max", "4", "--alpha-step", "0",
+    ],
     "attack-worst-empty-alpha-range": [
         "attack-worst", "--segment-length", "5", "--contamination", "0.1",
         "--alpha-min", "5", "--alpha-max", "4",
@@ -697,6 +701,9 @@ def test_input_error_leaves_out_uncreated(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    # an option's own check names the option
+    if "--alpha-step" in argv:
+        assert "--alpha-step" in err
     # nothing is written, and an output in a missing directory is named as
     # given, not by the temp file it would have been written through
     assert sorted(tmp_path.rglob("*")) == before
@@ -705,14 +712,36 @@ def test_input_error_leaves_out_uncreated(
             assert arg in err and ".tmp" not in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["evaluate", "--labels", "labels.csv", "--scores", "scores.csv"],
-        ["baseline", "--train", "train.csv", "--test", "test.csv"],
-    ],
-    ids=lambda argv: argv[0],
-)
+# The two commands that binarize scores by a threshold policy
+THRESHOLD_COMMANDS = [
+    ["evaluate", "--labels", "labels.csv", "--scores", "scores.csv"],
+    ["baseline", "--train", "train.csv", "--test", "test.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", THRESHOLD_COMMANDS, ids=lambda argv: argv[0])
+def test_nan_fixed_threshold_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # float("nan") parses, but a NaN threshold flags nothing and is not
+    # valid JSON; an infinite one is a threshold the sweep can pick itself
+    monkeypatch.chdir(tmp_path)
+    write_column(tmp_path / "labels.csv", "label", WORKED_LABELS * 4)
+    write_column(tmp_path / "scores.csv", "score", [i / 40 for i in range(40)])
+    rng = np.random.default_rng(3)
+    write_frame_csv(tmp_path / "train.csv", rng.standard_normal((40, 3)))
+    write_frame_csv(
+        tmp_path / "test.csv", rng.standard_normal((40, 3)), WORKED_LABELS * 4
+    )
+    for policy in ("fixed:nan", "fixed:-NaN"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threshold-policy", policy, "--out", "nan"])
+        assert exc.value.code == 2
+        assert f"bad fixed threshold in '{policy}'" in capsys.readouterr().err
+    assert not (tmp_path / "nan").exists()
+    for policy in ("fixed:inf", "fixed:-inf"):
+        assert main([*argv, "--threshold-policy", policy, "--out", "inf"]) == 0
+
+
+@pytest.mark.parametrize("argv", THRESHOLD_COMMANDS, ids=lambda argv: argv[0])
 def test_no_normal_points_warned_once_per_run(argv, tmp_path, monkeypatch):
     # evaluate and baseline score four protocols after a sweep, and each
     # step would warn about the all-anomalous labels on its own

@@ -20,6 +20,7 @@ from tsadeval.pca_baseline import (
     AnomalyScoreSeries,
     PcaConfig,
     ScoredModel,
+    _sweep_f1,
     fit,
     predictions_at_threshold,
     score_frame,
@@ -328,6 +329,12 @@ class TestSweepAgainstBruteForce:
             assert sweep_threshold(scores, labels, protocol) == (
                 brute_force_sweep(scores, labels, protocol)
             )
+            # not only the winner: the F1 at every candidate is score()'s
+            thresholds, f1 = _sweep_f1(scores.scores, labels, protocol)
+            assert f1.tolist() == [
+                score(labels, predictions_at_threshold(scores, t), protocol).f1
+                for t in thresholds.tolist()
+            ]
 
 
 class TestSweepCost:

@@ -242,6 +242,7 @@ class TestInvariants:
             pa = score_point_adjust(labels, preds).f1
             assert pa >= pw - 1e-12
 
+    @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
     def test_composite_recall_equals_event_wise_recall(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
