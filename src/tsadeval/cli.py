@@ -145,7 +145,8 @@ def _manifest(command: str, config: dict, seeds: list, inputs: Sequence) -> dict
 
 def _write_json(path: Path, manifest: dict, key: str, value: dict) -> None:
     payload = {"manifest": manifest, key: value}
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -173,7 +174,7 @@ def _write_outputs(args: argparse.Namespace) -> int:
     manifest = _manifest(args.command, report.config, report.seeds, report.inputs)
     out = _out_dir(args)
     for name, (fieldnames, rows) in report.tables.items():
-        write_csv(out / name, fieldnames, (_csv_row(r) for r in rows))
+        write_csv(out / name, fieldnames, rows)
     _write_json(out / "report.json", manifest, "results", report.results)
     print(*report.lines, sep="\n")
     return 0
@@ -191,23 +192,6 @@ def _report_row(report: ProtocolReport) -> dict:
         "fn_e": report.fn_e,
         "deprecated_protocol": report.deprecated,
     }
-
-
-def _csv_row(row: dict) -> dict:
-    """Format one CSV row: floats as shortest round-trip text (repr of a
-    Python float, never numpy's np.float64(...) spelling), None as empty
-    and booleans as true/false."""
-    out = {}
-    for key, value in row.items():
-        if value is None:
-            out[key] = ""
-        elif isinstance(value, bool):
-            out[key] = "true" if value else "false"
-        elif isinstance(value, float):
-            out[key] = repr(float(value))
-        else:
-            out[key] = value
-    return out
 
 
 def _row_lines(rows: Sequence[dict]) -> list:
@@ -302,6 +286,14 @@ def _policy_name(policy) -> str:
     return kind if value is None else f"fixed:{value}"
 
 
+def _json_threshold(threshold):
+    """The threshold as report.json holds it: JSON has no infinity, so
+    +-inf is the string "inf" or "-inf", which float() reads back."""
+    if threshold is None or math.isfinite(threshold):
+        return threshold
+    return repr(threshold)
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -324,9 +316,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> Report:
         config={
             "protocols": [p.value for p in args.protocols],
             "threshold_policy": _policy_name(args.threshold_policy),
-            "threshold": threshold,
+            "threshold": _json_threshold(threshold),
         },
-        results={"threshold": threshold, "rows": rows},
+        results={"threshold": _json_threshold(threshold), "rows": rows},
         lines=_row_lines(rows),
         inputs=inputs,
         tables={"report.csv": (REPORT_CSV_FIELDS, rows)},
@@ -666,7 +658,7 @@ def _cmd_baseline(args: argparse.Namespace) -> Report:
         },
         results={
             "n_components": model.n_components,
-            "threshold": threshold,
+            "threshold": _json_threshold(threshold),
             "model_path": os.path.relpath(model_path, args.out),
             "rows": rows,
         },

@@ -10,14 +10,17 @@ CSV conventions (all headers mandatory, all indices 0-based):
 * predictions:  single ``prediction`` column,
 * scores:       single ``score`` column of finite floats.
 
-All writers are atomic (temp file in the target directory, then rename),
-so a crashed run never leaves a half-written artifact behind.
+One reader, ``_read_csv``, parses every file and one writer,
+``_write_rows``, writes every CSV. All writers are atomic (temp file in the
+target directory, then rename), so a crashed run never leaves a
+half-written artifact behind; files get the mode ``open()`` would give.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -68,7 +71,8 @@ def atomic_open(path: "str | Path", mode: str = "w") -> Iterator:
     """Open a temp file for writing and rename it over `path` on success.
 
     mode is "w" for text, with no newline translation (what csv expects),
-    or "wb" for binary.
+    or "wb" for binary. The file gets the mode a plain open() would give
+    it (0o666 less the umask), not mkstemp's private 0o600.
     """
     path = Path(path)
     try:
@@ -80,6 +84,11 @@ def atomic_open(path: "str | Path", mode: str = "w") -> Iterator:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
     handle = os.fdopen(fd, mode, newline=None if "b" in mode else "")
     try:
+        # the umask can only be read by setting it; outputs are written
+        # from one thread, so nothing else creates a file in between
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         yield handle
         handle.close()
         os.replace(tmp, path)
@@ -94,15 +103,121 @@ def atomic_write_text(path: "str | Path", text: str) -> None:
         fh.write(text)
 
 
+# ---------------------------------------------------------------------------
+# CSV reading and writing
+
+# Rows converted or formatted at once; only one block of rows is held as
+# Python objects, however long the file.
+_BLOCK_ROWS = 1024
+
+
+def _cell(value):
+    """Spell a cell: a float (numpy's too) as the repr of a Python float,
+    the shortest text that reads back exactly; None as empty; a bool as
+    true/false; anything else as csv spells it."""
+    if isinstance(value, float):
+        return repr(float(value))
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
+
+
+def _write_rows(
+    path: "str | Path", header: Sequence[str], rows: Iterable[Sequence]
+) -> None:
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
 def write_csv(
     path: "str | Path", fieldnames: Sequence[str], rows: Iterable[dict]
 ) -> None:
     """Write dict rows atomically with a fixed header."""
-    with atomic_open(path) as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    cells = ([row[name] for name in fieldnames] for row in rows)
+    _write_rows(path, fieldnames, cells)
+
+
+def _parse_row(row: list, header: list, kinds: list, path, line_no: int):
+    """A row as a 1-row array, parsed cell by cell: raises on its first bad
+    cell, naming the line and column."""
+    where = f"{path}: line {line_no}"
+    if len(row) != len(kinds):
+        fields = "field" if len(kinds) == 1 else "fields"
+        raise ValueError(
+            f"{where}: expected {len(kinds)} {fields}, got {len(row)}"
+        )
+    if "bound" in kinds:
+        try:
+            return np.array([[int(tok) for tok in row]], dtype=np.int64)
+        except ValueError:
+            raise ValueError(f"{where}: non-integer bounds {row!r}") from None
+        except OverflowError:
+            raise ValueError(
+                f"{where}: bounds beyond 64-bit integers {row!r}"
+            ) from None
+    cells = []
+    for token, column, kind in zip(row, header, kinds):
+        cell = f"{where}: column {column!r}"
+        try:
+            value = float(token)
+        except ValueError:
+            raise ValueError(f"{cell}: not a number: {token!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{cell}: non-finite value {token!r}")
+        if kind == "flag" and value not in (0.0, 1.0):
+            raise ValueError(f"{cell}: expected 0 or 1, got {token!r}")
+        cells.append(value)
+    return np.array([cells])
+
+
+def _pieces(block: list, first_line: int, header, kinds, path):
+    """Yield (first line, values) of a block of rows: all rows from one
+    numpy conversion if they pass every check (field counts, finite
+    numbers, 0/1 flags), else row by row, so that the first bad cell in
+    file order raises."""
+    try:
+        values = np.array(block, dtype=np.int64 if "bound" in kinds else float)
+    except (ValueError, OverflowError):
+        values = None
+    if values is not None and values.shape[1] == len(kinds):
+        flags = values[:, [kind == "flag" for kind in kinds]]
+        if np.isfinite(values).all() and ((flags == 0) | (flags == 1)).all():
+            yield first_line, values
+            return
+    for line_no, row in enumerate(block, start=first_line):
+        yield line_no, _parse_row(row, header, kinds, path, line_no)
+
+
+def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
+    """Read a headed CSV as (header, values), _BLOCK_ROWS rows at a time.
+
+    kinds_for(path, header) checks the header (None if the file is empty)
+    and returns each column's kind: "number" (finite, as float() reads
+    it), "flag" (0 or 1) or "bound" (int64, as int() reads it). No data
+    rows is an error unless empty_ok. Line numbers count CSV records, the
+    header being line 1. check(values, first_line) sees each piece of rows
+    before later rows are parsed, so its errors keep file order too.
+    """
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        kinds = kinds_for(path, header)
+        pieces, first_line = [], 2
+        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+            pieces_of_block = _pieces(block, first_line, header, kinds, path)
+            for line_no, values in pieces_of_block:
+                if check is not None:
+                    check(values, line_no)
+                pieces.append(values)
+            first_line += len(block)
+    if not pieces and not empty_ok:
+        raise ValueError(f"{path}: no data rows")
+    return header, np.concatenate(pieces or [np.empty((0, len(kinds)))])
 
 
 def sha256_digest(path: "str | Path") -> str:
@@ -160,69 +275,24 @@ class MvtsFrame:
         return int(self.values.shape[1])
 
 
-def _parse_cell(token: str, path, line_no: int, column: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ValueError(
-            f"{path}: line {line_no}: column {column!r}: "
-            f"not a number: {token!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise ValueError(
-            f"{path}: line {line_no}: column {column!r}: "
-            f"non-finite value {token!r}"
-        )
-    return value
-
-
-def _parse_flag(token: str, path, line_no: int, column: str) -> int:
-    value = _parse_cell(token, path, line_no, column)
-    if value not in (0.0, 1.0):
-        raise ValueError(
-            f"{path}: line {line_no}: column {column!r}: "
-            f"expected 0 or 1, got {token!r}"
-        )
-    return int(value)
+def _frame_kinds(path: Path, header) -> list:
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    channels = len(header) - (header[-1:] == ["label"])
+    if channels == 0:
+        raise ValueError(f"{path}: no channel columns in header {header}")
+    return ["number"] * channels + ["flag"] * (len(header) - channels)
 
 
 def load_frame(path: "str | Path") -> MvtsFrame:
     """Read a frame CSV; a trailing `label` column becomes the labels."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        has_label = bool(header) and header[-1] == "label"
-        channels = header[:-1] if has_label else header
-        if not channels:
-            raise ValueError(f"{path}: no channel columns in header {header}")
-        width = len(header)
-        rows: list[list[float]] = []
-        flags: list[int] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected {width} fields, "
-                    f"got {len(row)}"
-                )
-            rows.append(
-                [
-                    _parse_cell(tok, path, line_no, channels[i])
-                    for i, tok in enumerate(row[: len(channels)])
-                ]
-            )
-            if has_label:
-                flags.append(_parse_flag(row[-1], path, line_no, "label"))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    labels = LabelSeries(np.array(flags, dtype=np.int8)) if has_label else None
+    header, values = _read_csv(path, _frame_kinds)
+    if header[-1] != "label":
+        return MvtsFrame(values=values, channel_names=tuple(header))
     return MvtsFrame(
-        values=np.array(rows, dtype=np.float64),
-        channel_names=tuple(channels),
-        labels=labels,
+        values=values[:, :-1],
+        channel_names=tuple(header[:-1]),
+        labels=LabelSeries(values[:, -1].astype(np.int8)),
     )
 
 
@@ -231,75 +301,69 @@ def write_frame(frame: MvtsFrame, path: "str | Path") -> None:
     header = list(frame.channel_names)
     if frame.labels is not None:
         header.append("label")
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        labels = frame.labels.values if frame.labels is not None else None
-        for i in range(frame.n_points):
-            row = [repr(float(v)) for v in frame.values[i]]
-            if labels is not None:
-                row.append(str(int(labels[i])))
-            writer.writerow(row)
+    _write_rows(path, header, _frame_rows(frame))
 
 
-def _single_column(
-    path: "str | Path", column: str, parse
-) -> list:
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+def _frame_rows(frame: MvtsFrame) -> Iterator[list]:
+    for start in range(0, frame.n_points, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        rows = frame.values[block].tolist()
+        if frame.labels is not None:
+            for row, flag in zip(rows, frame.labels.values[block].tolist()):
+                row.append(flag)
+        yield from rows
+
+
+def _one_column(path: "str | Path", column: str, kind: str) -> np.ndarray:
+    """The values of a CSV whose header is the single column `column`."""
+
+    def kinds_for(path: Path, header) -> list:
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         if header != [column]:
             raise ValueError(
                 f"{path}: expected single-column header [{column!r}], "
                 f"got {header}"
             )
-        out = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 1:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected 1 field, got {len(row)}"
-                )
-            out.append(parse(row[0], path, line_no, column))
-    if not out:
-        raise ValueError(f"{path}: no data rows")
-    return out
+        return [kind]
+
+    return _read_csv(path, kinds_for)[1][:, 0]
 
 
 def load_label_series(path: "str | Path") -> LabelSeries:
     """Read labels from a `label`-only CSV or a frame CSV with labels."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header == ["label"]:
-        return LabelSeries(
-            np.array(_single_column(path, "label", _parse_flag), dtype=np.int8)
-        )
-    frame = load_frame(path)
-    if frame.labels is None:
+
+    def kinds_for(path: Path, header) -> list:
+        return ["flag"] if header == ["label"] else _frame_kinds(path, header)
+
+    header, values = _read_csv(path, kinds_for)
+    if header[-1] != "label":
         raise ValueError(f"{path}: frame has no label column")
-    return frame.labels
+    return LabelSeries(values[:, -1].astype(np.int8))
 
 
 def load_prediction_series(path: "str | Path") -> PredictionSeries:
     """Read a `prediction`-only CSV of 0/1 flags."""
-    return PredictionSeries(
-        np.array(
-            _single_column(path, "prediction", _parse_flag), dtype=np.int8
-        )
-    )
+    flags = _one_column(path, "prediction", "flag")
+    return PredictionSeries(flags.astype(np.int8))
 
 
 def load_score_series(path: "str | Path") -> np.ndarray:
     """Read a `score`-only CSV of finite floats."""
-    return np.array(_single_column(path, "score", _parse_cell), dtype=float)
+    return _one_column(path, "score", "number")
 
 
 # ---------------------------------------------------------------------------
 # events
+
+
+def _events_kinds(path: Path, header) -> list:
+    if header != ["start", "end"]:
+        raise ValueError(
+            f"{path}: expected header ['start', 'end'], got {header}"
+        )
+    return ["bound", "bound"]
 
 
 def load_events(
@@ -309,45 +373,33 @@ def load_events(
 
     Bounds are inclusive by default; pass end_exclusive=True for files
     whose end column points one past the last anomalous index. Everything
-    downstream of this loader is inclusive.
+    downstream of this loader is inclusive. A file with a header and no
+    events is allowed.
     """
     path = Path(path)
+    shift = 1 if end_exclusive else 0
     events: list[Segment] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["start", "end"]:
-            raise ValueError(
-                f"{path}: expected header ['start', 'end'], got {header}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected 2 fields, got {len(row)}"
-                )
+
+    def add_segments(bounds: np.ndarray, first_line: int) -> None:
+        for line_no, (start, end) in enumerate(
+            bounds.tolist(), start=first_line
+        ):
             try:
-                start, end = int(row[0]), int(row[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {line_no}: non-integer bounds {row!r}"
-                ) from None
-            if end_exclusive:
-                end -= 1
-            try:
-                events.append(Segment(start, end))
+                events.append(Segment(start, end - shift))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from None
+
+    _read_csv(path, _events_kinds, check=add_segments, empty_ok=True)
     return events
 
 
 def write_events(
     events: Iterable[Segment], path: "str | Path", end_exclusive: bool = False
 ) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["start", "end"])
-        for ev in events:
-            writer.writerow([ev.start, ev.end + (1 if end_exclusive else 0)])
+    shift = 1 if end_exclusive else 0
+    _write_rows(
+        path, ["start", "end"], ([ev.start, ev.end + shift] for ev in events)
+    )
 
 
 def labels_from_events(

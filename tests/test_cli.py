@@ -737,8 +737,24 @@ def test_nan_fixed_threshold_is_usage_error(argv, tmp_path, monkeypatch, capsys)
         assert exc.value.code == 2
         assert f"bad fixed threshold in '{policy}'" in capsys.readouterr().err
     assert not (tmp_path / "nan").exists()
+
+    def threshold_in(out):
+        # JSON has no Infinity: report.json must parse without it
+        def reject(constant):
+            raise ValueError(f"{out}/report.json holds {constant}")
+
+        text = (tmp_path / out / "report.json").read_text()
+        return json.loads(text, parse_constant=reject)["results"]["threshold"]
+
     for policy in ("fixed:inf", "fixed:-inf"):
         assert main([*argv, "--threshold-policy", policy, "--out", "inf"]) == 0
+        assert threshold_in("inf") == policy.split(":")[1]
+    # with no anomalies every candidate scores F1 0, and the tie goes to
+    # the largest threshold, +inf
+    write_column(tmp_path / "labels.csv", "label", [0] * 40)
+    write_frame_csv(tmp_path / "test.csv", rng.standard_normal((40, 3)), [0] * 40)
+    assert main([*argv, "--out", "normal"]) == 0
+    assert threshold_in("normal") == "inf"
 
 
 @pytest.mark.parametrize("argv", THRESHOLD_COMMANDS, ids=lambda argv: argv[0])

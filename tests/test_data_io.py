@@ -1,13 +1,21 @@
 """File formats, synthetic generation and the consistency checker."""
 
+import csv
 import json
+import math
+import os
+import re
+import stat
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsadeval import data_io
 from tsadeval.data_io import (
+    _BLOCK_ROWS,
     AnomalySignal,
     MvtsFrame,
     SyntheticSpec,
@@ -68,6 +76,19 @@ class TestAtomicWrites:
             atomic_write_text(target, "text")
         assert caught.value.filename == str(target)
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        # what a plain open() would give, not mkstemp's private 0o600
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "t.txt", "text")
+            with atomic_open(tmp_path / "b.bin", "wb") as fh:
+                fh.write(b"bytes")
+        finally:
+            os.umask(previous)
+        for name in ("t.txt", "b.bin"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
     def test_write_csv(self, tmp_path):
         target = tmp_path / "r.csv"
         write_csv(target, ["a", "b"], [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
@@ -79,6 +100,114 @@ class TestAtomicWrites:
         assert sha256_digest(target) == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
+
+
+# (loader, file text, expected message) for the loaders that
+# test_malformed_inputs (frames only) does not cover, plus errors that
+# depend on where a block of _BLOCK_ROWS rows starts
+LOADER_ERRORS = [
+    pytest.param(load_label_series, "", "empty file", id="labels-empty"),
+    pytest.param(load_label_series, "label\n", "no data rows", id="labels-no-rows"),
+    pytest.param(
+        load_label_series,
+        "label\n1\n2\n",
+        "line 3: column 'label': expected 0 or 1, got '2'",
+        id="labels-bad-flag",
+    ),
+    pytest.param(
+        load_label_series,
+        "c0,label\n0.5,1\n0.5,x\n",
+        "line 3: column 'label': not a number: 'x'",
+        id="labels-frame-bad-flag",
+    ),
+    pytest.param(
+        load_prediction_series,
+        "prediction\n1\n\n0\n",
+        "line 3: expected 1 field, got 0",
+        id="predictions-blank-line",
+    ),
+    pytest.param(
+        load_prediction_series,
+        "prediction\n1,0\n",
+        "line 2: expected 1 field, got 2",
+        id="predictions-two-fields",
+    ),
+    pytest.param(
+        load_prediction_series,
+        "pred\n1\n",
+        "expected single-column header ['prediction'], got ['pred']",
+        id="predictions-header",
+    ),
+    pytest.param(
+        load_score_series,
+        "score\n0.5\ninf\n",
+        "line 3: column 'score': non-finite value 'inf'",
+        id="scores-inf",
+    ),
+    pytest.param(
+        load_score_series,
+        "score\n1e400\n",
+        "line 2: column 'score': non-finite value '1e400'",
+        id="scores-overflow",
+    ),
+    pytest.param(load_score_series, "", "empty file", id="scores-empty"),
+    pytest.param(
+        load_events,
+        "",
+        "expected header ['start', 'end'], got None",
+        id="events-empty",
+    ),
+    pytest.param(
+        load_events,
+        "start,end\n1,2\n\n",
+        "line 3: expected 2 fields, got 0",
+        id="events-blank-line",
+    ),
+    pytest.param(
+        load_events,
+        "start,end\n1,x\n",
+        "line 2: non-integer bounds ['1', 'x']",
+        id="events-non-integer",
+    ),
+    pytest.param(
+        load_events,
+        "start,end\n-1,2\n",
+        "line 2: segment start must be >= 0, got -1",
+        id="events-negative",
+    ),
+    # int() reads 20 digits, int64 cannot hold them
+    pytest.param(
+        load_events,
+        "start,end\n1,99999999999999999999\n",
+        "line 2: bounds beyond 64-bit integers",
+        id="events-overflow",
+    ),
+    # a bad segment is reported before a bad cell later in its block
+    pytest.param(
+        load_events,
+        "start,end\n5,4\n1,2\nx,3\n",
+        "line 2: segment end 4 precedes start 5",
+        id="events-segment-before-cell",
+    ),
+    pytest.param(
+        load_frame,
+        "c0,label\n0.5,0\n0.5,7\n" + "0.5,0\n" * _BLOCK_ROWS + "x,0\n",
+        "line 3: column 'label': expected 0 or 1, got '7'",
+        id="frame-first-bad-cell-wins",
+    ),
+    pytest.param(
+        load_score_series,
+        "score\n" + "0.5\n" * (_BLOCK_ROWS - 1) + "x\n0.5\n",
+        f"line {_BLOCK_ROWS + 1}: column 'score': not a number: 'x'",
+        id="scores-last-row-of-block",
+    ),
+    pytest.param(
+        load_prediction_series,
+        "prediction\n" + "1\n" * _BLOCK_ROWS + "2\n",
+        f"line {_BLOCK_ROWS + 2}: column 'prediction': expected 0 or 1",
+        id="predictions-first-row-of-block",
+    ),
+]
 
 
 class TestFrameRoundTrip:
@@ -122,6 +251,7 @@ class TestFrameRoundTrip:
             ("label\n1\n", "no channel columns"),
             ("", "empty file"),
             ("c0\n", "no data rows"),
+            ("c0\n1.0\n\n2.0\n", "line 3: expected 1 field, got 0"),
         ],
     )
     def test_malformed_inputs(self, tmp_path, body, message):
@@ -129,6 +259,15 @@ class TestFrameRoundTrip:
         path.write_text(body)
         with pytest.raises(ValueError, match=message):
             load_frame(path)
+
+    @pytest.mark.parametrize("loader,body,message", LOADER_ERRORS)
+    def test_malformed_inputs_of_every_loader(
+        self, tmp_path, loader, body, message
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            loader(path)
 
     def test_error_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -444,3 +583,221 @@ class TestGeneration:
     def test_train_test_validation(self):
         with pytest.raises(ValueError):
             generate_train_test(small_spec(), train_points=0)
+
+
+# ---------------------------------------------------------------------------
+# The loaders against a per-row reference reader: the row-by-row parsing
+# the blocked reader replaced, with the one field-count spelling it chose
+
+
+def ref_cell(token, path, line_no, column):
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(
+            f"{path}: line {line_no}: column {column!r}: not a number: {token!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{path}: line {line_no}: column {column!r}: "
+            f"non-finite value {token!r}"
+        )
+    return value
+
+
+def ref_flag(token, path, line_no, column):
+    value = ref_cell(token, path, line_no, column)
+    if value not in (0.0, 1.0):
+        raise ValueError(
+            f"{path}: line {line_no}: column {column!r}: "
+            f"expected 0 or 1, got {token!r}"
+        )
+    return int(value)
+
+
+def ref_rows(path, width):
+    """(line number, row) of every data row, after checking its width."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != width:
+                fields = "field" if width == 1 else "fields"
+                raise ValueError(
+                    f"{path}: line {line_no}: expected {width} {fields}, "
+                    f"got {len(row)}"
+                )
+            yield line_no, row
+
+
+def ref_header(path):
+    with open(path, newline="") as fh:
+        return next(csv.reader(fh), None)
+
+
+def ref_frame(path):
+    header = ref_header(path)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    has_label = bool(header) and header[-1] == "label"
+    channels = header[:-1] if has_label else header
+    if not channels:
+        raise ValueError(f"{path}: no channel columns in header {header}")
+    rows, flags = [], []
+    for line_no, row in ref_rows(path, len(header)):
+        rows.append(
+            [ref_cell(tok, path, line_no, c) for tok, c in zip(row, channels)]
+        )
+        if has_label:
+            flags.append(ref_flag(row[-1], path, line_no, "label"))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return rows, (flags if has_label else None), tuple(channels)
+
+
+def ref_column(path, column, parse):
+    header = ref_header(path)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    if header != [column]:
+        raise ValueError(
+            f"{path}: expected single-column header [{column!r}], got {header}"
+        )
+    out = [parse(row[0], path, n, column) for n, row in ref_rows(path, 1)]
+    if not out:
+        raise ValueError(f"{path}: no data rows")
+    return out
+
+
+def ref_labels(path):
+    if ref_header(path) == ["label"]:
+        return ref_column(path, "label", ref_flag)
+    _, flags, _ = ref_frame(path)
+    if flags is None:
+        raise ValueError(f"{path}: frame has no label column")
+    return flags
+
+
+def ref_events(path, end_exclusive):
+    header = ref_header(path)
+    if header != ["start", "end"]:
+        raise ValueError(
+            f"{path}: expected header ['start', 'end'], got {header}"
+        )
+    events = []
+    for line_no, row in ref_rows(path, 2):
+        try:
+            start, end = int(row[0]), int(row[1])
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {line_no}: non-integer bounds {row!r}"
+            ) from None
+        try:
+            events.append(Segment(start, end - end_exclusive))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    return events
+
+
+NUMBERS = ["0", "-2.5", "0.125", "1e3", " 1", "1_0", "+.5", "٣"]
+NUMBER_FAULTS = ["x", "", "nan", "inf", "-inf", "1e400", "0x10"]
+FLAGS = ["0", "1", "1.0", "-0", " 1"]
+FLAG_FAULTS = ["2", "0.5", "x", "nan", ""]
+# a fault in either bound column can also be a segment ending before it
+# starts
+CELLS = {
+    "number": (NUMBERS, NUMBER_FAULTS),
+    "flag": (FLAGS, FLAG_FAULTS),
+    "start": (["0", "3", " 2"], ["-1", "1.5", "x", "", "12"]),
+    "end": (["7", " 9", "1_0"], ["-1", "1.5", "x", "", "1"]),
+}
+
+
+@st.composite
+def csv_cases(draw):
+    """(loader name, file text); most cells valid, some faulty."""
+    name = draw(
+        st.sampled_from(["frame", "labels", "predictions", "scores", "events"])
+    )
+    channels = draw(st.integers(min_value=1, max_value=3))
+    frame = [f"c{i}" for i in range(channels)]
+    header, kinds = {
+        "frame": (frame, ["number"] * channels),
+        "labels": (["label"], ["flag"]),
+        "predictions": (["prediction"], ["flag"]),
+        "scores": (["score"], ["number"]),
+        "events": (["start", "end"], ["start", "end"]),
+    }[name]
+    if name in ("frame", "labels") and draw(st.booleans()):
+        header, kinds = frame + ["label"], ["number"] * channels + ["flag"]
+    if draw(st.integers(min_value=0, max_value=19)) == 0:
+        header = draw(st.sampled_from([[], ["c0"], ["label"], ["value"]]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        row = []
+        for kind in kinds:
+            valid, faults = CELLS[kind]
+            pool = faults if draw(st.integers(0, 39)) == 0 else valid
+            row.append(draw(st.sampled_from(pool)))
+        fault = draw(st.integers(min_value=0, max_value=39))
+        if fault == 0:
+            row = []  # a blank line
+        elif fault == 1:
+            row = row[:-1]
+        elif fault == 2:
+            row = row + ["0"]
+        lines.append(",".join(row))
+    text = "".join(line + "\n" for line in lines)
+    if draw(st.integers(min_value=0, max_value=29)) == 0:
+        text = ""
+    return name, text
+
+
+def loaded(name, path, end_exclusive):
+    """What a loader returns, as plain lists."""
+    if name == "frame":
+        frame = load_frame(path)
+        labels = None if frame.labels is None else frame.labels.values.tolist()
+        return frame.values.tolist(), labels, frame.channel_names
+    if name == "labels":
+        return load_label_series(path).values.tolist()
+    if name == "predictions":
+        return load_prediction_series(path).values.tolist()
+    if name == "scores":
+        return load_score_series(path).tolist()
+    return load_events(path, end_exclusive=end_exclusive)
+
+
+def referenced(name, path, end_exclusive):
+    if name == "frame":
+        return ref_frame(path)
+    if name == "labels":
+        return ref_labels(path)
+    if name == "predictions":
+        return ref_column(path, "prediction", ref_flag)
+    if name == "scores":
+        return ref_column(path, "score", ref_cell)
+    return ref_events(path, end_exclusive)
+
+
+def outcome(load, *args):
+    try:
+        return "ok", load(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    csv_cases(),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+)
+def test_loaders_match_per_row_reference(tmp_path_factory, case, block, excl):
+    # small blocks, so that a dozen rows cross several block boundaries
+    name, text = case
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_text(text)
+    with mock.patch.object(data_io, "_BLOCK_ROWS", block):
+        got = outcome(loaded, name, path, excl)
+    assert got == outcome(referenced, name, path, excl)
