@@ -34,7 +34,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -45,6 +45,7 @@ from tsadeval import __version__
 from tsadeval.adversary import (
     AttackSetup,
     SamplingModel,
+    WorstCaseRow,
     f1_pa_distribution,
     prob_perfect_recall,
     random_flag_trials,
@@ -90,16 +91,8 @@ from tsadeval.protocols import (
 
 __all__ = ["main"]
 
-REPORT_CSV_FIELDS = [
-    "protocol",
-    "precision",
-    "recall",
-    "f1",
-    "far",
-    "tp_e",
-    "fp_e",
-    "fn_e",
-    "deprecated_protocol",
+REPORT_CSV_FIELDS = [f.name for f in fields(ProtocolReport)] + [
+    "deprecated_protocol"
 ]
 DISTRIBUTION_CSV_FIELDS = ["s", "f1_value", "probability", "cumulative"]
 
@@ -182,14 +175,8 @@ def _write_outputs(args: argparse.Namespace) -> int:
 
 def _report_row(report: ProtocolReport) -> dict:
     return {
+        **asdict(report),
         "protocol": report.protocol.value,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "far": report.far,
-        "tp_e": report.tp_e,
-        "fp_e": report.fp_e,
-        "fn_e": report.fn_e,
         "deprecated_protocol": report.deprecated,
     }
 
@@ -504,7 +491,7 @@ def _cmd_attack_worst(args: argparse.Namespace) -> Report:
         ],
         tables={
             "worst_case.csv": (
-                ["alpha", "p_perfect_recall", "worst_precision_pa", "worst_f1_pa"],
+                [f.name for f in fields(WorstCaseRow)],
                 [asdict(r) for r in rows],
             )
         },
@@ -550,10 +537,7 @@ def _cmd_far_study(args: argparse.Namespace) -> Report:
             "far_min": args.far_min,
             "far_max": args.far_max,
             "far_points": args.far_points,
-            "shapes": [
-                {"n_normal": s.n_normal, "n_anomalous": s.n_anomalous}
-                for s in args.shapes
-            ],
+            "shapes": [asdict(s) for s in args.shapes],
         },
         results={
             "n_rows": len(rows),
@@ -595,15 +579,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     manifest = _manifest(
         "synth",
         {
-            "spec": {
-                "total_points": spec.total_points,
-                "event_lengths": list(spec.event_lengths),
-                "n_channels": spec.n_channels,
-                "anomaly_signal": spec.anomaly_signal.value,
-                "seed": spec.seed,
-                "gap_policy": spec.gap_policy,
-                "signal_strength": spec.signal_strength,
-            },
+            "spec": asdict(spec),
             "train_points": args.train_points,
         },
         seeds=[spec.seed],

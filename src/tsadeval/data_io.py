@@ -23,10 +23,10 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
-import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -72,23 +72,17 @@ def atomic_open(path: "str | Path", mode: str = "w") -> Iterator:
 
     mode is "w" for text, with no newline translation (what csv expects),
     or "wb" for binary. The file gets the mode a plain open() would give
-    it (0o666 less the umask), not mkstemp's private 0o600.
+    it (0o666 less the umask).
     """
     path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         # name the path asked for, not the random temp file
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
     handle = os.fdopen(fd, mode, newline=None if "b" in mode else "")
     try:
-        # the umask can only be read by setting it; outputs are written
-        # from one thread, so nothing else creates a file in between
-        umask = os.umask(0o077)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         yield handle
         handle.close()
         os.replace(tmp, path)
@@ -519,58 +513,83 @@ class SyntheticSpec:
     signal_strength: float = 3.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "event_lengths", tuple(int(x) for x in self.event_lengths)
-        )
-        object.__setattr__(
-            self, "anomaly_signal", AnomalySignal(self.anomaly_signal)
-        )
+        for name in ("total_points", "n_channels", "seed", "gap_policy"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        lengths = self.event_lengths
+        if not isinstance(lengths, (list, tuple)) or not all(
+            _is_int(length) for length in lengths
+        ):
+            raise ValueError(
+                f"event_lengths must be a list of integers, got {lengths!r}"
+            )
+        object.__setattr__(self, "event_lengths", tuple(map(int, lengths)))
+        try:
+            signal = AnomalySignal(self.anomaly_signal)
+        except ValueError:
+            valid = ", ".join(s.value for s in AnomalySignal)
+            raise ValueError(
+                f"anomaly_signal must be one of {valid}, "
+                f"got {self.anomaly_signal!r}"
+            ) from None
+        object.__setattr__(self, "anomaly_signal", signal)
+        strength = self.signal_strength
+        if isinstance(strength, bool) or not isinstance(strength, numbers.Real):
+            raise ValueError(
+                f"signal_strength must be a number, got {strength!r}"
+            )
         if self.total_points < 1:
             raise ValueError("total_points must be >= 1")
         if self.n_channels < 1:
             raise ValueError("n_channels must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if any(length < 1 for length in self.event_lengths):
-            raise ValueError("event lengths must be >= 1")
+            raise ValueError("event_lengths must be >= 1")
         if self.gap_policy < 1:
             raise ValueError(
                 f"gap_policy must be >= 1, got {self.gap_policy}; "
                 "events with no gap between them merge into one"
             )
-        if self.signal_strength <= 0:
-            raise ValueError("signal_strength must be > 0")
+        if not 0 < strength < math.inf:
+            raise ValueError("signal_strength must be finite and > 0")
         n = len(self.event_lengths)
         needed = sum(self.event_lengths) + self.gap_policy * max(0, n - 1)
         if needed > self.total_points:
             raise ValueError(
-                f"events need {needed} points (lengths plus gaps) but the "
-                f"series has only {self.total_points}"
+                f"events need {needed} points (event_lengths plus gap_policy "
+                f"gaps) but total_points is {self.total_points}"
             )
 
 
-_SPEC_REQUIRED = {
-    "total_points",
-    "event_lengths",
-    "n_channels",
-    "anomaly_signal",
-    "seed",
-}
-_SPEC_OPTIONAL = {"gap_policy", "signal_strength"}
+def _is_int(value) -> bool:
+    # JSON's true and false are bools, which Python counts as integers
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def load_synthetic_spec(path: "str | Path") -> SyntheticSpec:
-    """Read a SyntheticSpec from JSON; unknown or missing keys are errors."""
+    """Read a SyntheticSpec from JSON. Malformed JSON, unknown or missing
+    keys and values of the wrong type are errors that name the file."""
     path = Path(path)
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        raw = json.loads(path.read_bytes())
+    except ValueError as exc:  # malformed JSON, or bytes that are not text
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    missing = _SPEC_REQUIRED - raw.keys()
+    keys = fields(SyntheticSpec)
+    # the fields with no default are the required keys
+    missing = {f.name for f in keys if f.default is MISSING} - raw.keys()
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    unknown = raw.keys() - _SPEC_REQUIRED - _SPEC_OPTIONAL
+    unknown = raw.keys() - {f.name for f in keys}
     if unknown:
         raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-    return SyntheticSpec(**raw)
+    try:
+        return SyntheticSpec(**raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def place_events(
@@ -704,11 +723,7 @@ def _generate(
     test_events = place_events(
         spec.total_points, spec.event_lengths, spec.gap_policy, placement_rng
     )
-    shifted = [
-        Segment(ev.start + train_points, ev.end + train_points)
-        for ev in test_events
-    ]
-    _inject(values, shifted, sigma, spec, injection_rng)
+    _inject(values[train_points:], test_events, sigma, spec, injection_rng)
     return values, labels_from_events(test_events, spec.total_points)
 
 

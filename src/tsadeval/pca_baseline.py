@@ -16,7 +16,7 @@ average.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Optional, Union
 
@@ -88,39 +88,25 @@ class ScoredModel:
     smooth_window: int
 
     def __post_init__(self) -> None:
-        for name in ("center", "spread", "clip_low", "clip_high", "mean"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be 1-D")
+        # every field but the last, smooth_window, is a float array with one
+        # row per channel; basis alone is 2-D, one column per component
+        *arrays, _ = fields(self)
+        for f in arrays:
+            arr = np.asarray(getattr(self, f.name), dtype=np.float64)
+            ndim = 2 if f.name == "basis" else 1
+            if arr.ndim != ndim:
+                raise ValueError(f"{f.name} must be {ndim}-D")
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        basis = np.asarray(self.basis, dtype=np.float64)
-        if basis.ndim != 2 or basis.shape[0] != self.center.size:
-            raise ValueError(
-                f"basis shape {basis.shape} incompatible with "
-                f"{self.center.size} channels"
-            )
-        if not 1 <= basis.shape[1] <= basis.shape[0]:
+            object.__setattr__(self, f.name, arr)
+        if {len(getattr(self, f.name)) for f in arrays} != {self.n_channels}:
+            raise ValueError("per-channel arrays disagree on channel count")
+        if not 1 <= self.n_components <= self.n_channels:
             raise ValueError("component count outside [1, n_channels]")
-        gram = basis.T @ basis
-        if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-8):
+        gram = self.basis.T @ self.basis
+        if not np.allclose(gram, np.eye(self.n_components), atol=1e-8):
             raise ValueError("basis columns must be orthonormal")
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
         if self.smooth_window < 1:
             raise ValueError("smooth_window must be >= 1")
-        sizes = {
-            arr.size
-            for arr in (
-                self.center,
-                self.spread,
-                self.clip_low,
-                self.clip_high,
-                self.mean,
-            )
-        }
-        if sizes != {self.center.size}:
-            raise ValueError("per-channel arrays disagree on channel count")
 
     @property
     def n_channels(self) -> int:
@@ -133,17 +119,8 @@ class ScoredModel:
     def save(self, path: Union[str, Path, BinaryIO]) -> None:
         """Persist to .npz (a path or a binary file); float64 arrays
         round-trip bit-exactly."""
-        np.savez(
-            path,
-            format=np.array(_FORMAT_TAG),
-            center=self.center,
-            spread=self.spread,
-            clip_low=self.clip_low,
-            clip_high=self.clip_high,
-            mean=self.mean,
-            basis=self.basis,
-            smooth_window=np.array(self.smooth_window, dtype=np.int64),
-        )
+        arrays = {f.name: getattr(self, f.name) for f in fields(self)}
+        np.savez(path, format=np.array(_FORMAT_TAG), **arrays)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ScoredModel":
@@ -151,15 +128,9 @@ class ScoredModel:
             tag = str(bundle["format"])
             if tag != _FORMAT_TAG:
                 raise ValueError(f"{path}: unknown model format {tag!r}")
-            return cls(
-                center=bundle["center"],
-                spread=bundle["spread"],
-                clip_low=bundle["clip_low"],
-                clip_high=bundle["clip_high"],
-                mean=bundle["mean"],
-                basis=bundle["basis"],
-                smooth_window=int(bundle["smooth_window"]),
-            )
+            arrays = {f.name: bundle[f.name] for f in fields(cls)}
+        arrays["smooth_window"] = int(arrays["smooth_window"])
+        return cls(**arrays)
 
 
 @dataclass(frozen=True)

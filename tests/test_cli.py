@@ -676,6 +676,12 @@ INPUT_ERRORS = {
         "synth", "--spec", "spec.json", "--out-file", "synth.csv",
         "--train-out", "synth_train.csv",
     ],
+    "synth-mistyped-spec": [
+        "synth", "--spec", "mistyped.json", "--out-file", "synth.csv",
+    ],
+    "attack-mistyped-spec": [
+        "attack", "--synthetic-spec", "mistyped.json", "--alpha", "1",
+    ],
     "synth-out-file-in-missing-dir": [
         "synth", "--spec", "spec.json", "--train-points", "500",
         "--train-out", "synth_train.csv", "--out-file", "nodir/synth.csv",
@@ -694,6 +700,10 @@ def test_input_error_leaves_out_uncreated(
         ("train.csv", None), ("test.csv", None), ("labelled.csv", WORKED_LABELS)
     ]:
         write_frame_csv(tmp_path / name, rng.standard_normal((10, 2)), labels)
+    spec = json.loads(spec_file.read_text())
+    (tmp_path / "mistyped.json").write_text(
+        json.dumps({**spec, "total_points": str(spec["total_points"])})
+    )
     argv = INPUT_ERRORS[case]
     if argv[0] != "synth":  # synth writes next to --out-file, not into --out
         argv = [*argv, "--out", "out"]
@@ -704,6 +714,9 @@ def test_input_error_leaves_out_uncreated(
     # an option's own check names the option
     if "--alpha-step" in argv:
         assert "--alpha-step" in err
+    # a spec's own check names the file and the key
+    if "mistyped.json" in argv:
+        assert "mistyped.json: total_points" in err
     # nothing is written, and an output in a missing directory is named as
     # given, not by the temp file it would have been written through
     assert sorted(tmp_path.rglob("*")) == before

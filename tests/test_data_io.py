@@ -434,10 +434,24 @@ class TestSyntheticSpec:
             dict(signal_strength=0.0),
             dict(total_points=100, event_lengths=(50, 50, 50)),
             dict(gap_policy=0),
+            # values of the wrong JSON type, each named by its key
+            dict(total_points="100"),
+            dict(total_points=100.0),
+            dict(n_channels=2.5),
+            dict(seed="x"),
+            dict(seed=-1),
+            dict(gap_policy=True),
+            dict(event_lengths=5),
+            dict(event_lengths=[5.7]),
+            dict(event_lengths=["5"]),
+            dict(anomaly_signal="spike"),
+            dict(signal_strength="3"),
+            dict(signal_strength=float("nan")),
         ],
     )
     def test_validation(self, overrides):
-        with pytest.raises(ValueError):
+        # the message names the key at fault
+        with pytest.raises(ValueError, match="|".join(overrides)):
             small_spec(**overrides)
 
     def test_load_from_json(self, tmp_path):
@@ -488,6 +502,26 @@ class TestSyntheticSpec:
             )
         )
         with pytest.raises(ValueError, match="unknown keys"):
+            load_synthetic_spec(path)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"total_points": 500,\n}', "Expecting property name"),
+            (
+                '{"total_points": 500, "event_lengths": [20], "n_channels": 4,'
+                ' "anomaly_signal": "mean-shift", "seed": "7"}',
+                "seed must be an integer",
+            ),
+            ("\xff", "can't decode"),
+        ],
+        ids=["malformed-json", "mistyped-value", "not-text"],
+    )
+    def test_error_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "spec.json"
+        path.write_bytes(text.encode("latin-1"))
+        where = re.escape(str(path))
+        with pytest.raises(ValueError, match=f"^{where}: .*{message}"):
             load_synthetic_spec(path)
 
 
