@@ -5,8 +5,12 @@ uniformly random distinct time points. Under point-adjust scoring a single
 lucky alarm inside a long event is expanded to the whole event, so the
 expected score of this predictor is far from 0. This module provides the
 closed forms for the single-segment case, the distribution of the
-resulting F1 under two sampling models, and a Monte Carlo estimator that
-drives the real scorer end to end.
+resulting F1 under two sampling models, and a Monte Carlo engine that
+draws real alarm positions and scores them. The engine never builds a
+prediction series: it derives each protocol's counts from the sorted alarm
+positions, a block of trials at a time, and turns them into F1 with
+protocols._rates, the formulas score() itself uses. The test suite
+requires every trial's F1 to equal score() on that trial's prediction.
 
 Closed forms (single anomalous segment of length A inside T points,
 alpha random alarms, s of them landing inside the segment):
@@ -20,14 +24,21 @@ alpha random alarms, s of them landing inside the segment):
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from tsadeval.metrics import LabelSeries, PredictionSeries, point_confusion
-from tsadeval.protocols import Protocol, score
+# point_confusion and score go unused here; perfbench/tracer.py binds both
+from tsadeval.metrics import (
+    FAR_NO_NORMAL_WARNING,
+    LabelSeries,
+    PredictionSeries,
+    point_confusion,
+)
+from tsadeval.protocols import Protocol, _rates, score
 
 __all__ = [
     "AttackSetup",
@@ -293,13 +304,13 @@ def trial_seed(seed: int, trial_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((seed, trial_index))
 
 
-def run_attack(
-    labels: LabelSeries,
+def _draw(
+    total: int,
     alpha: int,
-    seed: "int | np.random.SeedSequence | np.random.Generator" = 0,
-) -> PredictionSeries:
-    """One attack: alpha alarms at distinct uniformly random positions."""
-    total = len(labels)
+    seed: "int | np.random.SeedSequence | np.random.Generator",
+) -> np.ndarray:
+    """One attack's alarm positions: alpha distinct uniform draws from
+    range(total), in draw order."""
     if not 0 <= alpha <= total:
         raise ValueError(f"alpha must lie in [0, {total}], got {alpha}")
     rng = (
@@ -307,9 +318,17 @@ def run_attack(
         if isinstance(seed, np.random.Generator)
         else np.random.default_rng(seed)
     )
-    values = np.zeros(total, dtype=np.int8)
-    if alpha:
-        values[rng.choice(total, size=alpha, replace=False)] = 1
+    return rng.choice(total, size=alpha, replace=False)
+
+
+def run_attack(
+    labels: LabelSeries,
+    alpha: int,
+    seed: "int | np.random.SeedSequence | np.random.Generator" = 0,
+) -> PredictionSeries:
+    """One attack: alpha alarms at distinct uniformly random positions."""
+    values = np.zeros(len(labels), dtype=np.int8)
+    values[_draw(len(labels), alpha, seed)] = 1
     return PredictionSeries(values)
 
 
@@ -319,8 +338,9 @@ def monte_carlo_f1_pa(
     """Empirical adjusted-F1 distribution from `trials` end-to-end attacks.
 
     Every trial draws fresh alarm positions (sub-seeded from (seed, trial
-    index)) and runs the actual point-adjust scorer; nothing analytic is
-    reused, so this doubles as an independent check of the closed forms.
+    index)) and is scored from them through the point-adjust formula that
+    score() uses; nothing analytic is reused, so this doubles as an
+    independent check of the closed forms.
     """
     outcomes = random_flag_trials(
         setup.labels(), setup.alpha, trials, seed, (Protocol.POINT_ADJUST,)
@@ -364,6 +384,55 @@ class RandomFlagTrials:
         )
 
 
+# a block of trials holds about this many alarm positions, which keeps the
+# engine's temporaries to a few MB however many trials run
+_BLOCK_ALARMS = 2**16
+
+
+def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:
+    """Every count protocols._rates reads, one per row of sorted alarms.
+
+    Row i of `alarms` holds one trial's distinct alarm positions in
+    ascending order. An alarm's event is the last one starting at or before
+    it, and the alarm is a hit when it lies at or before that event's end.
+    Hits on one event are adjacent in a row, so the first of them marks the
+    event detected. A predicted segment is a run of consecutive positions,
+    and it is false when none of its alarms is a hit.
+    """
+    starts, ends = labels.starts, labels.ends
+    rows, alpha = alarms.shape
+    event = np.searchsorted(starts, alarms, side="right") - 1
+    # event -1 (before the first event) reads the appended end -1 and
+    # length 0
+    inside = alarms <= np.append(ends, -1)[event]
+    first_hit = inside.copy()
+    first_hit[:, 1:] &= event[:, 1:] != event[:, :-1]
+    new_segment = np.ones(alarms.shape, dtype=bool)
+    new_segment[:, 1:] = np.diff(alarms, axis=1) != 1
+    segment = np.cumsum(new_segment, axis=1) - 1
+    row = np.broadcast_to(np.arange(rows)[:, None], alarms.shape)
+    true_segment = np.zeros(alarms.shape, dtype=bool)
+    true_segment[row[inside], segment[inside]] = True
+    tp = np.count_nonzero(inside, axis=1)
+    fp = alpha - tp
+    tp_e = np.count_nonzero(first_hit, axis=1)
+    n_normal = labels.n_normal
+    return {
+        "tp": tp,
+        "fp": fp,
+        "fn": labels.n_anomalous - tp,
+        # a series with no normal points has FAR 0, as in false_alarm_rate
+        "far": fp / n_normal if n_normal else np.zeros(rows),
+        "adjusted_tp": np.where(
+            first_hit, np.append(ends - starts + 1, 0)[event], 0
+        ).sum(axis=1),
+        "tp_e": tp_e,
+        "fp_e": np.count_nonzero(new_segment, axis=1)
+        - np.count_nonzero(true_segment, axis=1),
+        "fn_e": labels.n_events - tp_e,
+    }
+
+
 def random_flag_trials(
     labels: LabelSeries,
     alpha: int,
@@ -375,18 +444,34 @@ def random_flag_trials(
 
     Accepts any label layout (multiple events, varying lengths) and any
     protocol subset, which is how the attack is evaluated against realistic
-    event mixes; monte_carlo_f1_pa is this loop on one centred segment.
+    event mixes; monte_carlo_f1_pa is this engine on one centred segment.
+
+    Trial i draws the alarms run_attack(labels, alpha, trial_seed(seed, i))
+    would flag. Trials are scored a block at a time from their alarm
+    positions alone, and protocols._rates turns the counts into F1, so
+    every F1 equals score() on that trial's predictions bit for bit.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     protocols = tuple(Protocol(p) for p in protocols)
     hits = np.zeros(trials, dtype=np.int64)
     f1 = {p: np.zeros(trials) for p in protocols}
-    for i in range(trials):
-        preds = run_attack(labels, alpha, trial_seed(seed, i))
-        hits[i] = point_confusion(labels, preds).tp
+    rows = max(1, _BLOCK_ALARMS // max(alpha, 1))
+    for first in range(0, trials, rows):
+        block = slice(first, min(first + rows, trials))
+        alarms = np.array(
+            [
+                _draw(len(labels), alpha, trial_seed(seed, i))
+                for i in range(first, block.stop)
+            ]
+        )
+        alarms.sort(axis=1)
+        counts = _block_counts(labels, alarms)
+        hits[block] = counts["tp"]
         for p in protocols:
-            f1[p][i] = score(labels, preds, p).f1
+            f1[p][block] = _rates(p, **counts)[2]
+    if protocols and not labels.n_normal:
+        warnings.warn(FAR_NO_NORMAL_WARNING, stacklevel=2)
     return RandomFlagTrials(
         alpha=alpha, trials=trials, seed=seed, hits=hits, f1_by_protocol=f1
     )

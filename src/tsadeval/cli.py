@@ -211,11 +211,14 @@ def _parse_protocols(text: str) -> tuple:
     protocols = []
     for name in names:
         try:
-            protocols.append(Protocol(name))
+            protocol = Protocol(name)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"unknown protocol {name!r}; valid: {valid}"
             ) from None
+        if protocol in protocols:
+            raise argparse.ArgumentTypeError(f"protocol {name!r} given twice")
+        protocols.append(protocol)
     return tuple(protocols)
 
 
@@ -359,6 +362,13 @@ def _quantiles(values: np.ndarray) -> dict:
 
 def _cmd_attack(args: argparse.Namespace) -> Report:
     labels, inputs = _attack_labels(args)
+    # built first, so a bad alpha (for one event, alpha 0 too) fails before
+    # any trial runs
+    setup = (
+        AttackSetup(len(labels), labels.n_anomalous, args.alpha)
+        if labels.n_events == 1
+        else None
+    )
     trials = random_flag_trials(
         labels, args.alpha, args.trials, args.seed, args.protocols
     )
@@ -378,12 +388,7 @@ def _cmd_attack(args: argparse.Namespace) -> Report:
         "empirical_prob_zero_hits": float(np.mean(trials.hits == 0)),
     }
     tables = {}
-    if labels.n_events == 1:
-        setup = AttackSetup(
-            total_points=len(labels),
-            anomalous_length=labels.n_anomalous,
-            alpha=args.alpha,
-        )
+    if setup is not None:
         analytic = {
             "prob_perfect_recall": prob_perfect_recall(
                 setup.contamination_rate, setup.alpha

@@ -37,6 +37,11 @@ __all__ = [
     "false_alarm_rate",
 ]
 
+FAR_NO_NORMAL_WARNING = (
+    "false_alarm_rate over a series with no normal points; "
+    "returning 0.0 by convention"
+)
+
 FlagsLike = Union[Sequence[int], Iterable[int], np.ndarray]
 
 
@@ -275,10 +280,6 @@ def false_alarm_rate(counts: ConfusionCounts) -> float:
     """FP / (FP + TN). A series with no normal points has FAR 0.0."""
     normal = counts.fp + counts.tn
     if normal == 0:
-        warnings.warn(
-            "false_alarm_rate over a series with no normal points; "
-            "returning 0.0 by convention",
-            stacklevel=2,
-        )
+        warnings.warn(FAR_NO_NORMAL_WARNING, stacklevel=2)
         return 0.0
     return counts.fp / normal

@@ -1,10 +1,15 @@
 """Random-flag attack: closed forms, distributions and the Monte Carlo path."""
 
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tsadeval import adversary
 from tsadeval.adversary import (
     AttackSetup,
     SamplingModel,
@@ -22,7 +27,7 @@ from tsadeval.adversary import (
     worst_case_table,
 )
 from tsadeval.metrics import LabelSeries, point_confusion
-from tsadeval.protocols import Protocol, score_point_adjust
+from tsadeval.protocols import Protocol, score, score_point_adjust
 
 
 def binom_pmf(k, n, p):
@@ -282,3 +287,91 @@ class TestRandomFlagTrials:
         for i in range(50):
             preds = run_attack(labels, 5, trial_seed(4, i))
             assert trials.hits[i] == point_confusion(labels, preds).tp
+
+
+def attack_layouts():
+    """(label values, seed): any layout of up to 24 points."""
+    return st.tuples(
+        st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=24),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+
+
+@st.composite
+def attacks(draw):
+    """(label values, seed, alpha) with alpha in [0, len(values)]."""
+    values, seed = draw(attack_layouts())
+    return values, seed, draw(st.integers(min_value=0, max_value=len(values)))
+
+
+TRIALS_PER_ALPHA = 6
+
+
+class TestTrialsAgainstScore:
+    """The engine scores alarm positions without building a prediction;
+    score() on each trial's prediction is the oracle, for every alpha."""
+
+    @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
+    @settings(max_examples=150, deadline=None)
+    @given(attack_layouts())
+    @example(([1, 1, 0, 0, 1, 0, 0, 1], 0))  # events at both ends
+    @example(([0, 0, 0, 0, 0], 0))  # no events
+    @example(([1, 1, 1, 1], 0))  # all anomalous
+    @example(([1], 0))  # length 1
+    # alpha=2 fills the gap 1..2 in trial 0, alpha=3 in trial 2 (checked
+    # below), so alarms span a whole gap between two events
+    @example(([1, 0, 0, 1], 1))
+    def test_hits_and_f1_equal_score(self, layout):
+        values, seed = layout
+        labels = LabelSeries(values)
+        # every example runs alpha = 0 and alpha = T too
+        for alpha in range(len(values) + 1):
+            trials = random_flag_trials(labels, alpha, TRIALS_PER_ALPHA, seed)
+            for i in range(TRIALS_PER_ALPHA):
+                preds = run_attack(labels, alpha, trial_seed(seed, i))
+                assert trials.hits[i] == point_confusion(labels, preds).tp
+                for p in Protocol:
+                    assert trials.f1_by_protocol[p][i] == score(
+                        labels, preds, p
+                    ).f1
+
+    def test_gap_filling_example_fills_the_gap(self):
+        labels = LabelSeries([1, 0, 0, 1])
+        for alpha, trial in ((2, 0), (3, 2)):
+            preds = run_attack(labels, alpha, trial_seed(1, trial))
+            assert preds.values[1:3].tolist() == [1, 1]
+
+    @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
+    @settings(max_examples=300, deadline=None)
+    @given(attacks(), st.integers(min_value=1, max_value=5))
+    @example(([0, 1, 1, 0, 0, 1], 0, 3), 1)
+    def test_block_size_changes_no_trial(self, attack, rows):
+        values, seed, alpha = attack
+        labels = LabelSeries(values)
+        trials = 2 * 5 + 1  # a partial last block for every rows value
+        whole = random_flag_trials(labels, alpha, trials, seed)
+        with mock.patch.object(adversary, "_BLOCK_ALARMS", rows * max(alpha, 1)):
+            blocked = random_flag_trials(labels, alpha, trials, seed)
+        assert np.array_equal(blocked.hits, whole.hits)
+        for p in Protocol:
+            assert np.array_equal(
+                blocked.f1_by_protocol[p], whole.f1_by_protocol[p]
+            )
+
+    def test_all_anomalous_warns_once(self):
+        labels = LabelSeries([1] * 6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trials = random_flag_trials(labels, alpha=3, trials=40, seed=1)
+        assert [str(w.message) for w in caught] == [
+            "false_alarm_rate over a series with no normal points; "
+            "returning 0.0 by convention"
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for i in range(40):
+                preds = run_attack(labels, 3, trial_seed(1, i))
+                for p in Protocol:
+                    assert trials.f1_by_protocol[p][i] == score(
+                        labels, preds, p
+                    ).f1

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tsadeval.cli
 from tsadeval.cli import main
 from tsadeval.data_io import load_frame
 from tsadeval.metrics import LabelSeries, PredictionSeries
@@ -643,6 +644,10 @@ INPUT_ERRORS = {
     "attack-alpha-exceeds-series": [
         "attack", "--labels", "labels.csv", "--alpha", "11", "--trials", "5",
     ],
+    "attack-zero-alpha-single-event": [
+        "attack", "--total-points", "10", "--segment-length", "2",
+        "--alpha", "0", "--trials", "5",
+    ],
     "attack-cdf-alpha-exceeds-series": [
         "attack-cdf", "--total-points", "10", "--segment-length", "2",
         "--alpha", "11",
@@ -723,6 +728,42 @@ def test_input_error_leaves_out_uncreated(
     for arg in argv:
         if arg.startswith("nodir/"):
             assert arg in err and ".tmp" not in err
+
+
+def test_attack_checks_alpha_before_any_trial(tmp_path, monkeypatch, capsys):
+    # an all-anomalous single event: trials would also warn about the FAR
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran before alpha was checked")
+
+    monkeypatch.setattr(tsadeval.cli, "random_flag_trials", no_trials)
+    argv = [
+        "attack", "--total-points", "10", "--segment-length", "10",
+        "--alpha", "0", "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "alpha must lie in [1, total_points], got 0" in err
+    assert "false_alarm_rate" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--labels", "labels.csv", "--predictions", "labels.csv"],
+        ["attack", "--labels", "labels.csv", "--alpha", "2", "--trials", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_repeated_protocol_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_column(tmp_path / "labels.csv", "label", WORKED_LABELS)
+    argv = [*argv, "--protocols", "point-adjust,composite,point-adjust"]
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--out", "out"])
+    assert exited.value.code == 2
+    assert "'point-adjust' given twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # The two commands that binarize scores by a threshold policy
