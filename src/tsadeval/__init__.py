@@ -29,7 +29,7 @@ from tsadeval.protocols import (
     score_point_wise,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ConfusionCounts",

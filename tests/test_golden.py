@@ -58,7 +58,7 @@ CASES = {
                 "eb358bdfe24a4e983354b6ac9a0ed42b728be0c6c8a5d4af395f5453dca89836"
             ),
             "out/report.json": (
-                "489fb8ca6e969bc76fbbd692c8c5bff7b60a992de8834e4ec7a43c346154b851"
+                "66f76032ca5ff03857dfab9f17037d1ed2a28f014ee69b15f15c02551feed1a0"
             ),
         },
         (
@@ -78,7 +78,7 @@ CASES = {
                 "27049a0effd66417640d80ae8ded73c2036584add46ec6245191f7a7ea7684f6"
             ),
             "out/report.json": (
-                "296616d3c0b92dd124c74536e3673fe49372707919beb02d779508f6b8922e75"
+                "f53bed0f4d0d74b9ed16cc1a376317733e7032f799f387b090a7fcd5cd62d050"
             ),
         },
         (
@@ -99,7 +99,7 @@ CASES = {
                 "b65146358987f5661cbae31f64d802aec83cc22d5f13b63617d97475663d5679"
             ),
             "out/report.json": (
-                "bd73a261eb325d38e0cdc37dcc2a4fd859a2ff669a0e88c1948783f2a3951a22"
+                "1bb7a5f6bcfa139207b9d342b1bdb9c596d215e8e68bd9aed2303a1d02a6adbe"
             ),
         },
         (
@@ -113,7 +113,7 @@ CASES = {
           "--trials", "50", "--seed", "3", "--out", "out"]],
         {
             "out/report.json": (
-                "1692c01f28e0e2c94fa1b6bfed1234c24bbd47908c232abf8d2813bb76d8061c"
+                "8b5a592b9fd1a5171a5ad08867c63536e7985d8304d749ff3826f796627de799"
             ),
         },
         (
@@ -132,7 +132,7 @@ CASES = {
                 "ce1ef09ebe47befd6eb6a06f363cc96d3aa8cc088a17fe566c675a815ef732df"
             ),
             "out/report.json": (
-                "4c4fa3d9b2bc7c7bfba371593ca488ed13fdd79db1b24f43454df79f250c9c6e"
+                "ac894cafae323bc60c74dc1903147c0e007a248f4d34d298633cc491a38651fc"
             ),
         },
         (
@@ -147,7 +147,7 @@ CASES = {
                 "9095f818e74bec0a5ab4204967f052c875724059e50c4decf38785b6287fdd2b"
             ),
             "out/report.json": (
-                "22d2ea078d57939ef7402dcd1227cebaef598b672bc1ffb4c7d691af2f6c3eda"
+                "3c9be160819c8fb0813fc879a3e1ea5a7572fcab6b5fea68faa8cc4c3f30e246"
             ),
         },
         (
@@ -159,7 +159,7 @@ CASES = {
           "--alpha-max", "30", "--alpha-step", "3", "--out", "out"]],
         {
             "out/report.json": (
-                "3817faf5435e2f3ebdd0da59cd659e900486ce7bd051d810a9bb1e3625b0d16d"
+                "dcd242803d1fafd89df46b19bfd723845d4d6ac4755ccf427f71e804241d5a20"
             ),
             "out/worst_case.csv": (
                 "b8a69e6ba8808bac0e52215ea304a74f2ba81b87d08c4afa107401becd353b8c"
@@ -177,7 +177,7 @@ CASES = {
                 "961765392f23ee0204faf881e3a7a8039c7af1ad61768185c0ed82a0a5868d71"
             ),
             "out/report.json": (
-                "642d08e509529cdb7ae9deb010e7160bfb1e0ac275d03e7f143b8e53370dde4d"
+                "78de82e4ba123a2f5a4eed4280443aa3c3802a9d02b3fd2f3f9920a0900e738e"
             ),
         },
         (
@@ -194,7 +194,7 @@ CASES = {
                 "a89e816e14ff90b39f38d8264768e48e5598f94e96e1a8a9d19e385deea4e90c"
             ),
             "test.csv.manifest.json": (
-                "595903f08c51109a871262ab7754b74ab82c1be4f4533958f7c2c70c5fd06c92"
+                "085a3897e09d7c939dbb56cc1c36dfb26f378eaaaf34e22657e2c8b0d18d7c07"
             ),
             "train.csv": (
                 "a639abdc800fd46af1c2b0552c117cf136d6a486ac06d09e3041b0848ec4b4ac"
@@ -215,7 +215,7 @@ CASES = {
                 "2137687993a9f439bbda218c88ef2cf0cc7af1ea4acce40ae4b713537c9131e8"
             ),
             "out/report.json": (
-                "523af2d83a16d02b74bd2ca9a86cb00f40b12a089a53725bebe231a27729adfc"
+                "2384273e006ac58fd76834198c8dfa185e86789756c5a7a9bf70cedf630e3a81"
             ),
             "out/scores.csv": (
                 "a279ca03f3bdf0aa6c2fee6e08cbff20d9d7286a0d4d8d7a4ae9c840b41a43a5"
@@ -227,7 +227,7 @@ CASES = {
                 "a89e816e14ff90b39f38d8264768e48e5598f94e96e1a8a9d19e385deea4e90c"
             ),
             "test.csv.manifest.json": (
-                "595903f08c51109a871262ab7754b74ab82c1be4f4533958f7c2c70c5fd06c92"
+                "085a3897e09d7c939dbb56cc1c36dfb26f378eaaaf34e22657e2c8b0d18d7c07"
             ),
             "train.csv": (
                 "a639abdc800fd46af1c2b0552c117cf136d6a486ac06d09e3041b0848ec4b4ac"
@@ -249,7 +249,7 @@ CASES = {
           "--end-exclusive", "--out", "out"]],
         {
             "out/report.json": (
-                "62715e793b6e551bded61cae7a0da86b76e06d97727fca43be12311454440430"
+                "7dedca201d961e2afad5cda901f56af0ab56fefa6e5243135c641a99dce48899"
             ),
         },
         (
