@@ -6,11 +6,22 @@ lucky alarm inside a long event is expanded to the whole event, so the
 expected score of this predictor is far from 0. This module provides the
 closed forms for the single-segment case, the distribution of the
 resulting F1 under two sampling models, and a Monte Carlo engine that
-draws real alarm positions and scores them. The engine never builds a
-prediction series: it derives each protocol's counts from the sorted alarm
-positions, a block of trials at a time, and turns them into F1 with
+draws real alarm positions and scores them, a block of trials at a time.
+
+One sampler (_sample) draws a whole block: a (trials x alpha) array of
+sorted positions, each row a uniformly random alpha-subset of the series.
+A sparse block draws the alarms (or, past half the series, the points
+left unflagged) with replacement and redraws only the repeated values,
+which treats every position alike and so stays exact. A dense block,
+where the alarms and the unflagged points both exceed a fifth of the
+series, keeps each row's alpha smallest of uniform random keys.
+
+The engine never builds a prediction series: it derives each protocol's
+counts from the sorted positions and turns them into F1 with
 protocols._rates, the formulas score() itself uses. The test suite
-requires every trial's F1 to equal score() on that trial's prediction.
+requires every trial's F1 to equal score() on that trial's prediction,
+and each sampler path to pass a chi-square test of uniformity over all
+subsets.
 
 Closed forms (single anomalous segment of length A inside T points,
 alpha random alarms, s of them landing inside the segment):
@@ -300,25 +311,94 @@ def f1_pa_distribution(
 
 
 def trial_seed(seed: int, trial_index: int) -> np.random.SeedSequence:
-    """Deterministic per-trial seed, decorrelated across trials."""
+    """Deterministic sub-seed (seed, trial_index), decorrelated across indices.
+
+    random_flag_trials seeds its block number b with trial_seed(seed, b);
+    one run_attack per index gives independent single attacks.
+    """
     return np.random.SeedSequence((seed, trial_index))
 
 
-def _draw(
-    total: int,
-    alpha: int,
-    seed: "int | np.random.SeedSequence | np.random.Generator",
+def _distinct(
+    total: int, k: int, rows: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """One attack's alarm positions: alpha distinct uniform draws from
-    range(total), in draw order."""
+    """(rows x k) sorted positions, each row k distinct ones from range(total).
+
+    Each row draws k positions with replacement. While a row repeats a
+    value, it keeps one of each and draws as many as it lacks again. A
+    row's set grows only by fresh uniform draws, and how many it draws
+    depends on the set's size alone; relabelling the positions changes
+    nothing, so the final k-set is uniform over all k-subsets.
+    """
+    drawn = rng.integers(total, size=(rows, k))
+    drawn.sort(axis=1)
+    todo, block = np.arange(rows), drawn
+    while True:
+        repeat = np.zeros(block.shape, dtype=bool)
+        repeat[:, 1:] = block[:, 1:] == block[:, :-1]
+        redo = repeat.any(axis=1)
+        if not redo.any():
+            return drawn
+        todo, block, repeat = todo[redo], block[redo], repeat[redo]
+        block[repeat] = rng.integers(total, size=np.count_nonzero(repeat))
+        block.sort(axis=1)
+        drawn[todo] = block
+
+
+def _random_keys(
+    total: int, alpha: int, rows: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(rows x alpha) sorted positions holding each row's alpha smallest of
+    `total` uniform keys.
+
+    Keys are exchangeable, so the alpha smallest form a uniform
+    alpha-subset. A row whose alpha-th smallest key ties with a key left
+    out draws all its keys again: the choice would then depend on position.
+    """
+    alarms = np.empty((rows, alpha), dtype=np.int64)
+    todo = np.arange(rows)
+    while todo.size:
+        keys = rng.random((todo.size, total))
+        picked = np.argpartition(keys, alpha - 1, axis=1)[:, :alpha]
+        kth = np.take_along_axis(keys, picked[:, -1:], axis=1)
+        tied = np.count_nonzero(keys <= kth, axis=1) > alpha
+        alarms[todo[~tied]] = picked[~tied]
+        todo = todo[tied]
+    alarms.sort(axis=1)
+    return alarms
+
+
+# A draw places k = min(alpha, total - alpha) points: the alarms, or the
+# points left unflagged. Random keys cost O(total) per row; redrawing
+# repeats costs a sort of k values per round, with more rounds as k nears
+# total / 2. Keys are the faster once k exceeds total / _DENSE_DIVISOR
+# (timed at total 500, 5000 and 20000).
+_DENSE_DIVISOR = 5
+
+
+def _sample(
+    total: int, alpha: int, rows: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(rows x alpha) sorted alarm positions, one attack per row.
+
+    Each row is a uniformly random alpha-subset of range(total),
+    independent of the other rows. A dense draw takes random keys
+    (_random_keys). A sparse one redraws repeats (_distinct), of the
+    alarms themselves or, when alpha > total / 2, of the total - alpha
+    points left unflagged. Memory is a few arrays of rows * alpha values,
+    plus rows * total keys when dense.
+    """
     if not 0 <= alpha <= total:
         raise ValueError(f"alpha must lie in [0, {total}], got {alpha}")
-    rng = (
-        seed
-        if isinstance(seed, np.random.Generator)
-        else np.random.default_rng(seed)
-    )
-    return rng.choice(total, size=alpha, replace=False)
+    k = min(alpha, total - alpha)
+    if _DENSE_DIVISOR * k > total:
+        return _random_keys(total, alpha, rows, rng)
+    chosen = _distinct(total, k, rows, rng)
+    if k == alpha:
+        return chosen
+    flagged = np.ones((rows, total), dtype=bool)
+    flagged[np.arange(rows)[:, None], chosen] = False
+    return np.nonzero(flagged)[1].reshape(rows, alpha)
 
 
 def run_attack(
@@ -326,9 +406,13 @@ def run_attack(
     alpha: int,
     seed: "int | np.random.SeedSequence | np.random.Generator" = 0,
 ) -> PredictionSeries:
-    """One attack: alpha alarms at distinct uniformly random positions."""
+    """One attack: alpha alarms at distinct uniformly random positions.
+
+    The alarms are the one row _sample draws from default_rng(seed), the
+    engine's sampler at a block of one trial.
+    """
     values = np.zeros(len(labels), dtype=np.int8)
-    values[_draw(len(labels), alpha, seed)] = 1
+    values[_sample(len(labels), alpha, 1, np.random.default_rng(seed))[0]] = 1
     return PredictionSeries(values)
 
 
@@ -389,6 +473,20 @@ class RandomFlagTrials:
 _BLOCK_ALARMS = 2**16
 
 
+def _alarm_blocks(total: int, alpha: int, trials: int, seed: int):
+    """Yield (trial slice, sorted alarms) for consecutive blocks of trials.
+
+    A block holds max(1, _BLOCK_ALARMS // alpha) trials, the last one
+    fewer, and block b draws its rows with _sample from
+    default_rng(trial_seed(seed, b)).
+    """
+    rows = max(1, _BLOCK_ALARMS // max(alpha, 1))
+    for block, first in enumerate(range(0, trials, rows)):
+        stop = min(first + rows, trials)
+        rng = np.random.default_rng(trial_seed(seed, block))
+        yield slice(first, stop), _sample(total, alpha, stop - first, rng)
+
+
 def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:
     """Every count protocols._rates reads, one per row of sorted alarms.
 
@@ -446,26 +544,19 @@ def random_flag_trials(
     protocol subset, which is how the attack is evaluated against realistic
     event mixes; monte_carlo_f1_pa is this engine on one centred segment.
 
-    Trial i draws the alarms run_attack(labels, alpha, trial_seed(seed, i))
-    would flag. Trials are scored a block at a time from their alarm
-    positions alone, and protocols._rates turns the counts into F1, so
-    every F1 equals score() on that trial's predictions bit for bit.
+    Trials are drawn and scored a block at a time (_alarm_blocks): one
+    call to the sampler gives every trial of a block its alpha distinct
+    alarms, each trial's set uniform over all alpha-subsets of the series
+    and independent of the others. The counts come from the alarm
+    positions alone, and protocols._rates turns them into F1, so every F1
+    equals score() on that trial's predictions bit for bit.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     protocols = tuple(Protocol(p) for p in protocols)
     hits = np.zeros(trials, dtype=np.int64)
     f1 = {p: np.zeros(trials) for p in protocols}
-    rows = max(1, _BLOCK_ALARMS // max(alpha, 1))
-    for first in range(0, trials, rows):
-        block = slice(first, min(first + rows, trials))
-        alarms = np.array(
-            [
-                _draw(len(labels), alpha, trial_seed(seed, i))
-                for i in range(first, block.stop)
-            ]
-        )
-        alarms.sort(axis=1)
+    for block, alarms in _alarm_blocks(len(labels), alpha, trials, seed):
         counts = _block_counts(labels, alarms)
         hits[block] = counts["tp"]
         for p in protocols:

@@ -1,6 +1,7 @@
 """Random-flag attack: closed forms, distributions and the Monte Carlo path."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -26,7 +27,7 @@ from tsadeval.adversary import (
     worst_case_precision_pa,
     worst_case_table,
 )
-from tsadeval.metrics import LabelSeries, point_confusion
+from tsadeval.metrics import LabelSeries, PredictionSeries, point_confusion
 from tsadeval.protocols import Protocol, score, score_point_adjust
 
 
@@ -237,6 +238,117 @@ class TestRunAttack:
         assert counts.max() < 290
 
 
+class CoarseKeys:
+    """A generator whose random keys take four values, so that random keys
+    often tie at the cut and the sampler must draw them again."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.integers = self._rng.integers
+        self.key_rows = 0
+
+    def random(self, size):
+        self.key_rows += size[0]
+        return self._rng.integers(4, size=size) / 4.0
+
+
+# (total, alpha, path): k = min(alpha, total - alpha) is drawn by random keys
+# when 5k > total, else by redrawing repeats, of the unflagged points when
+# alpha > total / 2; (10, 2)/(10, 3) and (10, 8)/(10, 7) straddle the switch
+SUBSET_CASES = [
+    (6, 1, "sparse"),
+    (6, 2, "dense"),
+    (6, 3, "dense"),
+    (6, 4, "dense"),
+    (6, 5, "sparse"),
+    (8, 2, "dense"),
+    (8, 4, "dense"),
+    (10, 2, "sparse"),
+    (10, 3, "dense"),
+    (10, 7, "dense"),
+    (10, 8, "sparse"),
+]
+
+
+class TestSampler:
+    """adversary._sample: every row a uniformly random alpha-subset."""
+
+    @pytest.mark.parametrize("total", [1, 2, 5, 10, 11, 40])
+    def test_rows_are_sorted_distinct_and_in_range(self, total):
+        rng = np.random.default_rng(total)
+        for alpha in range(total + 1):
+            alarms = adversary._sample(total, alpha, 7, rng)
+            assert alarms.shape == (7, alpha)
+            assert np.all(np.diff(alarms, axis=1) > 0)
+            assert np.all((alarms >= 0) & (alarms < total))
+        for alpha in (-1, total + 1):
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                adversary._sample(total, alpha, 1, rng)
+
+    @pytest.mark.parametrize(
+        "total,alpha,path,coarse",
+        [(*case, False) for case in SUBSET_CASES] + [(6, 3, "dense", True)],
+        ids=lambda v: str(v),
+    )
+    def test_rows_are_uniform_over_subsets(self, total, alpha, path, coarse):
+        # chi-square goodness of fit over all comb(total, alpha) subsets,
+        # with the oracle's count of subsets; rejected at the 0.1% level
+        from scipy import stats
+
+        rows = 30_000
+        rng = CoarseKeys(alpha) if coarse else np.random.default_rng(alpha)
+        with mock.patch.object(
+            adversary, "_random_keys", wraps=adversary._random_keys
+        ) as keys:
+            alarms = adversary._sample(total, alpha, rows, rng)
+        assert keys.called == (path == "dense")
+        if coarse:
+            assert rng.key_rows > rows  # ties were drawn again
+        subsets = (1 << alarms).sum(axis=1)
+        n_subsets = math.comb(total, alpha)
+        counts = np.unique(subsets, return_counts=True)[1]
+        assert counts.size == n_subsets
+        expected = rows / n_subsets
+        chi2 = float((counts.astype(float) ** 2).sum() / expected - rows)
+        assert stats.chi2.sf(chi2, n_subsets - 1) > 0.001
+
+    @pytest.mark.parametrize(
+        "total,marked,alpha,seed",
+        [(60, 6, 30, 21), (60, 2, 50, 22)],
+        ids=["dense", "sparse-unflagged"],
+    )
+    def test_zero_hits_match_hypergeometric(self, total, marked, alpha, seed):
+        # test_matches_exact_model_small covers the sparse path
+        trials = 40_000
+        dist = monte_carlo_f1_pa(
+            AttackSetup(total, marked, alpha), trials=trials, seed=seed
+        )
+        exact = hyper_pmf(0, total, marked, alpha)
+        se = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(dist.prob_zero - exact) < 3 * se
+
+    @pytest.mark.parametrize(
+        "total,alpha", [(450_000, 1000), (20_000, 10_000)],
+        ids=["sparse", "dense"],
+    )
+    def test_memory_is_bounded_by_the_block(self, total, alpha):
+        # a block of trials holds rows * alpha <= _BLOCK_ALARMS alarms and,
+        # when dense, a key and its rank for each of its rows * total
+        # points; at most three 8-byte arrays of each kind live at once
+        rows = max(1, adversary._BLOCK_ALARMS // alpha)
+        dense = adversary._DENSE_DIVISOR * min(alpha, total - alpha) > total
+        assert dense == (alpha == 10_000)
+        cap = 3 * 8 * (rows * alpha + dense * rows * total)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            adversary._sample(total, alpha, rows, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap
+
+
 class TestMonteCarlo:
     def test_matches_exact_model_small(self):
         setup = AttackSetup(200, 20, 4)
@@ -284,9 +396,20 @@ class TestRandomFlagTrials:
         trials = random_flag_trials(
             labels, alpha=5, trials=50, seed=4, protocols=(Protocol.POINT_WISE,)
         )
-        for i in range(50):
-            preds = run_attack(labels, 5, trial_seed(4, i))
+        for i, preds in enumerate(engine_predictions(labels, 5, 50, 4)):
             assert trials.hits[i] == point_confusion(labels, preds).tp
+
+
+def engine_predictions(labels, alpha, trials, seed):
+    """Each trial's prediction, flagged at the alarms the engine drew."""
+    preds = []
+    for _, alarms in adversary._alarm_blocks(len(labels), alpha, trials, seed):
+        for row in alarms:
+            values = np.zeros(len(labels), dtype=np.int8)
+            values[row] = 1
+            preds.append(PredictionSeries(values))
+    assert len(preds) == trials
+    return preds
 
 
 def attack_layouts():
@@ -309,7 +432,20 @@ TRIALS_PER_ALPHA = 6
 
 class TestTrialsAgainstScore:
     """The engine scores alarm positions without building a prediction;
-    score() on each trial's prediction is the oracle, for every alpha."""
+    score() on each trial's prediction, flagged at the alarms the engine
+    drew, is the oracle, for every alpha."""
+
+    @staticmethod
+    def assert_trials_equal_score(labels, alpha, trials, seed):
+        outcome = random_flag_trials(labels, alpha, trials, seed)
+        preds = engine_predictions(labels, alpha, trials, seed)
+        for i, pred in enumerate(preds):
+            assert pred.n_positive == alpha
+            assert outcome.hits[i] == point_confusion(labels, pred).tp
+            for p in Protocol:
+                assert outcome.f1_by_protocol[p][i] == score(
+                    labels, pred, p
+                ).f1
 
     @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
     @settings(max_examples=150, deadline=None)
@@ -318,7 +454,7 @@ class TestTrialsAgainstScore:
     @example(([0, 0, 0, 0, 0], 0))  # no events
     @example(([1, 1, 1, 1], 0))  # all anomalous
     @example(([1], 0))  # length 1
-    # alpha=2 fills the gap 1..2 in trial 0, alpha=3 in trial 2 (checked
+    # alpha=2 and alpha=3 both fill the gap 1..2 in trial 5 (checked
     # below), so alarms span a whole gap between two events
     @example(([1, 0, 0, 1], 1))
     def test_hits_and_f1_equal_score(self, layout):
@@ -326,37 +462,48 @@ class TestTrialsAgainstScore:
         labels = LabelSeries(values)
         # every example runs alpha = 0 and alpha = T too
         for alpha in range(len(values) + 1):
-            trials = random_flag_trials(labels, alpha, TRIALS_PER_ALPHA, seed)
-            for i in range(TRIALS_PER_ALPHA):
-                preds = run_attack(labels, alpha, trial_seed(seed, i))
-                assert trials.hits[i] == point_confusion(labels, preds).tp
-                for p in Protocol:
-                    assert trials.f1_by_protocol[p][i] == score(
-                        labels, preds, p
-                    ).f1
+            self.assert_trials_equal_score(
+                labels, alpha, TRIALS_PER_ALPHA, seed
+            )
 
     def test_gap_filling_example_fills_the_gap(self):
         labels = LabelSeries([1, 0, 0, 1])
-        for alpha, trial in ((2, 0), (3, 2)):
-            preds = run_attack(labels, alpha, trial_seed(1, trial))
-            assert preds.values[1:3].tolist() == [1, 1]
+        for alpha in (2, 3):
+            preds = engine_predictions(labels, alpha, TRIALS_PER_ALPHA, 1)
+            assert preds[5].values[1:3].tolist() == [1, 1]
 
     @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
     @settings(max_examples=300, deadline=None)
     @given(attacks(), st.integers(min_value=1, max_value=5))
     @example(([0, 1, 1, 0, 0, 1], 0, 3), 1)
-    def test_block_size_changes_no_trial(self, attack, rows):
+    def test_any_block_size_scores_equal_score(self, attack, rows):
         values, seed, alpha = attack
-        labels = LabelSeries(values)
         trials = 2 * 5 + 1  # a partial last block for every rows value
-        whole = random_flag_trials(labels, alpha, trials, seed)
         with mock.patch.object(adversary, "_BLOCK_ALARMS", rows * max(alpha, 1)):
-            blocked = random_flag_trials(labels, alpha, trials, seed)
-        assert np.array_equal(blocked.hits, whole.hits)
+            self.assert_trials_equal_score(
+                LabelSeries(values), alpha, trials, seed
+            )
+
+    def test_seed_fixes_every_trial(self):
+        labels = LabelSeries([0, 1, 1, 0, 0, 0, 1, 0, 0, 0] * 30)
+
+        def run(seed):
+            blocks = adversary._alarm_blocks(300, 40, 5000, seed)
+            alarms = np.concatenate([a for _, a in blocks])
+            return alarms, random_flag_trials(labels, 40, 5000, seed)
+
+        (alarms, first), (again, second), (other, third) = map(run, (7, 7, 8))
+        assert np.array_equal(alarms, again)
+        assert np.array_equal(first.hits, second.hits)
         for p in Protocol:
             assert np.array_equal(
-                blocked.f1_by_protocol[p], whole.f1_by_protocol[p]
+                first.f1_by_protocol[p], second.f1_by_protocol[p]
             )
+        # 5000 trials of 40 alarms span four blocks, each seeded apart
+        assert alarms.shape == (5000, 40)
+        for rows in (slice(0, 1638), slice(1638, 3276), slice(4914, 5000)):
+            assert not np.array_equal(alarms[rows], other[rows])
+        assert not np.array_equal(first.hits, third.hits)
 
     def test_all_anomalous_warns_once(self):
         labels = LabelSeries([1] * 6)
@@ -369,8 +516,7 @@ class TestTrialsAgainstScore:
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for i in range(40):
-                preds = run_attack(labels, 3, trial_seed(1, i))
+            for i, preds in enumerate(engine_predictions(labels, 3, 40, 1)):
                 for p in Protocol:
                     assert trials.f1_by_protocol[p][i] == score(
                         labels, preds, p

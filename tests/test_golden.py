@@ -96,16 +96,16 @@ CASES = {
           "--protocols", "point-adjust,composite", "--out", "out"]],
         {
             "out/distribution.csv": (
-                "b65146358987f5661cbae31f64d802aec83cc22d5f13b63617d97475663d5679"
+                "731f593a55f104c41d10308741e28c9bbf198bba6190f9f3c3853dfcea0999f6"
             ),
             "out/report.json": (
-                "1bb7a5f6bcfa139207b9d342b1bdb9c596d215e8e68bd9aed2303a1d02a6adbe"
+                "a5694b97074d2f1852a03f5e12844428deb113a200730043a4a14b72caa43fa2"
             ),
         },
         (
             "random flagger, alpha=10, 200 trials over 300 points / 1 event(s)\n"
-            "  point-adjust   mean F1 0.579061  median 0.869565  q95 0.895522  (deprecated)\n"
-            "  composite      mean F1 0.178675  median 0.181818  q95 0.461538\n"
+            "  point-adjust   mean F1 0.561619  median 0.869565  q95 0.895522  (deprecated)\n"
+            "  composite      mean F1 0.173515  median 0.181818  q95 0.461538\n"
         ),
     ),
     "attack-synthetic-spec": (
@@ -113,15 +113,15 @@ CASES = {
           "--trials", "50", "--seed", "3", "--out", "out"]],
         {
             "out/report.json": (
-                "8b5a592b9fd1a5171a5ad08867c63536e7985d8304d749ff3826f796627de799"
+                "c01cf722d6ad64698926e46fb03a16f18ff4f093b190738d37bf1542df1d4702"
             ),
         },
         (
             "random flagger, alpha=15, 50 trials over 400 points / 3 event(s)\n"
-            "  point-wise     mean F1 0.057600  median 0.053333  q95 0.106667\n"
-            "  point-adjust   mean F1 0.636479  median 0.707965  q95 0.826446  (deprecated)\n"
-            "  composite      mean F1 0.220745  median 0.222222  q95 0.380952\n"
-            "  event-wise     mean F1 0.178374  median 0.215096  q95 0.259720\n"
+            "  point-wise     mean F1 0.062933  median 0.053333  q95 0.121333\n"
+            "  point-adjust   mean F1 0.647230  median 0.588292  q95 0.916031  (deprecated)\n"
+            "  composite      mean F1 0.238115  median 0.222222  q95 0.433918\n"
+            "  event-wise     mean F1 0.194660  median 0.215096  q95 0.343484\n"
         ),
     ),
     "attack-cdf-bernoulli": (
