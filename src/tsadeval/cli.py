@@ -361,9 +361,13 @@ def _quantiles(values: np.ndarray) -> dict:
 
 
 def _cmd_attack(args: argparse.Namespace) -> Report:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     labels, inputs = _attack_labels(args)
-    # built first, so a bad alpha (for one event, alpha 0 too) fails before
-    # any trial runs
+    if not 1 <= args.alpha <= len(labels):
+        raise ValueError(
+            f"--alpha must lie in [1, {len(labels)}], got {args.alpha}"
+        )
     setup = (
         AttackSetup(len(labels), labels.n_anomalous, args.alpha)
         if labels.n_events == 1

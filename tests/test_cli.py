@@ -648,6 +648,15 @@ INPUT_ERRORS = {
         "attack", "--total-points", "10", "--segment-length", "2",
         "--alpha", "0", "--trials", "5",
     ],
+    "attack-zero-alpha-multi-event": [
+        "attack", "--labels", "events3.csv", "--alpha", "0", "--trials", "5",
+    ],
+    "attack-alpha-exceeds-multi-event": [
+        "attack", "--labels", "events3.csv", "--alpha", "13", "--trials", "5",
+    ],
+    "attack-zero-trials": [
+        "attack", "--labels", "events3.csv", "--alpha", "2", "--trials", "0",
+    ],
     "attack-cdf-alpha-exceeds-series": [
         "attack-cdf", "--total-points", "10", "--segment-length", "2",
         "--alpha", "11",
@@ -693,6 +702,16 @@ INPUT_ERRORS = {
     ],
 }
 
+# what the message of a check that names its option must say
+OPTION_ERRORS = {
+    "attack-alpha-exceeds-series": "--alpha must lie in [1, 10], got 11",
+    "attack-zero-alpha-single-event": "--alpha must lie in [1, 10], got 0",
+    "attack-zero-alpha-multi-event": "--alpha must lie in [1, 12], got 0",
+    "attack-alpha-exceeds-multi-event": "--alpha must lie in [1, 12], got 13",
+    "attack-zero-trials": "--trials must be >= 1, got 0",
+    "attack-worst-zero-alpha-step": "--alpha-step must be >= 1, got 0",
+}
+
 
 @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
 def test_input_error_leaves_out_uncreated(
@@ -700,6 +719,9 @@ def test_input_error_leaves_out_uncreated(
 ):
     monkeypatch.chdir(tmp_path)
     write_column(tmp_path / "labels.csv", "label", WORKED_LABELS)
+    write_column(
+        tmp_path / "events3.csv", "label", [0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0]
+    )
     rng = np.random.default_rng(0)
     for name, labels in [
         ("train.csv", None), ("test.csv", None), ("labelled.csv", WORKED_LABELS)
@@ -717,8 +739,8 @@ def test_input_error_leaves_out_uncreated(
     err = capsys.readouterr().err
     assert "error:" in err
     # an option's own check names the option
-    if "--alpha-step" in argv:
-        assert "--alpha-step" in err
+    if case in OPTION_ERRORS:
+        assert OPTION_ERRORS[case] in err
     # a spec's own check names the file and the key
     if "mistyped.json" in argv:
         assert "mistyped.json: total_points" in err
@@ -742,7 +764,7 @@ def test_attack_checks_alpha_before_any_trial(tmp_path, monkeypatch, capsys):
     ]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "alpha must lie in [1, total_points], got 0" in err
+    assert "--alpha must lie in [1, 10], got 0" in err
     assert "false_alarm_rate" not in err
     assert not (tmp_path / "out").exists()
 
