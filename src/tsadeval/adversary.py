@@ -386,7 +386,7 @@ def _sample(
     (_random_keys). A sparse one redraws repeats (_distinct), of the
     alarms themselves or, when alpha > total / 2, of the total - alpha
     points left unflagged. Memory is a few arrays of rows * alpha values,
-    plus rows * total keys when dense.
+    plus one key (dense) or flag (alpha > total / 2) per point of a row.
     """
     if not 0 <= alpha <= total:
         raise ValueError(f"alpha must lie in [0, {total}], got {alpha}")
@@ -421,10 +421,10 @@ def monte_carlo_f1_pa(
 ) -> F1PaDistribution:
     """Empirical adjusted-F1 distribution from `trials` end-to-end attacks.
 
-    Every trial draws fresh alarm positions (sub-seeded from (seed, trial
-    index)) and is scored from them through the point-adjust formula that
-    score() uses; nothing analytic is reused, so this doubles as an
-    independent check of the closed forms.
+    Every trial draws fresh alarm positions (a block of trials at a time,
+    sub-seeded from (seed, block index)) and is scored from them through
+    the point-adjust formula that score() uses; nothing analytic is
+    reused, so this doubles as an independent check of the closed forms.
     """
     outcomes = random_flag_trials(
         setup.labels(), setup.alpha, trials, seed, (Protocol.POINT_ADJUST,)

@@ -333,7 +333,7 @@ class TestSampler:
     )
     def test_memory_is_bounded_by_the_block(self, total, alpha):
         # a block of trials holds rows * alpha <= _BLOCK_ALARMS alarms and,
-        # when dense, a key and its rank for each of its rows * total
+        # when dense, a key and an index for each of its rows * total
         # points; at most three 8-byte arrays of each kind live at once
         rows = max(1, adversary._BLOCK_ALARMS // alpha)
         dense = adversary._DENSE_DIVISOR * min(alpha, total - alpha) > total
