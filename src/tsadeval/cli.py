@@ -319,6 +319,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> Report:
 # attack
 
 
+def _check_points(option: str, value: int, total_points: int) -> None:
+    """Reject an option, counted in points, outside [1, total_points]."""
+    if not 1 <= value <= total_points:
+        raise ValueError(
+            f"{option} must lie in [1, {total_points}], got {value}"
+        )
+
+
 def _attack_labels(args: argparse.Namespace) -> tuple:
     given = [
         bool(args.labels),
@@ -339,6 +347,7 @@ def _attack_labels(args: argparse.Namespace) -> tuple:
         return synthetic_labels(spec), [args.synthetic_spec]
     if args.total_points is None or args.segment_length is None:
         raise ValueError("--total-points and --segment-length go together")
+    _check_points("--segment-length", args.segment_length, args.total_points)
     return (
         single_segment_labels(args.total_points, args.segment_length),
         [],
@@ -364,10 +373,7 @@ def _cmd_attack(args: argparse.Namespace) -> Report:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     labels, inputs = _attack_labels(args)
-    if not 1 <= args.alpha <= len(labels):
-        raise ValueError(
-            f"--alpha must lie in [1, {len(labels)}], got {args.alpha}"
-        )
+    _check_points("--alpha", args.alpha, len(labels))
     setup = (
         AttackSetup(len(labels), labels.n_anomalous, args.alpha)
         if labels.n_events == 1
@@ -442,6 +448,8 @@ def _cmd_attack(args: argparse.Namespace) -> Report:
 
 
 def _cmd_attack_cdf(args: argparse.Namespace) -> Report:
+    _check_points("--segment-length", args.segment_length, args.total_points)
+    _check_points("--alpha", args.alpha, args.total_points)
     setup = AttackSetup(
         total_points=args.total_points,
         anomalous_length=args.segment_length,
@@ -583,7 +591,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     write_frame(test, args.out_file)
     written.append(args.out_file)
     if args.events_out:
-        write_events(test.labels.events, args.events_out)
+        write_events(
+            np.column_stack((test.labels.starts, test.labels.ends)),
+            args.events_out,
+        )
         written.append(args.events_out)
     manifest = _manifest(
         "synth",
@@ -666,7 +677,9 @@ def _cmd_baseline(args: argparse.Namespace) -> Report:
 
 def _cmd_check_labels(args: argparse.Namespace) -> Report:
     labels = load_label_series(args.labels)
-    events = load_events(args.events, end_exclusive=args.end_exclusive)
+    events = load_events(
+        args.events, end_exclusive=args.end_exclusive, total_points=len(labels)
+    )
     reconstructed = labels_from_events(events, len(labels))
     report = check_label_consistency(labels, reconstructed)
     return Report(

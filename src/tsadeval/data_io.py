@@ -5,7 +5,8 @@ CSV conventions (all headers mandatory, all indices 0-based):
 * frame:        ``c0,...,c{D-1}[,label]`` with float cells; the optional
                 trailing ``label`` column holds 0/1,
 * events:       ``start,end`` with inclusive integer bounds (an
-                end-exclusive variant is converted on load),
+                end-exclusive variant is converted on load), held in
+                memory as an (n, 2) int64 array of starts and ends,
 * labels:       single ``label`` column,
 * predictions:  single ``prediction`` column,
 * scores:       single ``score`` column of finite floats.
@@ -360,60 +361,87 @@ def _events_kinds(path: Path, header) -> list:
     return ["bound", "bound"]
 
 
-def load_events(
-    path: "str | Path", end_exclusive: bool = False
-) -> list[Segment]:
-    """Read a `start,end` CSV of integer event bounds.
-
-    Bounds are inclusive by default; pass end_exclusive=True for files
-    whose end column points one past the last anomalous index. Everything
-    downstream of this loader is inclusive. A file with a header and no
-    events is allowed.
-    """
-    path = Path(path)
-    shift = 1 if end_exclusive else 0
-    events: list[Segment] = []
-
-    def add_segments(bounds: np.ndarray, first_line: int) -> None:
-        for line_no, (start, end) in enumerate(
-            bounds.tolist(), start=first_line
-        ):
-            try:
-                events.append(Segment(start, end - shift))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
-
-    _read_csv(path, _events_kinds, check=add_segments, empty_ok=True)
-    return events
-
-
-def write_events(
-    events: Iterable[Segment], path: "str | Path", end_exclusive: bool = False
-) -> None:
-    shift = 1 if end_exclusive else 0
-    _write_rows(
-        path, ["start", "end"], ([ev.start, ev.end + shift] for ev in events)
+def _event_error(
+    bounds: np.ndarray, shift: int = 0, total_points: Optional[int] = None
+):
+    """(row, message) for the first row of (n, 2) `bounds` that is no
+    event of a series of total_points points, or None. A row's inclusive
+    end is its second column less shift."""
+    starts, ends = bounds[:, 0], bounds[:, 1]
+    # ends <= starts, not ends - 1 < starts: the subtraction would wrap
+    # around at the int64 minimum and accept that end
+    bad = (starts < 0) | (ends <= starts if shift else ends < starts)
+    if total_points is not None:
+        bad |= ends - shift >= total_points
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    start, end = bounds[row].tolist()
+    end -= shift
+    if start < 0:
+        return row, f"segment start must be >= 0, got {start}"
+    if end < start:
+        return row, f"segment end {end} precedes start {start}"
+    return row, (
+        f"event ({start}, {end}) exceeds series of length {total_points}"
     )
 
 
-def labels_from_events(
-    events: Iterable[Segment], total_points: int
-) -> LabelSeries:
-    """Paint inclusive event segments onto a zero series of given length.
+def load_events(
+    path: "str | Path",
+    end_exclusive: bool = False,
+    total_points: Optional[int] = None,
+) -> np.ndarray:
+    """Read a `start,end` CSV as an (n, 2) int64 array of inclusive event
+    bounds, starts in column 0 and ends in column 1, in file order.
 
-    Overlapping or adjacent events simply union; an event reaching past
-    the series end is an error.
+    Pass end_exclusive=True for files whose end column points one past the
+    last anomalous index; the bounds returned are inclusive either way.
+    With total_points given, an event reaching past a series of that
+    length is an error too. A file with a header and no events is allowed.
+    """
+    path = Path(path)
+    shift = 1 if end_exclusive else 0
+
+    def check(bounds: np.ndarray, first_line: int) -> None:
+        found = _event_error(bounds, shift, total_points)
+        if found is not None:
+            row, message = found
+            raise ValueError(f"{path}: line {first_line + row}: {message}")
+
+    _, bounds = _read_csv(path, _events_kinds, check=check, empty_ok=True)
+    bounds = bounds.astype(np.int64, copy=False)
+    bounds[:, 1] -= shift
+    return bounds
+
+
+def write_events(
+    events: np.ndarray, path: "str | Path", end_exclusive: bool = False
+) -> None:
+    """Write (n, 2) inclusive event bounds as a `start,end` CSV; with
+    end_exclusive=True each end is written one past the event."""
+    shift = 1 if end_exclusive else 0
+    rows = np.asarray(events, dtype=np.int64).tolist()
+    _write_rows(path, ["start", "end"], ([s, e + shift] for s, e in rows))
+
+
+def labels_from_events(events: np.ndarray, total_points: int) -> LabelSeries:
+    """Paint (n, 2) inclusive event bounds onto a zero series of given
+    length.
+
+    Rows may come in any order; overlapping or adjacent events simply
+    union. A negative start, an end before its start or an event reaching
+    past the series end is an error.
     """
     if total_points < 1:
         raise ValueError("total_points must be >= 1")
+    bounds = np.asarray(events, dtype=np.int64)
+    found = _event_error(bounds, total_points=total_points)
+    if found is not None:
+        raise ValueError(found[1])
     values = np.zeros(total_points, dtype=np.int8)
-    for ev in events:
-        if ev.end >= total_points:
-            raise ValueError(
-                f"event ({ev.start}, {ev.end}) exceeds series of length "
-                f"{total_points}"
-            )
-        values[ev.start : ev.end + 1] = 1
+    for start, end in bounds.tolist():
+        values[start : end + 1] = 1
     return LabelSeries(values)
 
 
@@ -597,17 +625,19 @@ def place_events(
     event_lengths: Sequence[int],
     gap_policy: int,
     rng: np.random.Generator,
-) -> list[Segment]:
+) -> np.ndarray:
     """Place events uniformly at random among all layouts that fit.
 
-    The free slack (points not consumed by events or mandatory gaps) is
-    split uniformly across the n+1 spaces around the events via the
-    classic dividers construction, which makes every admissible layout
-    equally likely. Event order follows event_lengths.
+    Returns their inclusive bounds as an (n, 2) int64 array, in the order
+    of event_lengths. The free slack (points not consumed by events or
+    mandatory gaps) is split uniformly across the n+1 spaces around the
+    events via the classic dividers construction, which makes every
+    admissible layout equally likely.
     """
     n = len(event_lengths)
     if n == 0:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
+    lengths = np.asarray(event_lengths, dtype=np.int64)
     slack = total_points - sum(event_lengths) - gap_policy * (n - 1)
     if slack < 0:
         raise ValueError(
@@ -620,13 +650,12 @@ def place_events(
         dividers = np.sort(rng.choice(slack + n, size=n, replace=False))
         bounds = np.concatenate(([-1], dividers, [slack + n]))
         extras = np.diff(bounds) - 1
-    events = []
-    cursor = int(extras[0])
-    for i, length in enumerate(event_lengths):
-        events.append(Segment(cursor, cursor + int(length) - 1))
-        cursor += int(length) + gap_policy
-        cursor += int(extras[i + 1])
-    return events
+    # the first event starts after its share of the slack, every later
+    # one after the event before it, a gap and its own share
+    starts = np.cumsum(
+        np.concatenate((extras[:1], lengths[:-1] + gap_policy + extras[1:-1]))
+    )
+    return np.column_stack((starts, starts + lengths - 1))
 
 
 def _spec_streams(spec: SyntheticSpec):
@@ -684,15 +713,15 @@ def _backbone(
 
 def _inject(
     values: np.ndarray,
-    events: Sequence[Segment],
+    events: np.ndarray,
     sigma: np.ndarray,
     spec: SyntheticSpec,
     rng: np.random.Generator,
 ) -> None:
     d = spec.n_channels
     strength = spec.signal_strength
-    for ev in events:
-        window = values[ev.start : ev.end + 1]
+    for start, end in events.tolist():
+        window = values[start : end + 1]
         if spec.anomaly_signal is AnomalySignal.MEAN_SHIFT:
             # a constant offset in a random raw-space direction, like a
             # stuck or re-zeroed sensor; deliberately ignores the channel

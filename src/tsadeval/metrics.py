@@ -6,8 +6,9 @@ is built on the primitives here. Conventions used throughout the package:
 * indices are 0-based; segments are inclusive on both ends,
 * the runs of 1s in a series are represented by two read-only int64
   arrays, ``starts`` and ``ends``, found once per series and cached;
-  Segment objects are built from them only at the boundary (file IO and
-  the public ``events``/``segments``/``segmentize`` views),
+  Segment objects are built from them only for the public
+  ``events``/``segments``/``segmentize`` views (file IO reads and writes
+  events as (n, 2) int64 bounds),
 * labels and predictions must be exactly 0/1 (booleans are accepted,
   anything else is rejected rather than coerced),
 * precision, recall and F1 are defined as 0.0 whenever their denominator

@@ -267,7 +267,8 @@ def test_criterion_10_event_round_trip_and_consistency():
         n = int(rng.integers(1, 400))
         values = (rng.random(n) < rng.uniform(0.0, 0.5)).astype(np.int8)
         labels = LabelSeries(values)
-        rebuilt = labels_from_events(labels.events, n)
+        bounds = np.column_stack((labels.starts, labels.ends))
+        rebuilt = labels_from_events(bounds, n)
         assert rebuilt == labels
         report = check_label_consistency(labels, rebuilt)
         assert report.is_consistent

@@ -661,6 +661,14 @@ INPUT_ERRORS = {
         "attack-cdf", "--total-points", "10", "--segment-length", "2",
         "--alpha", "11",
     ],
+    "attack-cdf-segment-exceeds-series": [
+        "attack-cdf", "--total-points", "10", "--segment-length", "20",
+        "--alpha", "2",
+    ],
+    "attack-zero-segment-length": [
+        "attack", "--total-points", "10", "--segment-length", "0",
+        "--alpha", "2",
+    ],
     "attack-worst-zero-alpha-step": [
         "attack-worst", "--segment-length", "5", "--contamination", "0.1",
         "--alpha-max", "4", "--alpha-step", "0",
@@ -682,6 +690,9 @@ INPUT_ERRORS = {
     "check-labels-missing-events": [
         "check-labels", "--labels", "labels.csv", "--events", "nope.csv",
     ],
+    "check-labels-event-past-series-end": [
+        "check-labels", "--labels", "labels4.csv", "--events", "events.csv",
+    ],
     "synth-events-out-in-missing-dir": [
         "synth", "--spec", "spec.json", "--out-file", "synth.csv",
         "--events-out", "nodir/e.csv",
@@ -702,7 +713,8 @@ INPUT_ERRORS = {
     ],
 }
 
-# what the message of a check that names its option must say
+# what the message of a check that names its option, or its file and
+# line, must say
 OPTION_ERRORS = {
     "attack-alpha-exceeds-series": "--alpha must lie in [1, 10], got 11",
     "attack-zero-alpha-single-event": "--alpha must lie in [1, 10], got 0",
@@ -710,6 +722,16 @@ OPTION_ERRORS = {
     "attack-alpha-exceeds-multi-event": "--alpha must lie in [1, 12], got 13",
     "attack-zero-trials": "--trials must be >= 1, got 0",
     "attack-worst-zero-alpha-step": "--alpha-step must be >= 1, got 0",
+    "attack-cdf-alpha-exceeds-series": "--alpha must lie in [1, 10], got 11",
+    "attack-cdf-segment-exceeds-series": (
+        "--segment-length must lie in [1, 10], got 20"
+    ),
+    "attack-zero-segment-length": (
+        "--segment-length must lie in [1, 10], got 0"
+    ),
+    "check-labels-event-past-series-end": (
+        "events.csv: line 3: event (3, 9) exceeds series of length 4"
+    ),
 }
 
 
@@ -722,6 +744,8 @@ def test_input_error_leaves_out_uncreated(
     write_column(
         tmp_path / "events3.csv", "label", [0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0]
     )
+    write_column(tmp_path / "labels4.csv", "label", [1, 1, 0, 1])
+    (tmp_path / "events.csv").write_text("start,end\n0,1\n3,9\n")
     rng = np.random.default_rng(0)
     for name, labels in [
         ("train.csv", None), ("test.csv", None), ("labelled.csv", WORKED_LABELS)
@@ -738,7 +762,7 @@ def test_input_error_leaves_out_uncreated(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err
-    # an option's own check names the option
+    # an option's own check names the option, an input's check its line
     if case in OPTION_ERRORS:
         assert OPTION_ERRORS[case] in err
     # a spec's own check names the file and the key

@@ -190,6 +190,12 @@ LOADER_ERRORS = [
         id="events-segment-before-cell",
     ),
     pytest.param(
+        lambda path: load_events(path, end_exclusive=True),
+        "start,end\n0,-9223372036854775808\n",
+        "line 2: segment end -9223372036854775809 precedes start 0",
+        id="events-exclusive-int64-min",
+    ),
+    pytest.param(
         load_frame,
         "c0,label\n0.5,0\n0.5,7\n" + "0.5,0\n" * _BLOCK_ROWS + "x,0\n",
         "line 3: column 'label': expected 0 or 1, got '7'",
@@ -322,18 +328,38 @@ class TestSingleColumnLoaders:
 
 class TestEvents:
     def test_round_trip(self, tmp_path):
-        events = [Segment(3, 7), Segment(20, 20)]
+        events = np.array([[3, 7], [20, 20]], dtype=np.int64)
         path = tmp_path / "e.csv"
         write_events(events, path)
         assert path.read_text().splitlines() == ["start,end", "3,7", "20,20"]
-        assert load_events(path) == events
+        loaded = load_events(path)
+        assert loaded.dtype == np.int64
+        assert loaded.tolist() == [[3, 7], [20, 20]]
 
     def test_end_exclusive_conversion(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("start,end\n3,8\n")
-        assert load_events(path, end_exclusive=True) == [Segment(3, 7)]
-        write_events([Segment(3, 7)], path, end_exclusive=True)
+        assert load_events(path, end_exclusive=True).tolist() == [[3, 7]]
+        write_events(np.array([[3, 7]]), path, end_exclusive=True)
         assert path.read_text().splitlines()[1] == "3,8"
+
+    def test_header_only_file_has_no_events(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("start,end\n")
+        events = load_events(path)
+        assert events.shape == (0, 2)
+        assert events.dtype == np.int64
+
+    def test_event_past_series_end_names_its_line(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("start,end\n0,1\n3,9\n")
+        assert load_events(path).tolist() == [[0, 1], [3, 9]]
+        message = f"{path}: line 3: event (3, 9) exceeds series of length 4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_events(path, total_points=4)
+        # the series' bound is checked on the inclusive end
+        events = load_events(path, end_exclusive=True, total_points=9)
+        assert events.tolist() == [[0, 0], [3, 8]]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -356,27 +382,59 @@ class TestEvents:
 
 class TestLabelsFromEvents:
     def test_union_of_overlaps(self):
-        labels = labels_from_events([Segment(0, 4), Segment(3, 6)], 10)
+        labels = labels_from_events([[0, 4], [3, 6]], 10)
         assert labels.values.tolist() == [1, 1, 1, 1, 1, 1, 1, 0, 0, 0]
         assert labels.n_events == 1
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="exceeds"):
-            labels_from_events([Segment(8, 12)], 10)
+            labels_from_events([[8, 12]], 10)
 
     def test_round_trip_with_segmentize(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             values = (rng.random(rng.integers(1, 80)) < 0.35).astype(np.int8)
             labels = LabelSeries(values)
-            rebuilt = labels_from_events(labels.events, len(labels))
+            bounds = np.column_stack((labels.starts, labels.ends))
+            rebuilt = labels_from_events(bounds, len(labels))
             assert rebuilt == labels
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=120))
     def test_round_trip_property(self, bits):
         labels = LabelSeries(np.array(bits, dtype=np.int8))
-        assert labels_from_events(labels.events, len(labels)) == labels
+        bounds = np.column_stack((labels.starts, labels.ends))
+        assert labels_from_events(bounds, len(labels)) == labels
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-3, max_value=45),
+                st.integers(min_value=-3, max_value=45),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_paints_like_a_point_by_point_reference(self, n, pairs):
+        bounds = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        # the first row that is no event names the error, checked in the
+        # order start, then end before start, then series end
+        for s, e in pairs:
+            if s < 0:
+                message = f"segment start must be >= 0, got {s}"
+            elif e < s:
+                message = f"segment end {e} precedes start {s}"
+            elif e >= n:
+                message = f"event ({s}, {e}) exceeds series of length {n}"
+            else:
+                continue
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                labels_from_events(bounds, n)
+            return
+        expected = [int(any(s <= i <= e for s, e in pairs)) for i in range(n)]
+        assert labels_from_events(bounds, n).values.tolist() == expected
 
 
 class TestConsistency:
@@ -403,8 +461,8 @@ class TestConsistency:
         ]
 
     def test_off_by_one_shows_boundary_runs(self):
-        labels = labels_from_events([Segment(10, 19)], 40)
-        shifted = labels_from_events([Segment(11, 20)], 40)
+        labels = labels_from_events([[10, 19]], 40)
+        shifted = labels_from_events([[11, 20]], 40)
         report = check_label_consistency(labels, shifted)
         assert [
             (r.segment.start, r.segment.end, r.direction) for r in report.runs
@@ -530,16 +588,17 @@ class TestPlacement:
         rng = np.random.default_rng(0)
         for _ in range(50):
             events = place_events(300, [10, 20, 5], 10, rng)
-            assert [e.length for e in events] == [10, 20, 5]
-            for a, b in zip(events, events[1:]):
-                assert b.start - a.end - 1 >= 10
-            assert events[0].start >= 0
-            assert events[-1].end < 300
+            starts, ends = events[:, 0], events[:, 1]
+            assert (ends - starts + 1).tolist() == [10, 20, 5]
+            for a_end, b_start in zip(ends, starts[1:]):
+                assert b_start - a_end - 1 >= 10
+            assert starts[0] >= 0
+            assert ends[-1] < 300
 
     def test_tight_fit(self):
         rng = np.random.default_rng(1)
         events = place_events(25, [10, 10], 5, rng)
-        assert [(e.start, e.end) for e in events] == [(0, 9), (15, 24)]
+        assert events.tolist() == [[0, 9], [15, 24]]
 
     def test_infeasible(self):
         rng = np.random.default_rng(2)
@@ -548,11 +607,13 @@ class TestPlacement:
 
     def test_no_events(self):
         rng = np.random.default_rng(3)
-        assert place_events(100, [], 10, rng) == []
+        events = place_events(100, [], 10, rng)
+        assert events.shape == (0, 2)
+        assert events.dtype == np.int64
 
     def test_placement_spreads_over_series(self):
         rng = np.random.default_rng(4)
-        starts = [place_events(1000, [10], 0, rng)[0].start for _ in range(500)]
+        starts = [place_events(1000, [10], 0, rng)[0, 0] for _ in range(500)]
         # uniform over 991 start positions: both halves should be used
         assert min(starts) < 200
         assert max(starts) > 800
@@ -799,7 +860,7 @@ def loaded(name, path, end_exclusive):
         return load_prediction_series(path).values.tolist()
     if name == "scores":
         return load_score_series(path).tolist()
-    return load_events(path, end_exclusive=end_exclusive)
+    return load_events(path, end_exclusive=end_exclusive).tolist()
 
 
 def referenced(name, path, end_exclusive):
@@ -811,7 +872,7 @@ def referenced(name, path, end_exclusive):
         return ref_column(path, "prediction", ref_flag)
     if name == "scores":
         return ref_column(path, "score", ref_cell)
-    return ref_events(path, end_exclusive)
+    return [[ev.start, ev.end] for ev in ref_events(path, end_exclusive)]
 
 
 def outcome(load, *args):
