@@ -327,6 +327,16 @@ def _check_points(option: str, value: int, total_points: int) -> None:
         )
 
 
+def _check_segment(args: argparse.Namespace) -> None:
+    """Check the --total-points, then the --segment-length, of one
+    centred segment."""
+    if args.total_points < 1:
+        raise ValueError(
+            f"--total-points must be >= 1, got {args.total_points}"
+        )
+    _check_points("--segment-length", args.segment_length, args.total_points)
+
+
 def _attack_labels(args: argparse.Namespace) -> tuple:
     given = [
         bool(args.labels),
@@ -347,7 +357,7 @@ def _attack_labels(args: argparse.Namespace) -> tuple:
         return synthetic_labels(spec), [args.synthetic_spec]
     if args.total_points is None or args.segment_length is None:
         raise ValueError("--total-points and --segment-length go together")
-    _check_points("--segment-length", args.segment_length, args.total_points)
+    _check_segment(args)
     return (
         single_segment_labels(args.total_points, args.segment_length),
         [],
@@ -448,7 +458,7 @@ def _cmd_attack(args: argparse.Namespace) -> Report:
 
 
 def _cmd_attack_cdf(args: argparse.Namespace) -> Report:
-    _check_points("--segment-length", args.segment_length, args.total_points)
+    _check_segment(args)
     _check_points("--alpha", args.alpha, args.total_points)
     setup = AttackSetup(
         total_points=args.total_points,

@@ -11,16 +11,24 @@ CSV conventions (all headers mandatory, all indices 0-based):
 * predictions:  single ``prediction`` column,
 * scores:       single ``score`` column of finite floats.
 
-One reader, ``_read_csv``, parses every file and one writer,
-``_write_rows``, writes every CSV. All writers are atomic (temp file in the
-target directory, then rename), so a crashed run never leaves a
-half-written artifact behind; files get the mode ``open()`` would give.
+One reader, ``_read_csv``, parses every file. Past the header it splits
+blocks of lines on their commas without ``csv.reader`` when they hold no
+quote, end their lines in LF or CRLF, and have the header's field count:
+``csv.reader`` would make the same tokens of them. From the first block
+that fails this, or holds a bad cell, ``csv.reader`` parses the rest, and
+only that path words an error, so values and errors do not depend on
+which path ran. One writer, ``_write_rows``, writes every CSV but frames,
+whose body ``write_frame`` joins as text to the same bytes. All writers
+are atomic (temp file in the target directory, then rename), so a crashed
+run never leaves a half-written artifact behind; files get the mode
+``open()`` would give.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -104,6 +112,9 @@ def atomic_write_text(path: "str | Path", text: str) -> None:
 # Rows converted or formatted at once; only one block of rows is held as
 # Python objects, however long the file.
 _BLOCK_ROWS = 1024
+# Characters read at once, then on to the end of a line, until a block
+# needs csv.reader
+_BLOCK_CHARS = 1 << 16
 
 
 def _cell(value):
@@ -169,26 +180,71 @@ def _parse_row(row: list, header: list, kinds: list, path, line_no: int):
     return np.array([cells])
 
 
-def _pieces(block: list, first_line: int, header, kinds, path):
-    """Yield (first line, values) of a block of rows: all rows from one
-    numpy conversion if they pass every check (field counts, finite
-    numbers, 0/1 flags), else row by row, so that the first bad cell in
-    file order raises."""
+def _converted(tokens, kinds: list, rows: int):
+    """tokens, row after row, as a (rows, len(kinds)) array from one numpy
+    conversion, or None unless every cell passes its kind's check (a
+    number, finite, 0 or 1 for a flag) and each row has len(kinds)
+    cells."""
+    dtype = np.int64 if "bound" in kinds else float
     try:
-        values = np.array(block, dtype=np.int64 if "bound" in kinds else float)
+        values = np.array(tokens, dtype=dtype)
     except (ValueError, OverflowError):
-        values = None
-    if values is not None and values.shape[1] == len(kinds):
-        flags = values[:, [kind == "flag" for kind in kinds]]
-        if np.isfinite(values).all() and ((flags == 0) | (flags == 1)).all():
-            yield first_line, values
-            return
+        return None
+    if values.size != rows * len(kinds):
+        return None
+    values = values.reshape(rows, len(kinds))
+    flags = values[:, [kind == "flag" for kind in kinds]]
+    if np.isfinite(values).all() and ((flags == 0) | (flags == 1)).all():
+        return values
+    return None
+
+
+def _pieces(block: list, first_line: int, header, kinds, path):
+    """Yield (first line, values) of a block of csv.reader rows: all rows
+    at once if they pass every check, else row by row, so that the first
+    bad cell in file order raises."""
+    values = _converted(block, kinds, len(block))
+    if values is not None:
+        yield first_line, values
+        return
     for line_no, row in enumerate(block, start=first_line):
         yield line_no, _parse_row(row, header, kinds, path, line_no)
 
 
+def _plain_block(text: str, kinds: list):
+    """The values of `text`, whole lines read past the header, if
+    csv.reader would split each line on its commas alone and every cell
+    passes its check; else None.
+
+    That holds when the text holds no quote and its lines end in \\n or
+    \\r\\n (csv.reader ends a record at a lone \\r too), each line has
+    len(kinds) - 1 commas, and no field can exceed csv's field size limit.
+    Each line is then one record, its tokens are csv.reader's, and the
+    numpy call that converts them is _pieces' own.
+    """
+    if '"' in text or len(text) > csv.field_size_limit():
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    rows = text.split("\n")
+    if not rows[-1]:  # the last line ended in a newline
+        rows.pop()
+    if len(kinds) == 1:  # no comma anywhere, found without a per-line count
+        if "," in text:
+            return None
+        tokens = rows
+    else:
+        commas = set(map(str.count, rows, itertools.repeat(",")))
+        if commas != {len(kinds) - 1}:
+            return None
+        tokens = ",".join(rows).split(",")
+    return _converted(tokens, kinds, len(rows))
+
+
 def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
-    """Read a headed CSV as (header, values), _BLOCK_ROWS rows at a time.
+    """Read a headed CSV as (header, values).
 
     kinds_for(path, header) checks the header (None if the file is empty)
     and returns each column's kind: "number" (finite, as float() reads
@@ -196,13 +252,34 @@ def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
     rows is an error unless empty_ok. Line numbers count CSV records, the
     header being line 1. check(values, first_line) sees each piece of rows
     before later rows are parsed, so its errors keep file order too.
+
+    csv.reader reads the header. The body is then read in blocks of whole
+    lines of about _BLOCK_CHARS characters, and a block that _plain_block
+    accepts is split on its commas without csv.reader. The first block it
+    refuses (a quote, a lone \\r, a wrong field count, a bad cell) and the
+    rest of the file go through csv.reader, _BLOCK_ROWS records at a time;
+    a block that fails its checks there is parsed row by row, and that
+    path alone words the errors. Both paths make the same tokens and
+    convert them with the same numpy call, so they return the same values.
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         kinds = kinds_for(path, header)
         pieces, first_line = [], 2
+        rest = ()
+        while text := fh.read(_BLOCK_CHARS):
+            text += fh.readline()  # up to the end of the line cut by read
+            values = _plain_block(text, kinds)
+            if values is None:
+                # the lines as the file gives them: \r, \n and \r\n end one
+                rest = itertools.chain(io.StringIO(text, newline=""), fh)
+                break
+            if check is not None:
+                check(values, first_line)
+            pieces.append(values)
+            first_line += len(values)
+        reader = csv.reader(rest)
         while block := list(itertools.islice(reader, _BLOCK_ROWS)):
             pieces_of_block = _pieces(block, first_line, header, kinds, path)
             for line_no, values in pieces_of_block:
@@ -292,21 +369,25 @@ def load_frame(path: "str | Path") -> MvtsFrame:
 
 
 def write_frame(frame: MvtsFrame, path: "str | Path") -> None:
-    """Write a frame CSV; floats use shortest round-trip formatting."""
+    """Write a frame CSV; floats use shortest round-trip formatting.
+
+    The bytes are _write_rows' own. The header goes through csv.writer, as
+    a channel name may need quoting; a body cell never does (a finite
+    float's repr, or a 0/1 label), so each block of rows is joined as text.
+    """
     header = list(frame.channel_names)
     if frame.labels is not None:
         header.append("label")
-    _write_rows(path, header, _frame_rows(frame))
-
-
-def _frame_rows(frame: MvtsFrame) -> Iterator[list]:
-    for start in range(0, frame.n_points, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        rows = frame.values[block].tolist()
-        if frame.labels is not None:
-            for row, flag in zip(rows, frame.labels.values[block].tolist()):
-                row.append(flag)
-        yield from rows
+    with atomic_open(path) as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, frame.n_points, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            rows = frame.values[block].tolist()
+            lines = [",".join(map(repr, row)) for row in rows]
+            if frame.labels is not None:
+                flags = frame.labels.values[block].tolist()
+                lines = [f"{line},{flag}" for line, flag in zip(lines, flags)]
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _one_column(path: "str | Path", column: str, kind: str) -> np.ndarray:

@@ -669,6 +669,14 @@ INPUT_ERRORS = {
         "attack", "--total-points", "10", "--segment-length", "0",
         "--alpha", "2",
     ],
+    "attack-zero-total-points": [
+        "attack", "--total-points", "0", "--segment-length", "2",
+        "--alpha", "1",
+    ],
+    "attack-cdf-negative-total-points": [
+        "attack-cdf", "--total-points", "-5", "--segment-length", "2",
+        "--alpha", "1",
+    ],
     "attack-worst-zero-alpha-step": [
         "attack-worst", "--segment-length", "5", "--contamination", "0.1",
         "--alpha-max", "4", "--alpha-step", "0",
@@ -729,6 +737,8 @@ OPTION_ERRORS = {
     "attack-zero-segment-length": (
         "--segment-length must lie in [1, 10], got 0"
     ),
+    "attack-zero-total-points": "--total-points must be >= 1, got 0",
+    "attack-cdf-negative-total-points": "--total-points must be >= 1, got -5",
     "check-labels-event-past-series-end": (
         "events.csv: line 3: event (3, 9) exceeds series of length 4"
     ),

@@ -195,6 +195,26 @@ LOADER_ERRORS = [
         "line 2: segment end -9223372036854775809 precedes start 0",
         id="events-exclusive-int64-min",
     ),
+    # one field too many, then one too few: the right count of cells
+    pytest.param(
+        load_frame,
+        "c0,c1\n1,2,3\n4\n",
+        "line 2: expected 2 fields, got 3",
+        id="frame-fields-shifted-between-lines",
+    ),
+    # a record ends at a lone CR, and at no other control character
+    pytest.param(
+        load_label_series,
+        "label\n1\r\r\n0\n",
+        "line 3: expected 1 field, got 0",
+        id="labels-lone-cr-before-crlf",
+    ),
+    pytest.param(
+        load_score_series,
+        "score\n1\x0c2\n",
+        "line 2: column 'score': not a number: '1\\x0c2'",
+        id="scores-form-feed",
+    ),
     pytest.param(
         load_frame,
         "c0,label\n0.5,0\n0.5,7\n" + "0.5,0\n" * _BLOCK_ROWS + "x,0\n",
@@ -323,6 +343,32 @@ class TestSingleColumnLoaders:
         path = tmp_path / "s.csv"
         path.write_text("value\n0.25\n")
         with pytest.raises(ValueError, match="header"):
+            load_score_series(path)
+
+    def test_quoted_cell_after_a_plain_block(self, tmp_path):
+        # the first block of lines is read without csv.reader, the quote
+        # hands its block and the rest of the file to csv.reader
+        plain = data_io._BLOCK_CHARS // len("0.5\n") + 1
+        body = "score\n" + "0.5\n" * plain + '"0.25"\n0.75\n'
+        path = tmp_path / "s.csv"
+        path.write_text(body)
+        pieces = mock.patch.object(data_io, "_pieces", wraps=data_io._pieces)
+        with pieces as csv_rows:
+            values = load_score_series(path)
+        assert values.tolist() == [0.5] * plain + [0.25, 0.75]
+        assert csv_rows.call_args.args[:2] == ([["0.25"], ["0.75"]], plain + 2)
+        path.write_text(body + "x\n")
+        with pytest.raises(
+            ValueError,
+            match=f"line {plain + 4}: column 'score': not a number: 'x'",
+        ):
+            load_score_series(path)
+
+    def test_field_over_the_csv_limit(self, tmp_path):
+        # float() reads the padded cell, csv.reader refuses it
+        path = tmp_path / "s.csv"
+        path.write_text("score\n" + " " * csv.field_size_limit() + "1\n")
+        with pytest.raises(csv.Error, match="field larger than field limit"):
             load_score_series(path)
 
 
@@ -806,6 +852,9 @@ CELLS = {
     "start": (["0", "3", " 2"], ["-1", "1.5", "x", "", "12"]),
     "end": (["7", " 9", "1_0"], ["-1", "1.5", "x", "", "1"]),
 }
+# quoted cells, valid or not for any kind: a number, an empty cell, a
+# comma, a newline, and an unterminated quote that runs to the end of file
+QUOTED = ['"1"', '""', '"0,1"', '"1\n"', '"1']
 
 
 @st.composite
@@ -832,7 +881,8 @@ def csv_cases(draw):
         row = []
         for kind in kinds:
             valid, faults = CELLS[kind]
-            pool = faults if draw(st.integers(0, 39)) == 0 else valid
+            pick = draw(st.integers(0, 39))
+            pool = faults if pick == 0 else QUOTED if pick == 1 else valid
             row.append(draw(st.sampled_from(pool)))
         fault = draw(st.integers(min_value=0, max_value=39))
         if fault == 0:
@@ -842,7 +892,13 @@ def csv_cases(draw):
         elif fault == 2:
             row = row + ["0"]
         lines.append(",".join(row))
-    text = "".join(line + "\n" for line in lines)
+    # LF or CRLF, now and then a lone CR or no newline after the last line
+    ends = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        ends[draw(st.integers(0, len(lines) - 1))] = "\r"
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        ends[-1] = ""
+    text = "".join(map(str.__add__, lines, ends))
     if draw(st.integers(min_value=0, max_value=29)) == 0:
         text = ""
     return name, text
@@ -886,13 +942,58 @@ def outcome(load, *args):
 @given(
     csv_cases(),
     st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=40),
     st.booleans(),
 )
-def test_loaders_match_per_row_reference(tmp_path_factory, case, block, excl):
-    # small blocks, so that a dozen rows cross several block boundaries
+def test_loaders_match_per_row_reference(
+    tmp_path_factory, case, block, block_chars, excl
+):
+    # small blocks, so that a dozen rows cross several block boundaries,
+    # read with and without csv.reader
     name, text = case
     path = tmp_path_factory.mktemp("csv") / "in.csv"
-    path.write_text(text)
-    with mock.patch.object(data_io, "_BLOCK_ROWS", block):
+    path.write_text(text, newline="")
+    with mock.patch.object(data_io, "_BLOCK_ROWS", block), mock.patch.object(
+        data_io, "_BLOCK_CHARS", block_chars
+    ):
         got = outcome(loaded, name, path, excl)
     assert got == outcome(referenced, name, path, excl)
+
+
+# floats whose repr is unusual, and channel names csv.writer must quote
+FRAME_FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 0.1]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+CHANNEL_NAMES = st.text(alphabet='ab, "\r\n', max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=3))
+def test_write_frame_bytes_match_write_rows(tmp_path_factory, data, block):
+    # write_frame joins its rows as text; _write_rows, the writer of every
+    # other CSV, is its reference
+    channels = data.draw(st.integers(min_value=1, max_value=3))
+    points = data.draw(st.integers(min_value=1, max_value=7))
+    row = st.lists(FRAME_FLOATS, min_size=channels, max_size=channels)
+    values = data.draw(st.lists(row, min_size=points, max_size=points))
+    names = data.draw(
+        st.lists(CHANNEL_NAMES, min_size=channels, max_size=channels)
+    )
+    flags = data.draw(
+        st.none()
+        | st.lists(st.integers(0, 1), min_size=points, max_size=points)
+    )
+    frame = MvtsFrame(
+        values=np.array(values),
+        channel_names=tuple(names),
+        labels=None if flags is None else LabelSeries(flags),
+    )
+    folder = tmp_path_factory.mktemp("frame")
+    with mock.patch.object(data_io, "_BLOCK_ROWS", block):
+        write_frame(frame, folder / "frame.csv")
+    rows = frame.values.tolist()
+    if flags is not None:
+        names, rows = names + ["label"], [r + [f] for r, f in zip(rows, flags)]
+    data_io._write_rows(folder / "rows.csv", names, rows)
+    written = (folder / "frame.csv").read_bytes()
+    assert written == (folder / "rows.csv").read_bytes()
