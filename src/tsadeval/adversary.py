@@ -514,13 +514,11 @@ def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:
     tp = np.count_nonzero(inside, axis=1)
     fp = alpha - tp
     tp_e = np.count_nonzero(first_hit, axis=1)
-    n_normal = labels.n_normal
     return {
         "tp": tp,
         "fp": fp,
         "fn": labels.n_anomalous - tp,
-        # a series with no normal points has FAR 0, as in false_alarm_rate
-        "far": fp / n_normal if n_normal else np.zeros(rows),
+        "n_normal": labels.n_normal,
         "adjusted_tp": np.where(
             first_hit, np.append(ends - starts + 1, 0)[event], 0
         ).sum(axis=1),

@@ -541,7 +541,11 @@ def _parse_shapes(text: str) -> tuple:
             raise argparse.ArgumentTypeError(
                 f"bad shape {token!r}; expected n_normal:n_anomalous"
             ) from None
-        shapes.append(DatasetShape(n_normal=n_normal, n_anomalous=n_anomalous))
+        # argparse would replace a ValueError by a message without its reason
+        try:
+            shapes.append(DatasetShape(n_normal, n_anomalous))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad shape {token!r}: {exc}")
     if not shapes:
         raise argparse.ArgumentTypeError("no shapes given")
     return tuple(shapes)

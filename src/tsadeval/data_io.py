@@ -243,6 +243,18 @@ def _plain_block(text: str, kinds: list):
     return _converted(tokens, kinds, len(rows))
 
 
+def _records(lines, path: Path, line: int):
+    """csv.reader's records of `lines`, the first being line `line`; its
+    csv.Error (a field over csv.field_size_limit()) becomes a ValueError
+    that names the line of the record it stopped in."""
+    try:
+        for record in csv.reader(lines):
+            yield record
+            line += 1
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+
+
 def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
     """Read a headed CSV as (header, values).
 
@@ -264,7 +276,7 @@ def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        header = next(_records(fh, path, 1), None)
         kinds = kinds_for(path, header)
         pieces, first_line = [], 2
         rest = ()
@@ -279,7 +291,7 @@ def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
                 check(values, first_line)
             pieces.append(values)
             first_line += len(values)
-        reader = csv.reader(rest)
+        reader = _records(rest, path, first_line)
         while block := list(itertools.islice(reader, _BLOCK_ROWS)):
             pieces_of_block = _pieces(block, first_line, header, kinds, path)
             for line_no, values in pieces_of_block:

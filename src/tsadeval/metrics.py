@@ -12,7 +12,9 @@ is built on the primitives here. Conventions used throughout the package:
 * labels and predictions must be exactly 0/1 (booleans are accepted,
   anything else is rejected rather than coerced),
 * precision, recall and F1 are defined as 0.0 whenever their denominator
-  is 0, and the false-alarm rate of a series with no normal points is 0.0.
+  is 0, and the false-alarm rate of a series with no normal points is 0.0;
+  ``_ratio`` is the one place a zero denominator becomes 0.0, for scalar
+  and array rates alike.
 """
 
 from __future__ import annotations
@@ -233,24 +235,19 @@ def point_confusion(
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
-def _ratio(num, den) -> np.ndarray:
-    """num / den elementwise, 0.0 wherever den is 0."""
-    num, den = np.broadcast_arrays(
-        np.asarray(num, dtype=np.float64), np.asarray(den, dtype=np.float64)
-    )
-    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+def _ratio(num, den):
+    """num / den, 0.0 wherever den is 0: a float for scalars, else an
+    array of the broadcast shape, by the same float64 division."""
+    num = np.asarray(num, dtype=np.float64)
+    den = np.asarray(den, dtype=np.float64)
+    shape = np.broadcast(num, den).shape
+    out = np.divide(num, den, out=np.zeros(shape), where=den > 0)
+    return float(out) if out.ndim == 0 else out
 
 
 def harmonic_f1(precision, recall):
-    """Harmonic mean of precision and recall, 0.0 when both are 0.
-
-    Arrays give the elementwise mean with the same operations, so a value
-    computed either way is bit-identical.
-    """
-    total = precision + recall
-    if isinstance(total, np.ndarray):
-        return _ratio(2.0 * precision * recall, total)
-    return 0.0 if total == 0.0 else 2.0 * precision * recall / total
+    """Harmonic mean of precision and recall, 0.0 when both are 0."""
+    return _ratio(2.0 * precision * recall, precision + recall)
 
 
 def prf_from_counts(tp, fp, fn):
@@ -261,14 +258,7 @@ def prf_from_counts(tp, fp, fn):
     counts give floats; arrays of counts (broadcast together) give arrays,
     computed elementwise with the same operations.
     """
-    flagged, actual = tp + fp, tp + fn
-    # isinstance, unlike np.ndim, keeps the attack loop's scalar calls cheap
-    if isinstance(flagged, np.ndarray) or isinstance(actual, np.ndarray):
-        precision = _ratio(tp, flagged)
-        recall = _ratio(tp, actual)
-    else:
-        precision = tp / flagged if flagged > 0 else 0.0
-        recall = tp / actual if actual > 0 else 0.0
+    precision, recall = _ratio(tp, tp + fp), _ratio(tp, tp + fn)
     return precision, recall, harmonic_f1(precision, recall)
 
 
@@ -282,5 +272,4 @@ def false_alarm_rate(counts: ConfusionCounts) -> float:
     normal = counts.fp + counts.tn
     if normal == 0:
         warnings.warn(FAR_NO_NORMAL_WARNING, stacklevel=2)
-        return 0.0
-    return counts.fp / normal
+    return _ratio(counts.fp, normal)

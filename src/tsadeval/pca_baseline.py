@@ -306,12 +306,8 @@ def _sweep_f1(
         - at_or_above(pair[left != right])
         + at_or_above(bridge)
     )
-    # the FAR by hand: false_alarm_rate takes one series' counts and warns
-    # on no normal points, which score() at the winning threshold does once
-    n_normal = labels.n_normal
-    far = fp / n_normal if n_normal else np.zeros(thresholds.size)
     return thresholds, _rates(
-        protocol, tp, fp, fn, far, tp_e=tp_e, fp_e=fp_e, fn_e=fn_e
+        protocol, tp, fp, fn, labels.n_normal, tp_e=tp_e, fp_e=fp_e, fn_e=fn_e
     )[2]
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from tsadeval.metrics import (
     LabelSeries,
     PredictionSeries,
+    _ratio,
     false_alarm_rate,
     harmonic_f1,
     point_confusion,
@@ -152,16 +153,17 @@ def _event_counts(
 
 def _rates(
     protocol: Protocol, tp, fp, fn,
-    far=None, adjusted_tp=None, tp_e=None, fp_e=None, fn_e=None,
+    n_normal=None, adjusted_tp=None, tp_e=None, fp_e=None, fn_e=None,
 ):
     """(precision, recall, f1) of one protocol: the one place each
     protocol's formula lives.
 
     tp/fp/fn are the raw point counts. Point-adjust also reads adjusted_tp,
     the detected events' summed length; composite reads tp_e/fn_e; and
-    event-wise reads tp_e/fp_e/fn_e and far, the false-alarm rate. Scalars
-    give floats; arrays of counts, one per threshold, give arrays by the
-    same operations, so score() and the threshold sweep agree bit for bit.
+    event-wise reads tp_e/fp_e/fn_e and n_normal, the number of normal
+    points, for its false-alarm rate. Scalars give floats; arrays of
+    counts, one per threshold, give arrays by the same operations, so
+    score() and the threshold sweep agree bit for bit.
     """
     if protocol is Protocol.POINT_WISE:
         return prf_from_counts(tp, fp, fn)
@@ -169,14 +171,13 @@ def _rates(
         # adjustment turns each detected event fully positive, nothing else
         return prf_from_counts(adjusted_tp, fp, tp + fn - adjusted_tp)
     if protocol is Protocol.COMPOSITE:
-        precision = prf_from_counts(tp, fp, fn)[0]
-        recall = prf_from_counts(tp_e, 0, fn_e)[1]
+        precision, recall = _ratio(tp, tp + fp), _ratio(tp_e, tp_e + fn_e)
     else:
         # the FAR factor makes the all-positive prediction score 0 whenever
         # any normal point exists, a degenerate case the segment counts
         # alone would reward
         base, recall, _ = prf_from_counts(tp_e, fp_e, fn_e)
-        precision = base * (1.0 - far)
+        precision = base * (1.0 - _ratio(fp, n_normal))
     return precision, recall, harmonic_f1(precision, recall)
 
 
@@ -190,7 +191,6 @@ def score(
     """
     protocol = Protocol(protocol)
     counts = point_confusion(labels, preds)
-    far = false_alarm_rate(counts)
     adjusted_tp = tp_e = fp_e = fn_e = None
     if protocol is Protocol.POINT_ADJUST:
         detected = _detected_events(labels, preds)
@@ -198,7 +198,7 @@ def score(
     elif protocol is not Protocol.POINT_WISE:
         tp_e, fp_e, fn_e = _event_counts(labels, preds)
     precision, recall, f1 = _rates(
-        protocol, counts.tp, counts.fp, counts.fn, far,
+        protocol, counts.tp, counts.fp, counts.fn, counts.fp + counts.tn,
         adjusted_tp, tp_e, fp_e, fn_e,
     )
     return ProtocolReport(
@@ -206,7 +206,7 @@ def score(
         precision=precision,
         recall=recall,
         f1=f1,
-        far=far,
+        far=false_alarm_rate(counts),
         tp_e=tp_e,
         # composite's precision is point-level, so it reports no fp_e
         fp_e=fp_e if protocol is Protocol.EVENT_WISE else None,

@@ -677,6 +677,15 @@ INPUT_ERRORS = {
         "attack-cdf", "--total-points", "-5", "--segment-length", "2",
         "--alpha", "1",
     ],
+    "attack-total-points-without-segment-length": [
+        "attack", "--total-points", "10", "--alpha", "1",
+    ],
+    "evaluate-score-field-over-csv-limit": [
+        "evaluate", "--labels", "labels.csv", "--scores", "bigcell.csv",
+    ],
+    "evaluate-header-field-over-csv-limit": [
+        "evaluate", "--labels", "bighead.csv", "--predictions", "labels.csv",
+    ],
     "attack-worst-zero-alpha-step": [
         "attack-worst", "--segment-length", "5", "--contamination", "0.1",
         "--alpha-max", "4", "--alpha-step", "0",
@@ -739,6 +748,17 @@ OPTION_ERRORS = {
     ),
     "attack-zero-total-points": "--total-points must be >= 1, got 0",
     "attack-cdf-negative-total-points": "--total-points must be >= 1, got -5",
+    "attack-total-points-without-segment-length": (
+        "--total-points and --segment-length go together"
+    ),
+    "evaluate-score-field-over-csv-limit": (
+        "bigcell.csv: line 3: field larger than field limit "
+        f"({csv.field_size_limit()})"
+    ),
+    "evaluate-header-field-over-csv-limit": (
+        "bighead.csv: line 1: field larger than field limit "
+        f"({csv.field_size_limit()})"
+    ),
     "check-labels-event-past-series-end": (
         "events.csv: line 3: event (3, 9) exceeds series of length 4"
     ),
@@ -756,6 +776,10 @@ def test_input_error_leaves_out_uncreated(
     )
     write_column(tmp_path / "labels4.csv", "label", [1, 1, 0, 1])
     (tmp_path / "events.csv").write_text("start,end\n0,1\n3,9\n")
+    # float() reads the padded cell, csv.reader refuses it and the header
+    limit = csv.field_size_limit()
+    (tmp_path / "bigcell.csv").write_text(f"score\n0.5\n{' ' * limit}1\n")
+    (tmp_path / "bighead.csv").write_text("l" * (limit + 1) + "\n1\n")
     rng = np.random.default_rng(0)
     for name, labels in [
         ("train.csv", None), ("test.csv", None), ("labelled.csv", WORKED_LABELS)
@@ -822,6 +846,50 @@ def test_repeated_protocol_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+EVALUATE_PREDICTIONS = [
+    "evaluate", "--labels", "labels.csv", "--predictions", "labels.csv",
+]
+
+# argparse-level checks: the value of one option cannot be parsed
+UNPARSABLE_OPTIONS = {
+    "no-protocols": (
+        [*EVALUATE_PREDICTIONS, "--protocols", ","], "no protocols given"
+    ),
+    "unknown-threshold-policy": (
+        [*EVALUATE_PREDICTIONS, "--threshold-policy", "median"],
+        "threshold policy must be 'best-pw-f1' or 'fixed:<value>', "
+        "got 'median'",
+    ),
+    "shape-without-colon": (
+        ["far-study", "--shapes", "5"],
+        "bad shape '5'; expected n_normal:n_anomalous",
+    ),
+    "no-shapes": (["far-study", "--shapes", ","], "no shapes given"),
+    "empty-shape": (
+        ["far-study", "--shapes", "0:0"],
+        "bad shape '0:0': dataset must hold at least one point",
+    ),
+    "negative-shape": (
+        ["far-study", "--shapes=-1:5"],
+        "bad shape '-1:5': counts must be non-negative",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPARSABLE_OPTIONS))
+def test_unparsable_option_is_usage_error(
+    case, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    write_column(tmp_path / "labels.csv", "label", WORKED_LABELS)
+    argv, message = UNPARSABLE_OPTIONS[case]
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--out", "out"])
+    assert exited.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # The two commands that binarize scores by a threshold policy
 THRESHOLD_COMMANDS = [
     ["evaluate", "--labels", "labels.csv", "--scores", "scores.csv"],
@@ -841,7 +909,8 @@ def test_nan_fixed_threshold_is_usage_error(argv, tmp_path, monkeypatch, capsys)
     write_frame_csv(
         tmp_path / "test.csv", rng.standard_normal((40, 3)), WORKED_LABELS * 4
     )
-    for policy in ("fixed:nan", "fixed:-NaN"):
+    # a value float() cannot read is refused the same way
+    for policy in ("fixed:nan", "fixed:-NaN", "fixed:abc"):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--threshold-policy", policy, "--out", "nan"])
         assert exc.value.code == 2
@@ -865,6 +934,32 @@ def test_nan_fixed_threshold_is_usage_error(argv, tmp_path, monkeypatch, capsys)
     write_frame_csv(tmp_path / "test.csv", rng.standard_normal((40, 3)), [0] * 40)
     assert main([*argv, "--out", "normal"]) == 0
     assert threshold_in("normal") == "inf"
+
+
+@pytest.mark.parametrize("argv", THRESHOLD_COMMANDS, ids=lambda argv: argv[0])
+def test_explicit_best_pw_f1_matches_default(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TSADEVAL_TIMESTAMP", "2026-08-16T00:00:00+00:00")
+    write_column(tmp_path / "labels.csv", "label", WORKED_LABELS * 4)
+    write_column(tmp_path / "scores.csv", "score", [i / 40 for i in range(40)])
+    rng = np.random.default_rng(3)
+    write_frame_csv(tmp_path / "train.csv", rng.standard_normal((40, 3)))
+    write_frame_csv(
+        tmp_path / "test.csv", rng.standard_normal((40, 3)), WORKED_LABELS * 4
+    )
+    assert main([*argv, "--out", "default"]) == 0
+    explicit = [*argv, "--threshold-policy", "best-pw-f1", "--out", "explicit"]
+    assert main(explicit) == 0
+    names = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "explicit").iterdir())
+    for name in names:
+        default = (tmp_path / "default" / name).read_bytes()
+        given = (tmp_path / "explicit" / name).read_bytes()
+        if name == "report.json":
+            # the manifest records the command line, which differs
+            default, given = json.loads(default), json.loads(given)
+            del default["manifest"]["argv"], given["manifest"]["argv"]
+        assert given == default
 
 
 @pytest.mark.parametrize("argv", THRESHOLD_COMMANDS, ids=lambda argv: argv[0])

@@ -365,10 +365,19 @@ class TestSingleColumnLoaders:
             load_score_series(path)
 
     def test_field_over_the_csv_limit(self, tmp_path):
-        # float() reads the padded cell, csv.reader refuses it
+        # float() would read the padded cell, csv.reader refuses it; its
+        # error names the record's line like every other input error, here
+        # after a plain block and several blocks of csv.reader records
+        limit = csv.field_size_limit()
         path = tmp_path / "s.csv"
-        path.write_text("score\n" + " " * csv.field_size_limit() + "1\n")
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        path.write_text("score\n" + "0.5\n" * 20000 + " " * limit + "1\n0\n")
+        message = (
+            f"s.csv: line 20002: field larger than field limit \\({limit}\\)"
+        )
+        with pytest.raises(ValueError, match=message):
+            load_score_series(path)
+        path.write_text("s" * (limit + 1) + "\n0.5\n")
+        with pytest.raises(ValueError, match="s.csv: line 1: field larger"):
             load_score_series(path)
 
 

@@ -16,6 +16,7 @@ from tsadeval.metrics import (
     prf_from_counts,
     segmentize,
 )
+from tsadeval.protocols import Protocol, _rates
 
 
 def naive_segments(flags):
@@ -173,13 +174,33 @@ class TestRates:
         assert f1 == pytest.approx(198 / 299, abs=1e-12)
 
     def test_array_counts_match_scalar_calls(self):
+        # one zero-denominator rule for scalars and arrays: whole and
+        # fractional counts, many of them 0, through every protocol's rates
+        # (point-wise's are prf_from_counts')
         rng = np.random.default_rng(11)
-        tp, fp, fn = rng.integers(0, 4, (3, 200))
-        arrays = prf_from_counts(tp, fp, fn)
-        for i in range(tp.size):
-            scalars = prf_from_counts(int(tp[i]), int(fp[i]), int(fn[i]))
-            assert tuple(a[i] for a in arrays) == scalars
-        assert all(type(v) is float for v in prf_from_counts(1, 2, 3))
+        counts = rng.integers(0, 4, (6, 400)).astype(float)
+        counts[:, 1::2] *= rng.random((6, 200))
+        tp, fp, fn, tp_e, fp_e, fn_e = counts
+        adjusted_tp = np.where(rng.random(tp.size) < 0.5, tp, tp + fn)
+        columns = (tp, fp, fn, adjusted_tp, tp_e, fp_e, fn_e)
+        # as score() passes them: ints where the count is whole
+        rows = [
+            [int(v) if v.is_integer() else v for v in row]
+            for row in zip(*(c.tolist() for c in columns))
+        ]
+        assert not (tp + fp).all() and not (tp_e + fn_e).all()
+        for n_normal in (0, 5):
+            for protocol in Protocol:
+                arrays = _rates(protocol, tp, fp, fn, n_normal, *columns[3:])
+                for i, (tp_i, fp_i, fn_i, *events) in enumerate(rows):
+                    scalars = _rates(
+                        protocol, tp_i, fp_i, fn_i, n_normal, *events
+                    )
+                    assert all(type(v) is float for v in scalars)
+                    assert tuple(a[i] for a in arrays) == scalars
+        with pytest.warns(UserWarning, match="no normal points"):
+            far = false_alarm_rate(ConfusionCounts(tp=2, fp=0, fn=1, tn=0))
+        assert far == 0.0 and type(far) is float
 
     def test_far_all_anomalous_is_zero_with_warning(self):
         counts = ConfusionCounts(tp=3, fp=0, fn=1, tn=0)
