@@ -11,18 +11,20 @@ Commands:
 * baseline      fit, score and evaluate the PCA baseline
 * check-labels  compare point labels against an exported event list
 
-Every command except synth computes a `Report`, and one function writes
-its CSV tables and `report.json` into --out (default ".", overridable via
-the TSADEVAL_OUT environment variable), then prints its lines. The report
-embeds a run manifest: command line, resolved configuration, seeds,
-SHA-256 digests of the input files, package version and a timestamp.
-synth writes no report.json; it writes one `<out-file>.manifest.json`
-sidecar holding the manifest and the SHA-256 of every file it wrote. With
-a fixed seed all outputs are byte-identical across runs except the
-manifest timestamp, which can be pinned via TSADEVAL_TIMESTAMP. Exit
-status is 0 only if every output was fully written; input and usage
-errors exit with status 2, and a reporting command then writes nothing;
-synth checks every output's directory before it writes its first file.
+Every command computes a `Report` and writes nothing. One function then
+checks every destination: each must sit in an existing directory or
+directly in --out (default ".", overridable via the TSADEVAL_OUT
+environment variable), must not be a directory, and must not be the same
+file as another. Only then does it create --out, write the command's
+files and its record, and print its lines. The record, `report.json` in
+--out, holds the results and a run manifest: command line, resolved
+configuration, seeds, SHA-256 digests of the input files, package version
+and a timestamp. synth has no --out; its record, `<out-file>.manifest.json`,
+holds the SHA-256 of every file it wrote in place of results. With a fixed
+seed all outputs are byte-identical across runs except the manifest
+timestamp, which can be pinned via TSADEVAL_TIMESTAMP. Exit status is 0
+only if every output was fully written; input, usage and destination
+errors exit with status 2 and write nothing.
 """
 
 from __future__ import annotations
@@ -103,18 +105,22 @@ DISTRIBUTION_CSV_FIELDS = ["s", "f1_value", "probability", "cumulative"]
 
 @dataclass
 class Report:
-    """What one reporting command computed, before anything is written.
+    """What one command computed, before anything is written.
 
-    tables maps a CSV file name to its fieldnames and unformatted rows;
-    lines are printed to stdout after the files are written.
+    files lists (path, writer) pairs in the order they are written; each
+    writer is called with its path. The record, report.json in --out unless
+    given, holds the manifest and the results, or with no results the
+    SHA-256 of each file by its path as given. lines are printed to stdout
+    after every file is written.
     """
 
     config: dict
-    results: dict
+    results: Optional[dict]
     lines: list
     seeds: list = field(default_factory=list)
     inputs: list = field(default_factory=list)
-    tables: dict = field(default_factory=dict)
+    files: list = field(default_factory=list)
+    record: Optional[str] = None
 
 
 def _timestamp() -> str:
@@ -142,35 +148,41 @@ def _write_json(path: Path, manifest: dict, key: str, value: dict) -> None:
     atomic_write_text(path, text + "\n")
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _require_dirs(paths: Sequence) -> None:
-    """Raise, naming the path, unless every path's directory exists, so a
-    command that writes several files fails before it writes any."""
-    for path in paths:
-        if not Path(path).parent.is_dir():
-            raise FileNotFoundError(
-                errno.ENOENT, os.strerror(errno.ENOENT), str(path)
-            )
-
-
 def _write_outputs(args: argparse.Namespace) -> int:
-    """Run a reporting command, then write its tables and report.json into
-    --out and print its lines. Commands compute everything before anything
-    is written (baseline's model file is the one they write themselves), so
-    an input error leaves --out untouched."""
+    """Run a command, check every destination, then create --out, write the
+    command's files and its record, and print its lines. The first check
+    that fails raises, naming the path as given, before anything is written."""
     report = args.compute(args)
     manifest = _manifest(args.command, report.config, report.seeds, report.inputs)
-    out = _out_dir(args)
-    for name, (fieldnames, rows) in report.tables.items():
-        write_csv(out / name, fieldnames, rows)
-    _write_json(out / "report.json", manifest, "results", report.results)
+    out = getattr(args, "out", None)  # synth has no --out
+    record = report.record or Path(out) / "report.json"
+    seen = set()
+    for path in [p for p, _ in report.files] + [record]:
+        resolved = Path(path).resolve()
+        in_out = out is not None and resolved.parent == Path(out).resolve()
+        if not (Path(path).parent.is_dir() or in_out):
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        if resolved.is_dir():
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if resolved in seen:
+            raise ValueError(f"{path}: two outputs at one path")
+        seen.add(resolved)
+    if out is not None:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    for path, write in report.files:
+        write(path)
+    if report.results is None:
+        key, value = "outputs", {str(p): sha256_digest(p) for p, _ in report.files}
+    else:
+        key, value = "results", report.results
+    _write_json(record, manifest, key, value)
     print(*report.lines, sep="\n")
     return 0
+
+
+def _table(args: argparse.Namespace, name: str, fieldnames: list, rows) -> tuple:
+    """A CSV file in --out, as one entry of Report.files."""
+    return Path(args.out) / name, lambda path: write_csv(path, fieldnames, rows)
 
 
 def _report_row(report: ProtocolReport) -> dict:
@@ -311,7 +323,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> Report:
         results={"threshold": _json_threshold(threshold), "rows": rows},
         lines=_row_lines(rows),
         inputs=inputs,
-        tables={"report.csv": (REPORT_CSV_FIELDS, rows)},
+        files=[_table(args, "report.csv", REPORT_CSV_FIELDS, rows)],
     )
 
 
@@ -407,7 +419,7 @@ def _cmd_attack(args: argparse.Namespace) -> Report:
         "f1_summary": summary,
         "empirical_prob_zero_hits": float(np.mean(trials.hits == 0)),
     }
-    tables = {}
+    files = []
     if setup is not None:
         analytic = {
             "prob_perfect_recall": prob_perfect_recall(
@@ -428,9 +440,9 @@ def _cmd_attack(args: argparse.Namespace) -> Report:
             }
         results["analytic_single_segment"] = analytic
         if Protocol.POINT_ADJUST in args.protocols:
-            tables["distribution.csv"] = (
-                DISTRIBUTION_CSV_FIELDS,
-                trials.point_adjust_distribution(setup).rows(),
+            rows = trials.point_adjust_distribution(setup).rows()
+            files.append(
+                _table(args, "distribution.csv", DISTRIBUTION_CSV_FIELDS, rows)
             )
     lines = [
         f"random flagger, alpha={args.alpha}, {args.trials} trials over "
@@ -453,7 +465,7 @@ def _cmd_attack(args: argparse.Namespace) -> Report:
         lines=lines,
         seeds=[args.seed],
         inputs=inputs,
-        tables=tables,
+        files=files,
     )
 
 
@@ -485,7 +497,7 @@ def _cmd_attack_cdf(args: argparse.Namespace) -> Report:
             f"P(F1=0) = {dist.prob_zero:.6f}, mean F1 = {dist.mean_f1:.6f} "
             f"({dist.model})"
         ],
-        tables={"distribution.csv": (DISTRIBUTION_CSV_FIELDS, dist.rows())},
+        files=[_table(args, "distribution.csv", DISTRIBUTION_CSV_FIELDS, dist.rows())],
     )
 
 
@@ -516,12 +528,14 @@ def _cmd_attack_worst(args: argparse.Namespace) -> Report:
             f"P(perfect recall)={last.p_perfect_recall:.6f}, "
             f"worst F1={last.worst_f1_pa:.6f}"
         ],
-        tables={
-            "worst_case.csv": (
+        files=[
+            _table(
+                args,
+                "worst_case.csv",
                 [f.name for f in fields(WorstCaseRow)],
                 [asdict(r) for r in rows],
             )
-        },
+        ],
     )
 
 
@@ -579,7 +593,7 @@ def _cmd_far_study(args: argparse.Namespace) -> Report:
             f"{len(rows)} x {len(columns)} expected-F1 grid written; "
             f"F1 spans [{table.min():.6f}, {table.max():.6f}]"
         ],
-        tables={"far_study.csv": (["far"] + columns, rows)},
+        files=[_table(args, "far_study.csv", ["far"] + columns, rows)],
     )
 
 
@@ -587,49 +601,35 @@ def _cmd_far_study(args: argparse.Namespace) -> Report:
 # synth
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace) -> Report:
     spec = load_synthetic_spec(args.spec)
     if bool(args.train_points) != bool(args.train_out):
         raise ValueError("--train-points and --train-out go together")
-    outputs = [args.out_file, args.events_out]
-    if args.train_points:
-        outputs.append(args.train_out)
-    _require_dirs([p for p in outputs if p])
-    written = []
+    files = []
     if args.train_points:
         train, test = generate_train_test(spec, args.train_points)
-        write_frame(train, args.train_out)
-        written.append(args.train_out)
+        files.append((args.train_out, lambda path: write_frame(train, path)))
     else:
         test = generate_synthetic(spec)
-    write_frame(test, args.out_file)
-    written.append(args.out_file)
+    files.append((args.out_file, lambda path: write_frame(test, path)))
     if args.events_out:
-        write_events(
-            np.column_stack((test.labels.starts, test.labels.ends)),
-            args.events_out,
-        )
-        written.append(args.events_out)
-    manifest = _manifest(
-        "synth",
-        {
+        events = np.column_stack((test.labels.starts, test.labels.ends))
+        files.append((args.events_out, lambda path: write_events(events, path)))
+    return Report(
+        config={
             "spec": asdict(spec),
             "train_points": args.train_points,
         },
+        results=None,
+        lines=[
+            f"wrote {', '.join(str(path) for path, _ in files)}; "
+            f"{test.labels.n_events} events over {test.n_points} points"
+        ],
         seeds=[spec.seed],
         inputs=[args.spec],
+        files=files,
+        record=f"{Path(args.out_file)}.manifest.json",
     )
-    _write_json(
-        Path(args.out_file).with_name(Path(args.out_file).name + ".manifest.json"),
-        manifest,
-        "outputs",
-        {str(p): sha256_digest(p) for p in written},
-    )
-    print(
-        f"wrote {', '.join(str(w) for w in written)}; "
-        f"{test.labels.n_events} events over {test.n_points} points"
-    )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -651,13 +651,12 @@ def _cmd_baseline(args: argparse.Namespace) -> Report:
     threshold = _resolve_threshold(args.threshold_policy, scores, test.labels)
     preds = predictions_at_threshold(scores, threshold)
     rows = [_report_row(r) for r in score_all(test.labels, preds, args.protocols)]
-    # --out is created only when the model goes into it, so a bad
-    # --model-out leaves --out untouched
-    model_path = (
-        Path(args.model_out) if args.model_out else _out_dir(args) / "model.npz"
-    )
-    with atomic_open(model_path, "wb") as fh:
-        model.save(fh)
+    model_path = args.model_out or Path(args.out) / "model.npz"
+
+    def save_model(path):
+        with atomic_open(path, "wb") as fh:
+            model.save(fh)
+
     return Report(
         config={
             "variance_target": args.variance_target,
@@ -678,10 +677,13 @@ def _cmd_baseline(args: argparse.Namespace) -> Report:
         ]
         + _row_lines(rows),
         inputs=[args.train, args.test],
-        tables={
-            "scores.csv": (["score"], ({"score": s} for s in scores.scores)),
-            "report.csv": (REPORT_CSV_FIELDS, rows),
-        },
+        files=[
+            (model_path, save_model),
+            _table(
+                args, "scores.csv", ["score"], ({"score": s} for s in scores.scores)
+            ),
+            _table(args, "report.csv", REPORT_CSV_FIELDS, rows),
+        ],
     )
 
 
@@ -737,7 +739,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_protocols(p)
     _add_threshold_policy(p)
     _add_out(p)
-    p.set_defaults(func=_write_outputs, compute=_cmd_evaluate)
+    p.set_defaults(compute=_cmd_evaluate)
 
     p = sub.add_parser("attack", help="random-flag stress test")
     p.add_argument("--labels")
@@ -749,7 +751,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_protocols(p)
     _add_out(p)
-    p.set_defaults(func=_write_outputs, compute=_cmd_attack)
+    p.set_defaults(compute=_cmd_attack)
 
     p = sub.add_parser("attack-cdf", help="analytic adjusted-F1 distribution")
     p.add_argument("--total-points", type=int, required=True)
@@ -761,7 +763,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=SamplingModel.BERNOULLI_APPROX.value,
     )
     _add_out(p)
-    p.set_defaults(func=_write_outputs, compute=_cmd_attack_cdf)
+    p.set_defaults(compute=_cmd_attack_cdf)
 
     p = sub.add_parser("attack-worst", help="analytic worst-case curves")
     p.add_argument("--segment-length", type=int, required=True)
@@ -770,7 +772,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-max", type=int, required=True)
     p.add_argument("--alpha-step", type=int, default=1)
     _add_out(p)
-    p.set_defaults(func=_write_outputs, compute=_cmd_attack_worst)
+    p.set_defaults(compute=_cmd_attack_worst)
 
     p = sub.add_parser("far-study", help="expected F1 across class balances")
     p.add_argument("--recall", type=float, default=0.99)
@@ -784,7 +786,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated n_normal:n_anomalous pairs",
     )
     _add_out(p)
-    p.set_defaults(func=_write_outputs, compute=_cmd_far_study)
+    p.set_defaults(compute=_cmd_far_study)
 
     p = sub.add_parser("synth", help="generate a synthetic labelled frame")
     p.add_argument("--spec", required=True)
@@ -792,7 +794,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-points", type=int, default=0)
     p.add_argument("--train-out")
     p.add_argument("--events-out")
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(compute=_cmd_synth)
 
     p = sub.add_parser("baseline", help="PCA reconstruction-error baseline")
     p.add_argument("--train", required=True)
@@ -805,7 +807,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_protocols(p)
     _add_threshold_policy(p)
     _add_out(p)
-    p.set_defaults(func=_write_outputs, compute=_cmd_baseline)
+    p.set_defaults(compute=_cmd_baseline)
 
     p = sub.add_parser("check-labels", help="labels vs exported event list")
     p.add_argument("--labels", required=True)
@@ -816,7 +818,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="event ends point one past the last anomalous index",
     )
     _add_out(p)
-    p.set_defaults(func=_write_outputs, compute=_cmd_check_labels)
+    p.set_defaults(compute=_cmd_check_labels)
 
     return parser
 
@@ -845,7 +847,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with warnings.catch_warnings():
         _show_each_warning_once()
         try:
-            return args.func(args)
+            return _write_outputs(args)
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -94,7 +94,10 @@ def atomic_open(path: "str | Path", mode: str = "w") -> Iterator:
     try:
         yield handle
         handle.close()
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         handle.close()
         os.unlink(tmp)

@@ -18,6 +18,9 @@ from tsadeval.metrics import LabelSeries, PredictionSeries
 from tsadeval.pca_baseline import ScoredModel
 from tsadeval.protocols import score_all
 
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import INPUTS as GOLDEN_INPUTS
+
 WORKED_LABELS = [0, 0, 0, 1, 1, 1, 1, 1, 0, 0]
 WORKED_PREDS = [0, 0, 0, 0, 0, 1, 0, 0, 0, 1]
 
@@ -728,6 +731,14 @@ INPUT_ERRORS = {
         "synth", "--spec", "spec.json", "--train-points", "500",
         "--train-out", "synth_train.csv", "--out-file", "nodir/synth.csv",
     ],
+    "synth-frame-and-events-at-one-path": [
+        "synth", "--spec", "spec.json", "--out-file", "same.csv",
+        "--events-out", "same.csv",
+    ],
+    "synth-out-file-is-a-directory": [
+        "synth", "--spec", "spec.json", "--out-file", "isdir.csv",
+        "--train-points", "300", "--train-out", "t.csv",
+    ],
 }
 
 # what the message of a check that names its option, or its file and
@@ -762,6 +773,8 @@ OPTION_ERRORS = {
     "check-labels-event-past-series-end": (
         "events.csv: line 3: event (3, 9) exceeds series of length 4"
     ),
+    "synth-frame-and-events-at-one-path": "same.csv: two outputs at one path",
+    "synth-out-file-is-a-directory": "Is a directory: 'isdir.csv'",
 }
 
 
@@ -776,6 +789,7 @@ def test_input_error_leaves_out_uncreated(
     )
     write_column(tmp_path / "labels4.csv", "label", [1, 1, 0, 1])
     (tmp_path / "events.csv").write_text("start,end\n0,1\n3,9\n")
+    (tmp_path / "isdir.csv").mkdir()
     # float() reads the padded cell, csv.reader refuses it and the header
     limit = csv.field_size_limit()
     (tmp_path / "bigcell.csv").write_text(f"score\n0.5\n{' ' * limit}1\n")
@@ -808,6 +822,67 @@ def test_input_error_leaves_out_uncreated(
     for arg in argv:
         if arg.startswith("nodir/"):
             assert arg in err and ".tmp" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # out/ exists, and the model would overwrite the scores in it
+        (
+            ["--out", "out", "--model-out", "out/scores.csv"],
+            "out/scores.csv: two outputs at one path",
+        ),
+        # --out is a file: the model must not be written before that shows
+        (["--out", "labels.csv", "--model-out", "m.npz"], "File exists: 'labels.csv'"),
+    ],
+    ids=["model-out-over-scores", "out-is-a-file"],
+)
+def test_baseline_bad_destination_writes_nothing(
+    argv, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    write_column(tmp_path / "labels.csv", "label", WORKED_LABELS)
+    rng = np.random.default_rng(0)
+    write_frame_csv(tmp_path / "train.csv", rng.standard_normal((10, 2)))
+    write_frame_csv(
+        tmp_path / "test.csv", rng.standard_normal((10, 2)), WORKED_LABELS
+    )
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["baseline", "--train", "train.csv", "--test", "test.csv", *argv]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_baseline_model_out_in_new_out_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    write_frame_csv(tmp_path / "train.csv", rng.standard_normal((10, 2)))
+    write_frame_csv(
+        tmp_path / "test.csv", rng.standard_normal((10, 2)), WORKED_LABELS
+    )
+    argv = ["baseline", "--train", "train.csv", "--test", "test.csv"]
+    assert main([*argv, "--out", "run1", "--model-out", "run1/m.npz"]) == 0
+    assert ScoredModel.load(tmp_path / "run1" / "m.npz").smooth_window == 5
+    assert read_report(tmp_path / "run1")["results"]["model_path"] == "m.npz"
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_compute_writes_nothing(case, tmp_path, monkeypatch):
+    # every file is written by the one writer after the compute step; main
+    # then runs each command so that the next can read what it wrote
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TSADEVAL_OUT", raising=False)
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    for argv in GOLDEN_CASES[case][0]:
+        args = tsadeval.cli._build_parser().parse_args(argv)
+        assert "func" not in vars(args)
+        before = sorted(tmp_path.rglob("*"))
+        args.compute(args)
+        assert sorted(tmp_path.rglob("*")) == before
+        assert main(argv) == 0
 
 
 def test_attack_checks_alpha_before_any_trial(tmp_path, monkeypatch, capsys):

@@ -76,6 +76,15 @@ class TestAtomicWrites:
             atomic_write_text(target, "text")
         assert caught.value.filename == str(target)
 
+    def test_directory_in_the_way_names_the_path(self, tmp_path):
+        target = tmp_path / "isdir"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as caught:
+            atomic_write_text(target, "text")
+        assert str(target) in str(caught.value)
+        assert ".tmp" not in str(caught.value)
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_mode_follows_umask(self, tmp_path, umask, mode):
         # what a plain open() would give, not mkstemp's private 0o600
