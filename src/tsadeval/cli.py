@@ -11,6 +11,11 @@ Commands:
 * baseline      fit, score and evaluate the PCA baseline
 * check-labels  compare point labels against an exported event list
 
+evaluate and baseline share one scoring step: --threshold-policy binarizes
+scores (never predictions), every --protocols entry is scored, and the
+rows become report.csv, the results and the printed table. So baseline
+reports exactly what evaluate --scores reports on its scores.csv.
+
 Every command computes a `Report` and writes nothing. One function then
 checks every destination: each must sit in an existing directory or
 directly in --out (default ".", overridable via the TSADEVAL_OUT
@@ -244,8 +249,9 @@ def _add_protocols(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_threshold_policy(text: str):
+    """"best-pw-f1", or the fixed threshold of "fixed:<value>" as a float."""
     if text == "best-pw-f1":
-        return ("best-pw-f1", None)
+        return text
     if text.startswith("fixed:"):
         try:
             value = float(text.split(":", 1)[1])
@@ -257,35 +263,38 @@ def _parse_threshold_policy(text: str):
             raise argparse.ArgumentTypeError(
                 f"bad fixed threshold in {text!r}"
             )
-        return ("fixed", value)
+        return value
     raise argparse.ArgumentTypeError(
         f"threshold policy must be 'best-pw-f1' or 'fixed:<value>', got {text!r}"
     )
 
 
 def _add_threshold_policy(parser: argparse.ArgumentParser) -> None:
+    # None when not given, so that evaluate can refuse it with --predictions
     parser.add_argument(
         "--threshold-policy",
         type=_parse_threshold_policy,
-        default=("best-pw-f1", None),
         metavar="{best-pw-f1,fixed:<v>}",
         help="how to binarize scores (default: best-pw-f1)",
     )
 
 
-def _resolve_threshold(
-    policy, scores: AnomalyScoreSeries, labels: LabelSeries
-) -> float:
-    kind, value = policy
-    if kind == "fixed":
-        return value
-    threshold, _ = sweep_threshold(scores, labels, Protocol.POINT_WISE)
-    return threshold
-
-
 def _policy_name(policy) -> str:
-    kind, value = policy
-    return kind if value is None else f"fixed:{value}"
+    return f"fixed:{policy}" if isinstance(policy, float) else "best-pw-f1"
+
+
+def _check_range(option: str, value, low, high=math.inf, ends="[]") -> None:
+    """Reject an option outside the interval from low to high, each end
+    closed ("[", "]") or open ("(", ")") as ends says; NaN lies outside
+    every interval. With no high the message reads "must be >= low"."""
+    above = low <= value if ends[0] == "[" else low < value
+    below = value <= high if ends[1] == "]" else value < high
+    if not (above and below):
+        if high == math.inf:
+            want = f"be >= {low}"
+        else:
+            want = f"lie in {ends[0]}{low}, {high}{ends[1]}"
+        raise ValueError(f"{option} must {want}, got {value}")
 
 
 def _json_threshold(threshold):
@@ -300,53 +309,59 @@ def _json_threshold(threshold):
 # evaluate
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> Report:
-    labels = load_label_series(args.labels)
-    inputs = [args.labels]
-    threshold = None
-    if args.predictions:
-        preds = load_prediction_series(args.predictions)
-        inputs.append(args.predictions)
-    else:
-        raw = load_score_series(args.scores)
-        inputs.append(args.scores)
-        scores = AnomalyScoreSeries(raw)
-        threshold = _resolve_threshold(args.threshold_policy, scores, labels)
-        preds = predictions_at_threshold(scores, threshold)
+def _scored(args: argparse.Namespace, labels: LabelSeries, series) -> tuple:
+    """The one scoring step of evaluate and baseline. series holds either
+    predictions or scores, which --threshold-policy binarizes; the
+    predictions are then scored under every --protocols entry. Returns the
+    threshold (None for predictions) and a Report of the rows, report.csv,
+    the printed table and the step's config."""
+    threshold, preds = None, series
+    if isinstance(series, AnomalyScoreSeries):
+        threshold = args.threshold_policy
+        if not isinstance(threshold, float):
+            threshold, _ = sweep_threshold(series, labels, Protocol.POINT_WISE)
+        preds = predictions_at_threshold(series, threshold)
     rows = [_report_row(r) for r in score_all(labels, preds, args.protocols)]
-    return Report(
+    return threshold, Report(
         config={
             "protocols": [p.value for p in args.protocols],
             "threshold_policy": _policy_name(args.threshold_policy),
-            "threshold": _json_threshold(threshold),
         },
         results={"threshold": _json_threshold(threshold), "rows": rows},
         lines=_row_lines(rows),
-        inputs=inputs,
         files=[_table(args, "report.csv", REPORT_CSV_FIELDS, rows)],
     )
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> Report:
+    if args.predictions and args.threshold_policy is not None:
+        raise ValueError("--threshold-policy applies only to --scores")
+    labels = load_label_series(args.labels)
+    path = args.predictions or args.scores
+    if args.predictions:
+        series, kind = load_prediction_series(path), "predictions"
+    else:
+        series, kind = AnomalyScoreSeries(load_score_series(path)), "scores"
+    if len(series) != len(labels):
+        raise ValueError(
+            f"{path}: {len(series)} {kind}, but {args.labels} holds "
+            f"{len(labels)} labels"
+        )
+    _, report = _scored(args, labels, series)
+    report.config["threshold"] = report.results["threshold"]
+    report.inputs = [args.labels, path]
+    return report
 
 
 # ---------------------------------------------------------------------------
 # attack
 
 
-def _check_points(option: str, value: int, total_points: int) -> None:
-    """Reject an option, counted in points, outside [1, total_points]."""
-    if not 1 <= value <= total_points:
-        raise ValueError(
-            f"{option} must lie in [1, {total_points}], got {value}"
-        )
-
-
 def _check_segment(args: argparse.Namespace) -> None:
     """Check the --total-points, then the --segment-length, of one
     centred segment."""
-    if args.total_points < 1:
-        raise ValueError(
-            f"--total-points must be >= 1, got {args.total_points}"
-        )
-    _check_points("--segment-length", args.segment_length, args.total_points)
+    _check_range("--total-points", args.total_points, 1)
+    _check_range("--segment-length", args.segment_length, 1, args.total_points)
 
 
 def _attack_labels(args: argparse.Namespace) -> tuple:
@@ -392,10 +407,9 @@ def _quantiles(values: np.ndarray) -> dict:
 
 
 def _cmd_attack(args: argparse.Namespace) -> Report:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    _check_range("--trials", args.trials, 1)
     labels, inputs = _attack_labels(args)
-    _check_points("--alpha", args.alpha, len(labels))
+    _check_range("--alpha", args.alpha, 1, len(labels))
     setup = (
         AttackSetup(len(labels), labels.n_anomalous, args.alpha)
         if labels.n_events == 1
@@ -471,7 +485,7 @@ def _cmd_attack(args: argparse.Namespace) -> Report:
 
 def _cmd_attack_cdf(args: argparse.Namespace) -> Report:
     _check_segment(args)
-    _check_points("--alpha", args.alpha, args.total_points)
+    _check_range("--alpha", args.alpha, 1, args.total_points)
     setup = AttackSetup(
         total_points=args.total_points,
         anomalous_length=args.segment_length,
@@ -502,8 +516,10 @@ def _cmd_attack_cdf(args: argparse.Namespace) -> Report:
 
 
 def _cmd_attack_worst(args: argparse.Namespace) -> Report:
-    if args.alpha_step < 1:
-        raise ValueError(f"--alpha-step must be >= 1, got {args.alpha_step}")
+    _check_range("--segment-length", args.segment_length, 1)
+    _check_range("--contamination", args.contamination, 0, 1)
+    _check_range("--alpha-min", args.alpha_min, 1)
+    _check_range("--alpha-step", args.alpha_step, 1)
     alphas = list(range(args.alpha_min, args.alpha_max + 1, args.alpha_step))
     if not alphas:
         raise ValueError("empty alpha range")
@@ -570,6 +586,10 @@ def _shape_column(shape: DatasetShape) -> str:
 
 
 def _cmd_far_study(args: argparse.Namespace) -> Report:
+    _check_range("--recall", args.recall, 0, 1)
+    _check_range("--far-max", args.far_max, 0, 1, "(]")
+    _check_range("--far-min", args.far_min, 0, args.far_max, "()")
+    _check_range("--far-points", args.far_points, 2)
     grid = default_far_grid(args.far_min, args.far_max, args.far_points)
     table = f1_far_table(args.recall, grid, args.shapes)
     columns = [_shape_column(s) for s in args.shapes]
@@ -637,54 +657,51 @@ def _cmd_synth(args: argparse.Namespace) -> Report:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> Report:
-    train = load_frame(args.train)
-    test = load_frame(args.test)
-    if test.labels is None:
-        raise ValueError(f"{args.test}: test frame has no label column")
     config = PcaConfig(
         variance_target=args.variance_target,
         clip_quantiles=(args.clip_low, args.clip_high),
         smooth_window=args.smooth_window,
     )
+    train = load_frame(args.train)
+    test = load_frame(args.test)
+    if test.labels is None:
+        raise ValueError(f"{args.test}: test frame has no label column")
+    if test.n_channels != train.n_channels:
+        raise ValueError(
+            f"{args.test}: {test.n_channels} channels, but {args.train} "
+            f"holds {train.n_channels}"
+        )
     model = fit(train, config)
     scores = score_frame(model, test)
-    threshold = _resolve_threshold(args.threshold_policy, scores, test.labels)
-    preds = predictions_at_threshold(scores, threshold)
-    rows = [_report_row(r) for r in score_all(test.labels, preds, args.protocols)]
+    threshold, report = _scored(args, test.labels, scores)
     model_path = args.model_out or Path(args.out) / "model.npz"
 
     def save_model(path):
         with atomic_open(path, "wb") as fh:
             model.save(fh)
 
-    return Report(
-        config={
-            "variance_target": args.variance_target,
-            "clip_quantiles": [args.clip_low, args.clip_high],
-            "smooth_window": args.smooth_window,
-            "threshold_policy": _policy_name(args.threshold_policy),
-            "protocols": [p.value for p in args.protocols],
-        },
-        results={
-            "n_components": model.n_components,
-            "threshold": _json_threshold(threshold),
-            "model_path": os.path.relpath(model_path, args.out),
-            "rows": rows,
-        },
-        lines=[
-            f"PCA baseline: {model.n_components} of {model.n_channels} "
-            f"components, threshold {threshold:.6g}"
-        ]
-        + _row_lines(rows),
-        inputs=[args.train, args.test],
-        files=[
-            (model_path, save_model),
-            _table(
-                args, "scores.csv", ["score"], ({"score": s} for s in scores.scores)
-            ),
-            _table(args, "report.csv", REPORT_CSV_FIELDS, rows),
-        ],
+    report.config.update(
+        variance_target=args.variance_target,
+        clip_quantiles=[args.clip_low, args.clip_high],
+        smooth_window=args.smooth_window,
     )
+    report.results.update(
+        n_components=model.n_components,
+        model_path=os.path.relpath(model_path, args.out),
+    )
+    report.lines.insert(
+        0,
+        f"PCA baseline: {model.n_components} of {model.n_channels} "
+        f"components, threshold {threshold:.6g}",
+    )
+    report.inputs = [args.train, args.test]
+    report.files[:0] = [
+        (model_path, save_model),
+        _table(
+            args, "scores.csv", ["score"], ({"score": s} for s in scores.scores)
+        ),
+    ]
+    return report
 
 
 # ---------------------------------------------------------------------------

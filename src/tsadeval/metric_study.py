@@ -96,19 +96,13 @@ def f1_far_table(
     far_grid: np.ndarray,
     shapes: "list[DatasetShape] | tuple[DatasetShape, ...]",
 ) -> np.ndarray:
-    """Expected F1 over the grid, one column per dataset shape.
+    """Expected F1 over the grid, one column per dataset shape: each cell is
+    expected_f1 of the detector with that recall and false-alarm rate.
 
     For any fixed far > 0 and recall > 0, F1 is strictly increasing in
     contamination: more anomalous mass means the same false-alarm rate
     buys proportionally fewer false positives per true positive.
     """
-    DetectorSpec(recall=recall, far=0.0)  # rejects a recall outside [0, 1]
-    far = np.asarray(far_grid, dtype=float)[:, None]
-    outside = ~((0.0 <= far) & (far <= 1.0))
-    if outside.any():
-        raise ValueError(f"far {far[outside][0]} outside [0, 1]")
-    n_normal = np.array([[s.n_normal for s in shapes]], dtype=float)
-    n_anomalous = np.array([[s.n_anomalous for s in shapes]], dtype=float)
-    # expected_counts over the whole (far, shape) grid at once
-    tp = recall * n_anomalous
-    return prf_from_counts(tp, far * n_normal, n_anomalous - tp)[2]
+    detectors = [DetectorSpec(recall, float(far)) for far in far_grid]
+    table = [[expected_f1(d, shape)[2] for shape in shapes] for d in detectors]
+    return np.array(table, dtype=float).reshape(len(detectors), len(shapes))

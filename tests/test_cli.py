@@ -700,6 +700,52 @@ INPUT_ERRORS = {
     "far-study-min-above-max": [
         "far-study", "--far-min", "0.2", "--far-max", "0.1",
     ],
+    "attack-worst-zero-segment-length": [
+        "attack-worst", "--segment-length", "0", "--contamination", "0.1",
+        "--alpha-max", "4",
+    ],
+    "attack-worst-zero-alpha-min": [
+        "attack-worst", "--segment-length", "5", "--contamination", "0.1",
+        "--alpha-min", "0", "--alpha-max", "4",
+    ],
+    "attack-worst-contamination-above-one": [
+        "attack-worst", "--segment-length", "5", "--contamination", "1.5",
+        "--alpha-max", "4",
+    ],
+    "attack-worst-nan-contamination": [
+        "attack-worst", "--segment-length", "5", "--contamination", "nan",
+        "--alpha-max", "4",
+    ],
+    "far-study-recall-above-one": ["far-study", "--recall", "1.5"],
+    "far-study-nan-recall": ["far-study", "--recall", "nan"],
+    "far-study-one-far-point": ["far-study", "--far-points", "1"],
+    "far-study-far-max-above-one": ["far-study", "--far-max", "1.5"],
+    "far-study-nan-far-min": ["far-study", "--far-min", "nan"],
+    "evaluate-predictions-with-fixed-policy": [
+        "evaluate", "--labels", "labels.csv", "--predictions", "preds.csv",
+        "--threshold-policy", "fixed:0.5",
+    ],
+    "evaluate-predictions-with-sweep-policy": [
+        "evaluate", "--labels", "labels.csv", "--predictions", "preds.csv",
+        "--threshold-policy", "best-pw-f1",
+    ],
+    "evaluate-scores-length-mismatch": [
+        "evaluate", "--labels", "labels.csv", "--scores", "scores3.csv",
+    ],
+    "evaluate-fixed-scores-length-mismatch": [
+        "evaluate", "--labels", "labels.csv", "--scores", "scores3.csv",
+        "--threshold-policy", "fixed:0.5",
+    ],
+    "evaluate-predictions-length-mismatch": [
+        "evaluate", "--labels", "labels.csv", "--predictions", "preds3.csv",
+    ],
+    "baseline-test-channels-differ": [
+        "baseline", "--train", "train.csv", "--test", "wide.csv",
+    ],
+    "baseline-bad-smooth-window-before-loading": [
+        "baseline", "--train", "nope.csv", "--test", "nope.csv",
+        "--smooth-window", "0",
+    ],
     "baseline-unlabelled-test": [
         "baseline", "--train", "train.csv", "--test", "test.csv",
     ],
@@ -775,6 +821,38 @@ OPTION_ERRORS = {
     ),
     "synth-frame-and-events-at-one-path": "same.csv: two outputs at one path",
     "synth-out-file-is-a-directory": "Is a directory: 'isdir.csv'",
+    "attack-worst-zero-segment-length": "--segment-length must be >= 1, got 0",
+    "attack-worst-zero-alpha-min": "--alpha-min must be >= 1, got 0",
+    "attack-worst-contamination-above-one": (
+        "--contamination must lie in [0, 1], got 1.5"
+    ),
+    "attack-worst-nan-contamination": (
+        "--contamination must lie in [0, 1], got nan"
+    ),
+    "far-study-min-above-max": "--far-min must lie in (0, 0.1), got 0.2",
+    "far-study-recall-above-one": "--recall must lie in [0, 1], got 1.5",
+    "far-study-nan-recall": "--recall must lie in [0, 1], got nan",
+    "far-study-one-far-point": "--far-points must be >= 2, got 1",
+    "far-study-far-max-above-one": "--far-max must lie in (0, 1], got 1.5",
+    "far-study-nan-far-min": "--far-min must lie in (0, 0.2), got nan",
+    "evaluate-predictions-with-fixed-policy": (
+        "--threshold-policy applies only to --scores"
+    ),
+    "evaluate-predictions-with-sweep-policy": (
+        "--threshold-policy applies only to --scores"
+    ),
+    "evaluate-scores-length-mismatch": (
+        "scores3.csv: 3 scores, but labels.csv holds 10 labels"
+    ),
+    "evaluate-fixed-scores-length-mismatch": (
+        "scores3.csv: 3 scores, but labels.csv holds 10 labels"
+    ),
+    "evaluate-predictions-length-mismatch": (
+        "preds3.csv: 3 predictions, but labels.csv holds 10 labels"
+    ),
+    "baseline-test-channels-differ": "wide.csv: 3 channels, but train.csv holds 2",
+    # PcaConfig refuses the option before either missing frame is read
+    "baseline-bad-smooth-window-before-loading": "smooth_window must be >= 1",
 }
 
 
@@ -788,6 +866,9 @@ def test_input_error_leaves_out_uncreated(
         tmp_path / "events3.csv", "label", [0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0]
     )
     write_column(tmp_path / "labels4.csv", "label", [1, 1, 0, 1])
+    write_column(tmp_path / "preds.csv", "prediction", WORKED_PREDS)
+    write_column(tmp_path / "preds3.csv", "prediction", [0, 1, 0])
+    write_column(tmp_path / "scores3.csv", "score", [0.1, 0.9, 0.2])
     (tmp_path / "events.csv").write_text("start,end\n0,1\n3,9\n")
     (tmp_path / "isdir.csv").mkdir()
     # float() reads the padded cell, csv.reader refuses it and the header
@@ -799,6 +880,9 @@ def test_input_error_leaves_out_uncreated(
         ("train.csv", None), ("test.csv", None), ("labelled.csv", WORKED_LABELS)
     ]:
         write_frame_csv(tmp_path / name, rng.standard_normal((10, 2)), labels)
+    write_frame_csv(
+        tmp_path / "wide.csv", rng.standard_normal((10, 3)), WORKED_LABELS
+    )
     spec = json.loads(spec_file.read_text())
     (tmp_path / "mistyped.json").write_text(
         json.dumps({**spec, "total_points": str(spec["total_points"])})
@@ -866,6 +950,31 @@ def test_baseline_model_out_in_new_out_dir(tmp_path, monkeypatch):
     assert main([*argv, "--out", "run1", "--model-out", "run1/m.npz"]) == 0
     assert ScoredModel.load(tmp_path / "run1" / "m.npz").smooth_window == 5
     assert read_report(tmp_path / "run1")["results"]["model_path"] == "m.npz"
+
+
+def test_baseline_scores_as_evaluate_does(tmp_path, spec_file, monkeypatch):
+    # baseline reports exactly what evaluate reports on its own scores.csv
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "synth", "--spec", str(spec_file), "--out-file", "test.csv",
+        "--train-points", "1200", "--train-out", "train.csv",
+    ]) == 0
+
+    def both(*policy):
+        baseline = ["baseline", "--train", "train.csv", "--test", "test.csv"]
+        assert main([*baseline, *policy, "--out", "b"]) == 0
+        evaluate = ["evaluate", "--labels", "test.csv", "--scores", "b/scores.csv"]
+        assert main([*evaluate, *policy, "--out", "e"]) == 0
+        b, e = tmp_path / "b", tmp_path / "e"
+        assert (e / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+        b, e = read_report(b)["results"], read_report(e)["results"]
+        assert e["threshold"] == b["threshold"]
+        assert e["rows"] == b["rows"]
+
+    both()
+    # a fixed threshold at the median score flags half the points
+    scores = [float(r["score"]) for r in read_csv_rows(tmp_path / "b" / "scores.csv")]
+    both("--threshold-policy", f"fixed:{np.median(scores)}")
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
