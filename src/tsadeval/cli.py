@@ -622,9 +622,11 @@ def _cmd_far_study(args: argparse.Namespace) -> Report:
 
 
 def _cmd_synth(args: argparse.Namespace) -> Report:
-    spec = load_synthetic_spec(args.spec)
-    if bool(args.train_points) != bool(args.train_out):
+    if args.train_points is not None:
+        _check_range("--train-points", args.train_points, 1)
+    if (args.train_points is not None) != bool(args.train_out):
         raise ValueError("--train-points and --train-out go together")
+    spec = load_synthetic_spec(args.spec)
     files = []
     if args.train_points:
         train, test = generate_train_test(spec, args.train_points)
@@ -638,7 +640,7 @@ def _cmd_synth(args: argparse.Namespace) -> Report:
     return Report(
         config={
             "spec": asdict(spec),
-            "train_points": args.train_points,
+            "train_points": args.train_points or 0,
         },
         results=None,
         lines=[
@@ -663,6 +665,10 @@ def _cmd_baseline(args: argparse.Namespace) -> Report:
         smooth_window=args.smooth_window,
     )
     train = load_frame(args.train)
+    if train.n_points < 2:
+        raise ValueError(
+            f"{args.train}: {train.n_points} rows, but the fit needs at least 2"
+        )
     test = load_frame(args.test)
     if test.labels is None:
         raise ValueError(f"{args.test}: test frame has no label column")
@@ -808,7 +814,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic labelled frame")
     p.add_argument("--spec", required=True)
     p.add_argument("--out-file", required=True)
-    p.add_argument("--train-points", type=int, default=0)
+    p.add_argument("--train-points", type=int)
     p.add_argument("--train-out")
     p.add_argument("--events-out")
     p.set_defaults(compute=_cmd_synth)

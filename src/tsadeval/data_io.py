@@ -784,24 +784,37 @@ _SINGULAR_DECAY = 0.55
 _OBS_NOISE = 0.05
 
 
+def _ar1(values: np.ndarray, coef: float) -> np.ndarray:
+    """AR(1) filter y[t] = values[t] + coef * y[t-1] along axis 0, in place.
+
+    A doubling scan: after the pass with step s, y[t] sums coef**k *
+    values[t-k] over k < 2s, so at most log2(n) passes run, and fewer once
+    coef**s underflows to 0 (13 for coef 0.9). It rounds in another order
+    than the sequential recurrence, so the two differ in the last bits.
+    """
+    step, weight = 1, coef
+    while step < len(values) and weight != 0.0:
+        values[step:] += weight * values[:-step]
+        step *= 2
+        weight *= weight
+    return values
+
+
 def _backbone(
     n_points: int, n_channels: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Normal regime: latent AR(1) factors through an ill-conditioned mix.
 
     The decaying singular values concentrate variance in a few directions,
-    which is what gives a truncated PCA something to reconstruct.
+    which is what gives a truncated PCA something to reconstruct. The
+    AR(1) filter is numpy's own (_ar1), so generating a frame imports no
+    scipy.
     """
-    # imported on first call, so that commands which generate no frame do
-    # not pay for importing scipy
-    from scipy import signal
-
     q1, _ = np.linalg.qr(rng.standard_normal((n_channels, n_channels)))
     q2, _ = np.linalg.qr(rng.standard_normal((n_channels, n_channels)))
     singulars = _SINGULAR_DECAY ** np.arange(n_channels)
     mixing = (q1 * singulars) @ q2
-    innovations = rng.standard_normal((n_points, n_channels))
-    latent = signal.lfilter([1.0], [1.0, -_AR_COEF], innovations, axis=0)
+    latent = _ar1(rng.standard_normal((n_points, n_channels)), _AR_COEF)
     return latent @ mixing.T + _OBS_NOISE * rng.standard_normal(
         (n_points, n_channels)
     )

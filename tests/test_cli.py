@@ -452,6 +452,8 @@ class TestSynth:
             (tmp_path / "frame.csv.manifest.json").read_text()
         )
         assert sidecar["manifest"]["config"]["spec"]["seed"] == 5
+        # no train set was asked for
+        assert sidecar["manifest"]["config"]["train_points"] == 0
         assert str(out_file) in sidecar["outputs"]
 
     def test_train_test_and_events(self, tmp_path, spec_file):
@@ -746,6 +748,9 @@ INPUT_ERRORS = {
         "baseline", "--train", "nope.csv", "--test", "nope.csv",
         "--smooth-window", "0",
     ],
+    "baseline-one-row-train": [
+        "baseline", "--train", "train1.csv", "--test", "labelled.csv",
+    ],
     "baseline-unlabelled-test": [
         "baseline", "--train", "train.csv", "--test", "test.csv",
     ],
@@ -766,6 +771,14 @@ INPUT_ERRORS = {
     "synth-train-out-without-train-points": [
         "synth", "--spec", "spec.json", "--out-file", "synth.csv",
         "--train-out", "synth_train.csv",
+    ],
+    "synth-zero-train-points": [
+        "synth", "--spec", "spec.json", "--out-file", "synth.csv",
+        "--train-points", "0", "--train-out", "t.csv",
+    ],
+    "synth-negative-train-points": [
+        "synth", "--spec", "spec.json", "--out-file", "synth.csv",
+        "--train-points", "-5", "--train-out", "t.csv",
     ],
     "synth-mistyped-spec": [
         "synth", "--spec", "mistyped.json", "--out-file", "synth.csv",
@@ -821,6 +834,11 @@ OPTION_ERRORS = {
     ),
     "synth-frame-and-events-at-one-path": "same.csv: two outputs at one path",
     "synth-out-file-is-a-directory": "Is a directory: 'isdir.csv'",
+    "synth-train-out-without-train-points": (
+        "--train-points and --train-out go together"
+    ),
+    "synth-zero-train-points": "--train-points must be >= 1, got 0",
+    "synth-negative-train-points": "--train-points must be >= 1, got -5",
     "attack-worst-zero-segment-length": "--segment-length must be >= 1, got 0",
     "attack-worst-zero-alpha-min": "--alpha-min must be >= 1, got 0",
     "attack-worst-contamination-above-one": (
@@ -851,6 +869,7 @@ OPTION_ERRORS = {
         "preds3.csv: 3 predictions, but labels.csv holds 10 labels"
     ),
     "baseline-test-channels-differ": "wide.csv: 3 channels, but train.csv holds 2",
+    "baseline-one-row-train": "train1.csv: 1 rows, but the fit needs at least 2",
     # PcaConfig refuses the option before either missing frame is read
     "baseline-bad-smooth-window-before-loading": "smooth_window must be >= 1",
 }
@@ -883,6 +902,7 @@ def test_input_error_leaves_out_uncreated(
     write_frame_csv(
         tmp_path / "wide.csv", rng.standard_normal((10, 3)), WORKED_LABELS
     )
+    write_frame_csv(tmp_path / "train1.csv", rng.standard_normal((1, 2)))
     spec = json.loads(spec_file.read_text())
     (tmp_path / "mistyped.json").write_text(
         json.dumps({**spec, "total_points": str(spec["total_points"])})
@@ -1175,20 +1195,24 @@ def test_no_normal_points_warned_once_per_run(argv, tmp_path, monkeypatch):
 
 
 # Commands that must run without importing scipy, each on small inputs
-# written by the test below; the guard then runs synth and attack-cdf,
-# which do import it.
+# written by the test below; the guard then runs attack-cdf, which does
+# import it. Every command but synth writes into --out.
 WITHOUT_SCIPY = [
-    ["evaluate", "--labels", "labels.csv", "--scores", "scores.csv"],
-    ["check-labels", "--labels", "labels.csv", "--events", "events.csv"],
-    ["baseline", "--train", "train.csv", "--test", "test.csv"],
-    ["far-study", "--far-points", "5"],
+    ["synth", "--spec", "spec.json", "--out-file", "synth.csv",
+     "--train-points", "50", "--train-out", "synth_train.csv"],
+    ["evaluate", "--labels", "labels.csv", "--scores", "scores.csv",
+     "--out", "out"],
+    ["check-labels", "--labels", "labels.csv", "--events", "events.csv",
+     "--out", "out"],
+    ["baseline", "--train", "train.csv", "--test", "test.csv",
+     "--out", "out"],
+    ["far-study", "--far-points", "5", "--out", "out"],
     ["attack-worst", "--segment-length", "5", "--contamination", "0.1",
-     "--alpha-max", "10"],
+     "--alpha-max", "10", "--out", "out"],
     ["attack", "--synthetic-spec", "spec.json", "--alpha", "20",
-     "--trials", "10"],
+     "--trials", "10", "--out", "out"],
 ]
 WITH_SCIPY = [
-    ["synth", "--spec", "spec.json", "--out-file", "synth.csv"],
     ["attack-cdf", "--total-points", "100", "--segment-length", "10",
      "--alpha", "3", "--out", "out"],
 ]
@@ -1209,14 +1233,14 @@ except SystemExit as exc:
 assert_no_scipy("--help")
 without_scipy, with_scipy = json.loads(sys.argv[1])
 for argv in without_scipy:
-    assert main(argv + ["--out", "out"]) == 0, argv
+    assert main(argv) == 0, argv
     assert_no_scipy(argv[0])
 for argv in with_scipy:
     assert main(argv) == 0, argv
 """
 
 
-def test_only_synth_and_analytic_attacks_import_scipy(tmp_path, spec_file):
+def test_only_analytic_attacks_import_scipy(tmp_path, spec_file):
     # a fresh interpreter: other tests have already imported scipy here
     write_column(tmp_path / "labels.csv", "label", WORKED_LABELS)
     write_column(tmp_path / "scores.csv", "score", [i / 10 for i in range(10)])

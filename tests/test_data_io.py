@@ -745,6 +745,73 @@ class TestGeneration:
 
 
 # ---------------------------------------------------------------------------
+# The AR(1) scan behind the normal regime, against scipy's lfilter and the
+# sequential recurrence. It sums in another order than both, so it matches
+# them to a tolerance, not bit for bit.
+
+
+def sequential_ar1(values, coef):
+    out = np.empty_like(values)
+    y = np.zeros(values.shape[1:])
+    for t, v in enumerate(values):
+        y = v + coef * y
+        out[t] = y
+    return out
+
+
+class TestAr1:
+    @pytest.mark.parametrize(
+        "shape", [(1, 3), (2, 3), (5, 1), (1000, 1), (4097, 4), (20000, 8)]
+    )
+    def test_matches_lfilter(self, shape):
+        from scipy import signal
+
+        values = np.random.default_rng(sum(shape)).standard_normal(shape)
+        expected = signal.lfilter([1.0], [1.0, -0.9], values, axis=0)
+        got = data_io._ar1(values.copy(), 0.9)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        # the first row is the first innovation, untouched
+        assert np.array_equal(got[0], values[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        d=st.integers(1, 4),
+        coef=st.floats(0.0, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sequential_recurrence(self, n, d, coef, seed):
+        values = np.random.default_rng(seed).standard_normal((n, d))
+        got = data_io._ar1(values.copy(), coef)
+        np.testing.assert_allclose(
+            got, sequential_ar1(values, coef), rtol=0, atol=1e-12
+        )
+        assert np.array_equal(got[0], values[0])
+
+    def test_filters_in_place(self):
+        values = np.random.default_rng(3).standard_normal((50, 2))
+        assert data_io._ar1(values, 0.9) is values
+
+    def test_backbone_draws_are_unchanged(self):
+        # the scan draws nothing, so _backbone takes the same values from
+        # its stream, in the same order, as when lfilter did the filtering
+        n, d = 700, 3
+        rng = np.random.default_rng(11)
+        got = data_io._backbone(n, d, rng)
+        replay = np.random.default_rng(11)
+        q1, _ = np.linalg.qr(replay.standard_normal((d, d)))
+        q2, _ = np.linalg.qr(replay.standard_normal((d, d)))
+        mixing = (q1 * data_io._SINGULAR_DECAY ** np.arange(d)) @ q2
+        latent = sequential_ar1(replay.standard_normal((n, d)), 0.9)
+        noise = data_io._OBS_NOISE * replay.standard_normal((n, d))
+        np.testing.assert_allclose(
+            got, latent @ mixing.T + noise, rtol=0, atol=1e-12
+        )
+        # both streams end at the same state
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
 # The loaders against a per-row reference reader: the row-by-row parsing
 # the blocked reader replaced, with the one field-count spelling it chose
 

@@ -191,13 +191,13 @@ CASES = {
                 "1a8ce8b7d077e6b0d18c0ba6cf2b2a382bf69073e405d724a8b100bb65cbe4e3"
             ),
             "test.csv": (
-                "a89e816e14ff90b39f38d8264768e48e5598f94e96e1a8a9d19e385deea4e90c"
+                "174676d99ef694b8b992a93f476252618acf51dd3261b6007af2f9b787e11c4a"
             ),
             "test.csv.manifest.json": (
-                "085a3897e09d7c939dbb56cc1c36dfb26f378eaaaf34e22657e2c8b0d18d7c07"
+                "4aa1219cb50cf3d94716fd78faefdcd7810e7abcb8665ae89d73888a4218a693"
             ),
             "train.csv": (
-                "a639abdc800fd46af1c2b0552c117cf136d6a486ac06d09e3041b0848ec4b4ac"
+                "1dbfd80c1829da06d9021955c8ae5da9f4aa95d1bd44f9523e819bf3a4a18f67"
             ),
         },
         (
@@ -209,28 +209,28 @@ CASES = {
                  "--out", "out"]],
         {
             "out/model.npz": (
-                "7a482b5a52d8acefe15acdf83adefdf5f55eed300041a56b96025f89bd9d8906"
+                "c3c4e3b1d8960cbcd97ff1b886dd48592e294c27036c172d16c570153132e19e"
             ),
             "out/report.csv": (
                 "2137687993a9f439bbda218c88ef2cf0cc7af1ea4acce40ae4b713537c9131e8"
             ),
             "out/report.json": (
-                "2384273e006ac58fd76834198c8dfa185e86789756c5a7a9bf70cedf630e3a81"
+                "bf6464b09160028aa312c4e776acb1b1c08d4231beedfdc95447a01a16a22b62"
             ),
             "out/scores.csv": (
-                "a279ca03f3bdf0aa6c2fee6e08cbff20d9d7286a0d4d8d7a4ae9c840b41a43a5"
+                "9ff3fefdd7d075bda262622f796f66aa8c29a615f8c06e658a77eee99d40f78d"
             ),
             "synth_events.csv": (
                 "1a8ce8b7d077e6b0d18c0ba6cf2b2a382bf69073e405d724a8b100bb65cbe4e3"
             ),
             "test.csv": (
-                "a89e816e14ff90b39f38d8264768e48e5598f94e96e1a8a9d19e385deea4e90c"
+                "174676d99ef694b8b992a93f476252618acf51dd3261b6007af2f9b787e11c4a"
             ),
             "test.csv.manifest.json": (
-                "085a3897e09d7c939dbb56cc1c36dfb26f378eaaaf34e22657e2c8b0d18d7c07"
+                "4aa1219cb50cf3d94716fd78faefdcd7810e7abcb8665ae89d73888a4218a693"
             ),
             "train.csv": (
-                "a639abdc800fd46af1c2b0552c117cf136d6a486ac06d09e3041b0848ec4b4ac"
+                "1dbfd80c1829da06d9021955c8ae5da9f4aa95d1bd44f9523e819bf3a4a18f67"
             ),
         },
         (
