@@ -30,6 +30,16 @@ alpha random alarms, s of them landing inside the segment):
 * adjusted F1 given s >= 1    = 2A / (2A + alpha - s), and 0 for s = 0
 * worst non-zero adjusted F1  = 2A / (2A + alpha - 1)   (s = 1)
 * worst adjusted precision    = A / (A + alpha - 1)
+
+hit_probabilities gives P(s) under both hit models from one recurrence
+in log space, numpy alone. The ratio P(s + 1) / P(s) is
+(alpha - s) / (s + 1) times r / (1 - r) for the binomial, or times
+(A - s) / (T - A - alpha + s + 1) for the hypergeometric, whose support
+is [max(0, alpha - (T - A)), min(alpha, A)]. Cumulative sums of the log
+ratios, taken both ways from the mode, give log P(s) / P(mode); their
+exponentials are divided by their sum. Against 40-digit arithmetic it is
+within 4.5e-16 on every entry, and its sum within 3.4e-16 of 1, for T up
+to 1e8 and alpha up to 100000; the tests hold it to math.comb.
 """
 
 from __future__ import annotations
@@ -145,10 +155,13 @@ def f1_pa_for_hits(anomalous_length: int, alpha: int, hits: int) -> float:
         raise ValueError("alpha must be >= 1")
     if not 0 <= hits <= alpha:
         raise ValueError(f"hits must lie in [0, alpha], got {hits}")
-    if hits == 0:
-        return 0.0
+    return float(_f1_pa(anomalous_length, alpha, hits))
+
+
+def _f1_pa(anomalous_length: int, alpha: int, hits):
+    """2A / (2A + alpha - s), and 0 where s = 0, for a hit count or array."""
     a = anomalous_length
-    return 2.0 * a / (2.0 * a + alpha - hits)
+    return np.where(hits == 0, 0.0, 2.0 * a / (2.0 * a + alpha - hits))
 
 
 def worst_case_precision_pa(anomalous_length: int, alpha: int) -> float:
@@ -212,18 +225,35 @@ class SamplingModel(str, Enum):
 def hit_probabilities(
     setup: AttackSetup, model: SamplingModel = SamplingModel.BERNOULLI_APPROX
 ) -> np.ndarray:
-    """P(s hits inside the segment) for s = 0..alpha under the given model."""
-    # imported on first call: scipy.stats takes over a second to import,
-    # and most commands never get here
-    from scipy import stats
+    """P(s hits inside the segment) for s = 0..alpha under the given model.
 
-    s = np.arange(setup.alpha + 1)
-    model = SamplingModel(model)
-    if model is SamplingModel.BERNOULLI_APPROX:
-        return stats.binom.pmf(s, setup.alpha, setup.contamination_rate)
-    return stats.hypergeom.pmf(
-        s, setup.total_points, setup.anomalous_length, setup.alpha
+    The log-ratio recurrence of the module docstring, normalised over the
+    model's support; entries outside the support are exactly 0.
+    """
+    total, marked, alpha = (
+        setup.total_points, setup.anomalous_length, setup.alpha
     )
+    exact = SamplingModel(model) is SamplingModel.EXACT_HYPERGEOMETRIC
+    # an all-anomalous series makes every alarm a hit under either model
+    if exact or marked == total:
+        low, high = max(0, alpha - (total - marked)), min(alpha, marked)
+    else:
+        low, high = 0, alpha
+    s = np.arange(low, high, dtype=np.float64)
+    log_ratio = np.log(alpha - s) - np.log(s + 1)
+    if exact:
+        log_ratio += np.log(marked - s) - np.log(total - marked - alpha + s + 1)
+    elif s.size:
+        r = setup.contamination_rate
+        log_ratio += math.log(r) - math.log1p(-r)
+    # log P(s) / P(mode), summed outward from the mode, where the ratio
+    # falls below 1: the largest entries then carry the least rounding
+    mode = np.count_nonzero(log_ratio > 0)
+    below = -np.cumsum(log_ratio[:mode][::-1])[::-1]
+    p = np.exp(np.concatenate((below, [0.0], np.cumsum(log_ratio[mode:]))))
+    probability = np.zeros(alpha + 1)
+    probability[low : high + 1] = p / p.sum()
+    return probability
 
 
 @dataclass(frozen=True)
@@ -293,20 +323,12 @@ def f1_pa_distribution(
     """Analytic distribution of adjusted F1 under the given hit model."""
     model = SamplingModel(model)
     hits = np.arange(setup.alpha + 1, dtype=np.int64)
-    f1 = np.where(
-        hits == 0,
-        0.0,
-        2.0
-        * setup.anomalous_length
-        / (2.0 * setup.anomalous_length + setup.alpha - hits),
-    )
-    probability = hit_probabilities(setup, model)
     return F1PaDistribution(
         setup=setup,
         model=model.value,
         hits=hits,
-        f1=f1,
-        probability=probability,
+        f1=_f1_pa(setup.anomalous_length, setup.alpha, hits),
+        probability=hit_probabilities(setup, model),
     )
 
 

@@ -426,12 +426,14 @@ def load_label_series(path: "str | Path") -> LabelSeries:
     path = Path(path)
 
     def kinds_for(path: Path, header) -> list:
-        return ["flag"] if header == ["label"] else _frame_kinds(path, header)
+        if header == ["label"]:
+            return ["flag"]
+        kinds = _frame_kinds(path, header)
+        if header[-1] != "label":
+            raise ValueError(f"{path}: frame has no label column")
+        return kinds
 
-    header, values = _read_csv(path, kinds_for)
-    if header[-1] != "label":
-        raise ValueError(f"{path}: frame has no label column")
-    return LabelSeries(values[:, -1].astype(np.int8))
+    return LabelSeries(_read_csv(path, kinds_for)[1][:, -1].astype(np.int8))
 
 
 def load_prediction_series(path: "str | Path") -> PredictionSeries:
@@ -807,8 +809,7 @@ def _backbone(
 
     The decaying singular values concentrate variance in a few directions,
     which is what gives a truncated PCA something to reconstruct. The
-    AR(1) filter is numpy's own (_ar1), so generating a frame imports no
-    scipy.
+    AR(1) filter is _ar1's log-step scan.
     """
     q1, _ = np.linalg.qr(rng.standard_normal((n_channels, n_channels)))
     q2, _ = np.linalg.qr(rng.standard_normal((n_channels, n_channels)))

@@ -47,6 +47,17 @@ def hyper_pmf(s, total, marked, draws):
     )
 
 
+@st.composite
+def small_setups(draw):
+    """A series of at most 40 points, any event length and alarm count."""
+    total = draw(st.integers(min_value=1, max_value=40))
+    return AttackSetup(
+        total,
+        draw(st.integers(min_value=1, max_value=total)),
+        draw(st.integers(min_value=1, max_value=total)),
+    )
+
+
 class TestClosedForms:
     def test_prob_perfect_recall_values(self):
         assert prob_perfect_recall(0.1, 5) == pytest.approx(
@@ -160,8 +171,55 @@ class TestHitDistributions:
     def test_distribution_sums_to_one(self):
         for model in SamplingModel:
             dist = f1_pa_distribution(AttackSetup(1000, 100, 30), model)
-            assert dist.probability.sum() == pytest.approx(1.0, abs=1e-9)
-            assert dist.cumulative[-1] == pytest.approx(1.0, abs=1e-9)
+            assert dist.probability.sum() == pytest.approx(1.0, abs=1e-12)
+            assert dist.cumulative[-1] == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_setups(), st.sampled_from(SamplingModel))
+    @example(AttackSetup(12, 12, 5), SamplingModel.BERNOULLI_APPROX)
+    @example(AttackSetup(12, 12, 5), SamplingModel.EXACT_HYPERGEOMETRIC)
+    @example(AttackSetup(12, 3, 12), SamplingModel.BERNOULLI_APPROX)
+    @example(AttackSetup(12, 3, 12), SamplingModel.EXACT_HYPERGEOMETRIC)
+    @example(AttackSetup(12, 7, 9), SamplingModel.EXACT_HYPERGEOMETRIC)
+    @example(AttackSetup(1, 1, 1), SamplingModel.BERNOULLI_APPROX)
+    def test_pmf_matches_math_comb(self, setup, model):
+        # A == T, alpha == T and alpha > T - A, whose hypergeometric
+        # support starts above 0, are among the examples
+        total, marked, alpha = (
+            setup.total_points, setup.anomalous_length, setup.alpha
+        )
+        pmf = hit_probabilities(setup, model)
+        oracle = np.array(
+            [
+                binom_pmf(s, alpha, marked / total)
+                if model is SamplingModel.BERNOULLI_APPROX
+                else hyper_pmf(s, total, marked, alpha)
+                for s in range(alpha + 1)
+            ]
+        )
+        assert np.max(np.abs(pmf - oracle)) <= 1e-13
+        assert abs(pmf.sum() - 1.0) <= 1e-12
+        # outside the support (the oracle's exact zeros) nothing is left
+        assert not pmf[oracle == 0.0].any()
+
+    def test_pmf_at_criterion_05_scale(self):
+        # criterion 05's series length and its largest event
+        setup = AttackSetup(450_000, 44_650, 1000)
+        pmf = hit_probabilities(setup, SamplingModel.EXACT_HYPERGEOMETRIC)
+        oracle = np.array(
+            [hyper_pmf(s, 450_000, 44_650, 1000) for s in range(1001)]
+        )
+        assert np.max(np.abs(pmf - oracle)) <= 1e-13
+        assert abs(pmf.sum() - 1.0) <= 1e-12
+
+    def test_pmf_symmetric_at_half_contamination(self):
+        # at r = 1/2 both pmfs are symmetric under s -> alpha - s; summed
+        # outward from the mode they stay so to the last bit, where one
+        # cumulative sum from s = 0 drifts by about 2e-13 at this alpha
+        setup = AttackSetup(450_000, 225_000, 100_000)
+        for model in SamplingModel:
+            pmf = hit_probabilities(setup, model)
+            assert np.array_equal(pmf, pmf[::-1])
 
     def test_prob_zero_anchors(self):
         dist = f1_pa_distribution(

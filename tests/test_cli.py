@@ -1194,9 +1194,10 @@ def test_no_normal_points_warned_once_per_run(argv, tmp_path, monkeypatch):
         assert warned(caught) == 4
 
 
-# Commands that must run without importing scipy, each on small inputs
-# written by the test below; the guard then runs attack-cdf, which does
-# import it. Every command but synth writes into --out.
+# Every command runs without importing scipy, each on small inputs written
+# by the test below: attack-cdf under both models and a single-event
+# attack, with its analytic block, among them. Every command but synth
+# writes into --out.
 WITHOUT_SCIPY = [
     ["synth", "--spec", "spec.json", "--out-file", "synth.csv",
      "--train-points", "50", "--train-out", "synth_train.csv"],
@@ -1211,10 +1212,12 @@ WITHOUT_SCIPY = [
      "--alpha-max", "10", "--out", "out"],
     ["attack", "--synthetic-spec", "spec.json", "--alpha", "20",
      "--trials", "10", "--out", "out"],
-]
-WITH_SCIPY = [
+    ["attack", "--total-points", "100", "--segment-length", "10",
+     "--alpha", "3", "--trials", "10", "--out", "out"],
     ["attack-cdf", "--total-points", "100", "--segment-length", "10",
-     "--alpha", "3", "--out", "out"],
+     "--alpha", "3", "--model", "bernoulli-approx", "--out", "out"],
+    ["attack-cdf", "--total-points", "100", "--segment-length", "10",
+     "--alpha", "3", "--model", "exact-hypergeometric", "--out", "out"],
 ]
 IMPORT_GUARD = """
 import json, sys
@@ -1231,16 +1234,13 @@ try:
 except SystemExit as exc:
     assert exc.code == 0
 assert_no_scipy("--help")
-without_scipy, with_scipy = json.loads(sys.argv[1])
-for argv in without_scipy:
+for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
     assert_no_scipy(argv[0])
-for argv in with_scipy:
-    assert main(argv) == 0, argv
 """
 
 
-def test_only_analytic_attacks_import_scipy(tmp_path, spec_file):
+def test_no_command_imports_scipy(tmp_path, spec_file):
     # a fresh interpreter: other tests have already imported scipy here
     write_column(tmp_path / "labels.csv", "label", WORKED_LABELS)
     write_column(tmp_path / "scores.csv", "score", [i / 10 for i in range(10)])
@@ -1253,7 +1253,7 @@ def test_only_analytic_attacks_import_scipy(tmp_path, spec_file):
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_GUARD,
-         json.dumps([WITHOUT_SCIPY, WITH_SCIPY])],
+         json.dumps(WITHOUT_SCIPY)],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=300,
     )

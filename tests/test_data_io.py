@@ -338,6 +338,14 @@ class TestSingleColumnLoaders:
         with pytest.raises(ValueError, match="no label column"):
             load_label_series(path)
 
+    def test_frame_without_labels_rejected_before_its_rows(self, tmp_path):
+        # the header alone decides; the bad cell on line 3 is never read
+        path = tmp_path / "f.csv"
+        path.write_text("c0,c1\n1.0,2.0\nx,1\n")
+        with pytest.raises(ValueError) as caught:
+            load_label_series(path)
+        assert str(caught.value) == f"{path}: frame has no label column"
+
     def test_predictions(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("prediction\n1\n0\n")
@@ -896,12 +904,13 @@ def ref_column(path, column, parse):
 
 
 def ref_labels(path):
-    if ref_header(path) == ["label"]:
+    header = ref_header(path)
+    if header == ["label"]:
         return ref_column(path, "label", ref_flag)
-    _, flags, _ = ref_frame(path)
-    if flags is None:
+    # a frame without labels is refused at its header, before any row
+    if header and header[-1] != "label":
         raise ValueError(f"{path}: frame has no label column")
-    return flags
+    return ref_frame(path)[1]
 
 
 def ref_events(path, end_exclusive):

@@ -99,7 +99,7 @@ CASES = {
                 "731f593a55f104c41d10308741e28c9bbf198bba6190f9f3c3853dfcea0999f6"
             ),
             "out/report.json": (
-                "a5694b97074d2f1852a03f5e12844428deb113a200730043a4a14b72caa43fa2"
+                "47f48ca4aa99ff070375577145e5c0ccce7f847661f79a992dd3e9a05b42a672"
             ),
         },
         (
@@ -129,10 +129,10 @@ CASES = {
           "--alpha", "8", "--model", "bernoulli-approx", "--out", "out"]],
         {
             "out/distribution.csv": (
-                "ce1ef09ebe47befd6eb6a06f363cc96d3aa8cc088a17fe566c675a815ef732df"
+                "08cebb7420ef637b4a1f92b416c934e137178100940a65dd9f62dfe65195fd27"
             ),
             "out/report.json": (
-                "ac894cafae323bc60c74dc1903147c0e007a248f4d34d298633cc491a38651fc"
+                "65cc5b5d810dcb3568e4e7f5cfd969fc18905f1954aac75edc4835cf9ce179be"
             ),
         },
         (
@@ -144,10 +144,10 @@ CASES = {
           "--alpha", "8", "--model", "exact-hypergeometric", "--out", "out"]],
         {
             "out/distribution.csv": (
-                "9095f818e74bec0a5ab4204967f052c875724059e50c4decf38785b6287fdd2b"
+                "f849a8b9227330b16837ff5804039b7edeed14eb536cd71790fa752eeb54fc29"
             ),
             "out/report.json": (
-                "3c9be160819c8fb0813fc879a3e1ea5a7572fcab6b5fea68faa8cc4c3f30e246"
+                "ca9fda832c90b020d7969b38970bbb6ae864a30c9e76ef9eacd8a3975890fd48"
             ),
         },
         (
