@@ -23,10 +23,6 @@ from tsadeval.protocols import (
     point_adjust,
     score,
     score_all,
-    score_composite,
-    score_event_wise,
-    score_point_adjust,
-    score_point_wise,
 )
 
 __version__ = "0.2.0"
@@ -44,10 +40,6 @@ __all__ = [
     "precision_recall_f1",
     "score",
     "score_all",
-    "score_composite",
-    "score_event_wise",
-    "score_point_adjust",
-    "score_point_wise",
     "segmentize",
     "__version__",
 ]

@@ -16,12 +16,10 @@ which treats every position alike and so stays exact. A dense block,
 where the alarms and the unflagged points both exceed a fifth of the
 series, keeps each row's alpha smallest of uniform random keys.
 
-The engine never builds a prediction series: it derives each protocol's
-counts from the sorted positions and turns them into F1 with
-protocols._rates, the formulas score() itself uses. The test suite
-requires every trial's F1 to equal score() on that trial's prediction,
-and each sampler path to pass a chi-square test of uniformity over all
-subsets.
+The engine never builds a prediction series: protocols._block_counts
+counts each protocol's terms from the sorted positions, and
+protocols._rates turns them into F1. Each sampler path must pass a
+chi-square test of uniformity over all subsets.
 
 Closed forms (single anomalous segment of length A inside T points,
 alpha random alarms, s of them landing inside the segment):
@@ -59,7 +57,7 @@ from tsadeval.metrics import (
     PredictionSeries,
     point_confusion,
 )
-from tsadeval.protocols import Protocol, _rates, score
+from tsadeval.protocols import Protocol, _block_counts, _rates, score
 
 __all__ = [
     "AttackSetup",
@@ -509,48 +507,6 @@ def _alarm_blocks(total: int, alpha: int, trials: int, seed: int):
         yield slice(first, stop), _sample(total, alpha, stop - first, rng)
 
 
-def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:
-    """Every count protocols._rates reads, one per row of sorted alarms.
-
-    Row i of `alarms` holds one trial's distinct alarm positions in
-    ascending order. An alarm's event is the last one starting at or before
-    it, and the alarm is a hit when it lies at or before that event's end.
-    Hits on one event are adjacent in a row, so the first of them marks the
-    event detected. A predicted segment is a run of consecutive positions,
-    and it is false when none of its alarms is a hit.
-    """
-    starts, ends = labels.starts, labels.ends
-    rows, alpha = alarms.shape
-    event = np.searchsorted(starts, alarms, side="right") - 1
-    # event -1 (before the first event) reads the appended end -1 and
-    # length 0
-    inside = alarms <= np.append(ends, -1)[event]
-    first_hit = inside.copy()
-    first_hit[:, 1:] &= event[:, 1:] != event[:, :-1]
-    new_segment = np.ones(alarms.shape, dtype=bool)
-    new_segment[:, 1:] = np.diff(alarms, axis=1) != 1
-    segment = np.cumsum(new_segment, axis=1) - 1
-    row = np.broadcast_to(np.arange(rows)[:, None], alarms.shape)
-    true_segment = np.zeros(alarms.shape, dtype=bool)
-    true_segment[row[inside], segment[inside]] = True
-    tp = np.count_nonzero(inside, axis=1)
-    fp = alpha - tp
-    tp_e = np.count_nonzero(first_hit, axis=1)
-    return {
-        "tp": tp,
-        "fp": fp,
-        "fn": labels.n_anomalous - tp,
-        "n_normal": labels.n_normal,
-        "adjusted_tp": np.where(
-            first_hit, np.append(ends - starts + 1, 0)[event], 0
-        ).sum(axis=1),
-        "tp_e": tp_e,
-        "fp_e": np.count_nonzero(new_segment, axis=1)
-        - np.count_nonzero(true_segment, axis=1),
-        "fn_e": labels.n_events - tp_e,
-    }
-
-
 def random_flag_trials(
     labels: LabelSeries,
     alpha: int,
@@ -567,9 +523,8 @@ def random_flag_trials(
     Trials are drawn and scored a block at a time (_alarm_blocks): one
     call to the sampler gives every trial of a block its alpha distinct
     alarms, each trial's set uniform over all alpha-subsets of the series
-    and independent of the others. The counts come from the alarm
-    positions alone, and protocols._rates turns them into F1, so every F1
-    equals score() on that trial's predictions bit for bit.
+    and independent of the others, and protocols._block_counts counts
+    them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -408,6 +408,7 @@ def _quantiles(values: np.ndarray) -> dict:
 
 def _cmd_attack(args: argparse.Namespace) -> Report:
     _check_range("--trials", args.trials, 1)
+    _check_range("--seed", args.seed, 0)
     labels, inputs = _attack_labels(args)
     _check_range("--alpha", args.alpha, 1, len(labels))
     setup = (
@@ -659,6 +660,10 @@ def _cmd_synth(args: argparse.Namespace) -> Report:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> Report:
+    _check_range("--variance-target", args.variance_target, 0, 1, "(]")
+    _check_range("--clip-low", args.clip_low, 0, 1, "[)")
+    _check_range("--clip-high", args.clip_high, args.clip_low, 1, "(]")
+    _check_range("--smooth-window", args.smooth_window, 1)
     config = PcaConfig(
         variance_target=args.variance_target,
         clip_quantiles=(args.clip_low, args.clip_high),

@@ -24,7 +24,7 @@ import numpy as np
 
 from tsadeval.data_io import MvtsFrame
 from tsadeval.metrics import LabelSeries, PredictionSeries
-from tsadeval.protocols import Protocol, ProtocolReport, _rates, score
+from tsadeval.protocols import Protocol, _sweep_f1, score
 
 __all__ = [
     "PcaConfig",
@@ -240,75 +240,6 @@ def predictions_at_threshold(
     return PredictionSeries(
         (scores.scores >= threshold).astype(np.int8)
     )
-
-
-def _sweep_f1(
-    scores: np.ndarray, labels: LabelSeries, protocol: Protocol
-) -> tuple[np.ndarray, np.ndarray]:
-    """(thresholds, f1): every distinct score plus +inf, from high to low,
-    and the F1 that score() gives the predictions at each threshold.
-
-    The prediction at threshold t is on where score >= t, so every count a
-    protocol needs is "how many precomputed values are >= t". Each value is
-    a score, a minimum or a maximum of scores, so it is replaced by its
-    rank among the distinct scores; a count is then a cumulative sum of a
-    bincount, O(T) after the one sort inside np.unique. F1 comes from the
-    counts through protocols._rates, the function score() uses, so the two
-    are bit-identical.
-    """
-    distinct, rank = np.unique(scores, return_inverse=True)
-    thresholds = np.concatenate(([np.inf], distinct[::-1]))
-
-    def at_or_above(ranks: np.ndarray, weights=None) -> np.ndarray:
-        # summed weight (or number) of the ranks at or above each threshold
-        counts = np.bincount(ranks, weights, minlength=distinct.size)
-        return np.concatenate(([0], np.cumsum(counts[::-1])))
-
-    anomalous = labels.values.astype(bool)
-    tp = at_or_above(rank[anomalous])
-    fp = at_or_above(rank[~anomalous])
-    fn = labels.n_anomalous - tp
-    if protocol is Protocol.POINT_WISE:
-        return thresholds, _rates(protocol, tp, fp, fn)[2]
-
-    # an event is detected once the threshold falls to its peak score; the
-    # appended 0 keeps the index one past an event at the series end valid
-    starts, ends = labels.starts, labels.ends
-    bounds = np.column_stack((starts, ends + 1)).ravel()
-    peak = np.maximum.reduceat(np.append(rank, 0), bounds)[::2]
-    if protocol is Protocol.POINT_ADJUST:
-        # a detected event counts its whole length
-        adjusted_tp = at_or_above(peak, ends - starts + 1)
-        return thresholds, _rates(
-            protocol, tp, fp, fn, adjusted_tp=adjusted_tp
-        )[2]
-    tp_e = at_or_above(peak)
-    fn_e = starts.size - tp_e
-    if protocol is Protocol.COMPOSITE:
-        return thresholds, _rates(protocol, tp, fp, fn, tp_e=tp_e, fn_e=fn_e)[2]
-
-    # event-wise fp_e counts the on-runs made only of normal points. Runs of
-    # on normal points are on normal points less on normal-normal pairs;
-    # each on normal/event pair joins such a run to an event, and a normal
-    # gap that is on from one event's last point to the next event's first
-    # is joined twice, so it is added back once. A pair is on at the
-    # smaller of its two ranks.
-    pair = np.minimum(rank[:-1], rank[1:])
-    left, right = anomalous[:-1], anomalous[1:]
-    gap = np.column_stack((ends[:-1] + 1, starts[1:])).ravel()
-    bridge = np.minimum(
-        np.minimum.reduceat(rank, gap)[::2],
-        np.minimum(rank[ends[:-1]], rank[starts[1:]]),
-    )
-    fp_e = (
-        fp
-        - at_or_above(pair[~left & ~right])
-        - at_or_above(pair[left != right])
-        + at_or_above(bridge)
-    )
-    return thresholds, _rates(
-        protocol, tp, fp, fn, labels.n_normal, tp_e=tp_e, fp_e=fp_e, fn_e=fn_e
-    )[2]
 
 
 def sweep_threshold(

@@ -1,4 +1,4 @@
-"""The four scoring protocols over one (labels, predictions) pair.
+"""The four scoring protocols, and every count they read.
 
 * point-wise: plain point-level precision/recall/F1.
 * point-adjust: any hit inside a true event first marks the whole event as
@@ -10,8 +10,18 @@
 * event-wise: event-level recall paired with an event-level precision that
   is discounted by the point-level false-alarm rate.
 
-All scorers return a ProtocolReport with the same shape so reports can be
-tabulated uniformly.
+score and score_all return ProtocolReports of one shape, so reports can
+be tabulated uniformly.
+
+This module is the one place that turns a detector's output into protocol
+counts, whatever form the output takes: a prediction (score), scores
+ranked at every candidate threshold (_sweep_f1), or rows of sorted alarm
+positions, one per random-flag trial (_block_counts). All three hand
+their counts to _rates, the one place each protocol's formula lives.
+Arrays of counts, one per threshold or trial, go through the same
+operations as score()'s scalars, so the sweep's and the trial engine's
+F1 equal score() on the corresponding prediction bit for bit; the tests
+hold both to that.
 """
 
 from __future__ import annotations
@@ -38,10 +48,6 @@ __all__ = [
     "DEPRECATED_PROTOCOLS",
     "ProtocolReport",
     "point_adjust",
-    "score_point_wise",
-    "score_point_adjust",
-    "score_composite",
-    "score_event_wise",
     "score",
     "score_all",
 ]
@@ -162,8 +168,7 @@ def _rates(
     the detected events' summed length; composite reads tp_e/fn_e; and
     event-wise reads tp_e/fp_e/fn_e and n_normal, the number of normal
     points, for its false-alarm rate. Scalars give floats; arrays of
-    counts, one per threshold, give arrays by the same operations, so
-    score() and the threshold sweep agree bit for bit.
+    counts give arrays.
     """
     if protocol is Protocol.POINT_WISE:
         return prf_from_counts(tp, fp, fn)
@@ -214,34 +219,6 @@ def score(
     )
 
 
-def score_point_wise(
-    labels: LabelSeries, preds: PredictionSeries
-) -> ProtocolReport:
-    """Plain point-level precision/recall/F1 plus the false-alarm rate."""
-    return score(labels, preds, Protocol.POINT_WISE)
-
-
-def score_point_adjust(
-    labels: LabelSeries, preds: PredictionSeries
-) -> ProtocolReport:
-    """Point-wise rates computed after the point-adjust expansion."""
-    return score(labels, preds, Protocol.POINT_ADJUST)
-
-
-def score_composite(
-    labels: LabelSeries, preds: PredictionSeries
-) -> ProtocolReport:
-    """Event-level recall harmonically paired with point-level precision."""
-    return score(labels, preds, Protocol.COMPOSITE)
-
-
-def score_event_wise(
-    labels: LabelSeries, preds: PredictionSeries
-) -> ProtocolReport:
-    """Event-level recall and FAR-discounted event-level precision."""
-    return score(labels, preds, Protocol.EVENT_WISE)
-
-
 def score_all(
     labels: LabelSeries,
     preds: PredictionSeries,
@@ -250,3 +227,111 @@ def score_all(
     """Score one pair under several protocols, in the order given."""
     return [score(labels, preds, p) for p in protocols]
 
+
+def _sweep_f1(
+    scores: np.ndarray, labels: LabelSeries, protocol: Protocol
+) -> tuple[np.ndarray, np.ndarray]:
+    """(thresholds, f1): every distinct score plus +inf, from high to low,
+    and the F1 that score() gives the predictions at each threshold.
+
+    The prediction at threshold t is on where score >= t, so every count a
+    protocol needs is "how many precomputed values are >= t". Each value is
+    a score, a minimum or a maximum of scores, so it is replaced by its
+    rank among the distinct scores; a count is then a cumulative sum of a
+    bincount, O(T) after the one sort inside np.unique.
+    """
+    distinct, rank = np.unique(scores, return_inverse=True)
+    thresholds = np.concatenate(([np.inf], distinct[::-1]))
+
+    def at_or_above(ranks: np.ndarray, weights=None) -> np.ndarray:
+        # summed weight (or number) of the ranks at or above each threshold
+        counts = np.bincount(ranks, weights, minlength=distinct.size)
+        return np.concatenate(([0], np.cumsum(counts[::-1])))
+
+    anomalous = labels.values.astype(bool)
+    tp = at_or_above(rank[anomalous])
+    fp = at_or_above(rank[~anomalous])
+    fn = labels.n_anomalous - tp
+    if protocol is Protocol.POINT_WISE:
+        return thresholds, _rates(protocol, tp, fp, fn)[2]
+
+    # an event is detected once the threshold falls to its peak score; the
+    # appended 0 keeps the index one past an event at the series end valid
+    starts, ends = labels.starts, labels.ends
+    bounds = np.column_stack((starts, ends + 1)).ravel()
+    peak = np.maximum.reduceat(np.append(rank, 0), bounds)[::2]
+    if protocol is Protocol.POINT_ADJUST:
+        # a detected event counts its whole length
+        adjusted_tp = at_or_above(peak, ends - starts + 1)
+        return thresholds, _rates(
+            protocol, tp, fp, fn, adjusted_tp=adjusted_tp
+        )[2]
+    tp_e = at_or_above(peak)
+    fn_e = starts.size - tp_e
+    if protocol is Protocol.COMPOSITE:
+        return thresholds, _rates(protocol, tp, fp, fn, tp_e=tp_e, fn_e=fn_e)[2]
+
+    # event-wise fp_e counts the on-runs made only of normal points. Runs of
+    # on normal points are on normal points less on normal-normal pairs;
+    # each on normal/event pair joins such a run to an event, and a normal
+    # gap that is on from one event's last point to the next event's first
+    # is joined twice, so it is added back once. A pair is on at the
+    # smaller of its two ranks.
+    pair = np.minimum(rank[:-1], rank[1:])
+    left, right = anomalous[:-1], anomalous[1:]
+    gap = np.column_stack((ends[:-1] + 1, starts[1:])).ravel()
+    bridge = np.minimum(
+        np.minimum.reduceat(rank, gap)[::2],
+        np.minimum(rank[ends[:-1]], rank[starts[1:]]),
+    )
+    fp_e = (
+        fp
+        - at_or_above(pair[~left & ~right])
+        - at_or_above(pair[left != right])
+        + at_or_above(bridge)
+    )
+    return thresholds, _rates(
+        protocol, tp, fp, fn, labels.n_normal, tp_e=tp_e, fp_e=fp_e, fn_e=fn_e
+    )[2]
+
+
+def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:
+    """Every count _rates reads, one per row of sorted alarms.
+
+    Row i of `alarms` holds one trial's distinct alarm positions in
+    ascending order. An alarm's event is the last one starting at or before
+    it, and the alarm is a hit when it lies at or before that event's end.
+    Hits on one event are adjacent in a row, so the first of them marks the
+    event detected. A predicted segment is a run of consecutive positions,
+    and it is false when none of its alarms is a hit.
+    """
+    starts, ends = labels.starts, labels.ends
+    rows, alpha = alarms.shape
+    event = np.searchsorted(starts, alarms, side="right") - 1
+    # event -1 (before the first event) reads the appended end -1 and
+    # length 0
+    inside = alarms <= np.append(ends, -1)[event]
+    first_hit = inside.copy()
+    first_hit[:, 1:] &= event[:, 1:] != event[:, :-1]
+    new_segment = np.ones(alarms.shape, dtype=bool)
+    new_segment[:, 1:] = np.diff(alarms, axis=1) != 1
+    segment = np.cumsum(new_segment, axis=1) - 1
+    row = np.broadcast_to(np.arange(rows)[:, None], alarms.shape)
+    true_segment = np.zeros(alarms.shape, dtype=bool)
+    true_segment[row[inside], segment[inside]] = True
+    tp = np.count_nonzero(inside, axis=1)
+    fp = alpha - tp
+    tp_e = np.count_nonzero(first_hit, axis=1)
+    return {
+        "tp": tp,
+        "fp": fp,
+        "fn": labels.n_anomalous - tp,
+        "n_normal": labels.n_normal,
+        "adjusted_tp": np.where(
+            first_hit, np.append(ends - starts + 1, 0)[event], 0
+        ).sum(axis=1),
+        "tp_e": tp_e,
+        "fp_e": np.count_nonzero(new_segment, axis=1)
+        - np.count_nonzero(true_segment, axis=1),
+        "fn_e": labels.n_events - tp_e,
+    }

@@ -46,10 +46,6 @@ from tsadeval.protocols import (
     point_adjust,
     score,
     score_all,
-    score_composite,
-    score_event_wise,
-    score_point_adjust,
-    score_point_wise,
 )
 
 
@@ -145,14 +141,14 @@ def test_criterion_06_protocol_invariants_on_random_pairs():
         preds = PredictionSeries(pred_values)
 
         assert (
-            score_point_adjust(labels, preds).f1
-            >= score_point_wise(labels, preds).f1 - 1e-12
+            score(labels, preds, Protocol.POINT_ADJUST).f1
+            >= score(labels, preds, Protocol.POINT_WISE).f1 - 1e-12
         )
         once = point_adjust(labels, preds)
         assert np.array_equal(once.values, point_adjust(labels, once).values)
         assert (
-            score_composite(labels, preds).recall
-            == score_event_wise(labels, preds).recall
+            score(labels, preds, Protocol.COMPOSITE).recall
+            == score(labels, preds, Protocol.EVENT_WISE).recall
         )
         if labels.n_events > 0:
             perfect = PredictionSeries(labels.values.copy())
@@ -160,7 +156,7 @@ def test_criterion_06_protocol_invariants_on_random_pairs():
                 assert report.f1 == pytest.approx(1.0, abs=1e-12)
         if labels.n_normal > 0:
             all_positive = PredictionSeries(np.ones(n, dtype=np.int8))
-            assert score_event_wise(labels, all_positive).f1 == 0.0
+            assert score(labels, all_positive, Protocol.EVENT_WISE).f1 == 0.0
 
 
 def test_criterion_07_f1_far_grid():

@@ -28,7 +28,7 @@ from tsadeval.adversary import (
     worst_case_table,
 )
 from tsadeval.metrics import LabelSeries, PredictionSeries, point_confusion
-from tsadeval.protocols import Protocol, score, score_point_adjust
+from tsadeval.protocols import Protocol, score
 
 
 def binom_pmf(k, n, p):
@@ -112,7 +112,7 @@ class TestClosedForms:
         values[:9] = 1
         from tsadeval.metrics import PredictionSeries
 
-        report = score_point_adjust(labels, PredictionSeries(values))
+        report = score(labels, PredictionSeries(values), Protocol.POINT_ADJUST)
         assert report.f1 == pytest.approx(
             worst_case_f1_pa(40, 10), abs=1e-12
         )

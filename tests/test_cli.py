@@ -662,6 +662,9 @@ INPUT_ERRORS = {
     "attack-zero-trials": [
         "attack", "--labels", "events3.csv", "--alpha", "2", "--trials", "0",
     ],
+    "attack-negative-seed": [
+        "attack", "--labels", "events3.csv", "--alpha", "2", "--seed", "-1",
+    ],
     "attack-cdf-alpha-exceeds-series": [
         "attack-cdf", "--total-points", "10", "--segment-length", "2",
         "--alpha", "11",
@@ -748,6 +751,18 @@ INPUT_ERRORS = {
         "baseline", "--train", "nope.csv", "--test", "nope.csv",
         "--smooth-window", "0",
     ],
+    "baseline-bad-variance-target-before-loading": [
+        "baseline", "--train", "nope.csv", "--test", "nope.csv",
+        "--variance-target", "2.0",
+    ],
+    "baseline-bad-clip-low-before-loading": [
+        "baseline", "--train", "nope.csv", "--test", "nope.csv",
+        "--clip-low", "1.0",
+    ],
+    "baseline-clip-high-below-clip-low-before-loading": [
+        "baseline", "--train", "nope.csv", "--test", "nope.csv",
+        "--clip-low", "0.9", "--clip-high", "0.1",
+    ],
     "baseline-one-row-train": [
         "baseline", "--train", "train1.csv", "--test", "labelled.csv",
     ],
@@ -808,6 +823,7 @@ OPTION_ERRORS = {
     "attack-zero-alpha-multi-event": "--alpha must lie in [1, 12], got 0",
     "attack-alpha-exceeds-multi-event": "--alpha must lie in [1, 12], got 13",
     "attack-zero-trials": "--trials must be >= 1, got 0",
+    "attack-negative-seed": "--seed must be >= 0, got -1",
     "attack-worst-zero-alpha-step": "--alpha-step must be >= 1, got 0",
     "attack-cdf-alpha-exceeds-series": "--alpha must lie in [1, 10], got 11",
     "attack-cdf-segment-exceeds-series": (
@@ -870,8 +886,19 @@ OPTION_ERRORS = {
     ),
     "baseline-test-channels-differ": "wide.csv: 3 channels, but train.csv holds 2",
     "baseline-one-row-train": "train1.csv: 1 rows, but the fit needs at least 2",
-    # PcaConfig refuses the option before either missing frame is read
-    "baseline-bad-smooth-window-before-loading": "smooth_window must be >= 1",
+    # each PCA option is refused before either missing frame is read
+    "baseline-bad-smooth-window-before-loading": (
+        "--smooth-window must be >= 1, got 0"
+    ),
+    "baseline-bad-variance-target-before-loading": (
+        "--variance-target must lie in (0, 1], got 2.0"
+    ),
+    "baseline-bad-clip-low-before-loading": (
+        "--clip-low must lie in [0, 1), got 1.0"
+    ),
+    "baseline-clip-high-below-clip-low-before-loading": (
+        "--clip-high must lie in (0.9, 1], got 0.1"
+    ),
 }
 
 

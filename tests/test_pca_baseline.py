@@ -20,13 +20,12 @@ from tsadeval.pca_baseline import (
     AnomalyScoreSeries,
     PcaConfig,
     ScoredModel,
-    _sweep_f1,
     fit,
     predictions_at_threshold,
     score_frame,
     sweep_threshold,
 )
-from tsadeval.protocols import Protocol, score
+from tsadeval.protocols import Protocol, _sweep_f1, score
 
 
 def synthetic_pair(seed=7, signal=AnomalySignal.MEAN_SHIFT):

@@ -15,10 +15,6 @@ from tsadeval.protocols import (
     point_adjust,
     score,
     score_all,
-    score_composite,
-    score_event_wise,
-    score_point_adjust,
-    score_point_wise,
 )
 
 WORKED_LABELS = LabelSeries([0, 0, 0, 1, 1, 1, 1, 1, 0, 0])
@@ -84,13 +80,13 @@ def random_pair(rng, max_points=200):
 
 class TestWorkedExample:
     def test_point_wise(self):
-        r = score_point_wise(WORKED_LABELS, WORKED_PREDS)
+        r = score(WORKED_LABELS, WORKED_PREDS, Protocol.POINT_WISE)
         assert r.precision == pytest.approx(0.5)
         assert r.recall == pytest.approx(0.2)
         assert r.f1 == pytest.approx(0.285714, abs=1e-6)
 
     def test_point_adjust(self):
-        r = score_point_adjust(WORKED_LABELS, WORKED_PREDS)
+        r = score(WORKED_LABELS, WORKED_PREDS, Protocol.POINT_ADJUST)
         assert r.precision == pytest.approx(5 / 6, abs=1e-12)
         assert r.recall == pytest.approx(1.0)
         assert r.f1 == pytest.approx(0.909091, abs=1e-6)
@@ -101,14 +97,14 @@ class TestWorkedExample:
         assert adjusted.values.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 0, 1]
 
     def test_composite(self):
-        r = score_composite(WORKED_LABELS, WORKED_PREDS)
+        r = score(WORKED_LABELS, WORKED_PREDS, Protocol.COMPOSITE)
         assert r.recall == pytest.approx(1.0)
         assert r.precision == pytest.approx(0.5)
         assert r.f1 == pytest.approx(0.666667, abs=1e-6)
         assert (r.tp_e, r.fp_e, r.fn_e) == (1, None, 0)
 
     def test_event_wise(self):
-        r = score_event_wise(WORKED_LABELS, WORKED_PREDS)
+        r = score(WORKED_LABELS, WORKED_PREDS, Protocol.EVENT_WISE)
         assert (r.tp_e, r.fp_e, r.fn_e) == (1, 1, 0)
         assert r.far == pytest.approx(0.2)
         assert r.precision == pytest.approx(0.4)
@@ -130,7 +126,7 @@ class TestEventWiseExample:
         self.preds = PredictionSeries(preds)
 
     def test_counts_and_rates(self):
-        r = score_event_wise(self.labels, self.preds)
+        r = score(self.labels, self.preds, Protocol.EVENT_WISE)
         assert (r.tp_e, r.fp_e, r.fn_e) == (2, 3, 1)
         assert r.far == pytest.approx(6 / 70, abs=1e-12)
         assert r.precision == pytest.approx(0.365714, abs=1e-6)
@@ -155,8 +151,8 @@ class TestEventCountsAgainstNaive:
         labels = LabelSeries(label_values)
         preds = PredictionSeries(pred_values)
         tp_e, fp_e, fn_e = naive_event_counts(label_values, pred_values)
-        composite = score_composite(labels, preds)
-        event_wise = score_event_wise(labels, preds)
+        composite = score(labels, preds, Protocol.COMPOSITE)
+        event_wise = score(labels, preds, Protocol.EVENT_WISE)
         assert (composite.tp_e, composite.fn_e) == (tp_e, fn_e)
         assert (event_wise.tp_e, event_wise.fp_e, event_wise.fn_e) == (
             tp_e,
@@ -167,8 +163,11 @@ class TestEventCountsAgainstNaive:
         assert adjusted.values.tolist() == (
             naive_point_adjust(label_values, pred_values)
         )
-        assert score_point_adjust(labels, preds) == dataclasses.replace(
-            score_point_wise(labels, adjusted), protocol=Protocol.POINT_ADJUST
+        assert score(
+            labels, preds, Protocol.POINT_ADJUST
+        ) == dataclasses.replace(
+            score(labels, adjusted, Protocol.POINT_WISE),
+            protocol=Protocol.POINT_ADJUST,
         )
 
 
@@ -217,14 +216,14 @@ class TestInvariants:
         labels = LabelSeries(label_values)
         preds = PredictionSeries(pred_values)
         assert (
-            score_point_adjust(labels, preds).f1
-            >= score_point_wise(labels, preds).f1 - 1e-12
+            score(labels, preds, Protocol.POINT_ADJUST).f1
+            >= score(labels, preds, Protocol.POINT_WISE).f1 - 1e-12
         )
         once = point_adjust(labels, preds)
         assert np.array_equal(once.values, point_adjust(labels, once).values)
         assert (
-            score_composite(labels, preds).recall
-            == score_event_wise(labels, preds).recall
+            score(labels, preds, Protocol.COMPOSITE).recall
+            == score(labels, preds, Protocol.EVENT_WISE).recall
         )
         if labels.n_events > 0:
             perfect = PredictionSeries(label_values)
@@ -232,14 +231,14 @@ class TestInvariants:
                 assert report.f1 == pytest.approx(1.0, abs=1e-12)
         if labels.n_normal > 0:
             all_positive = PredictionSeries([1] * len(label_values))
-            assert score_event_wise(labels, all_positive).f1 == 0.0
+            assert score(labels, all_positive, Protocol.EVENT_WISE).f1 == 0.0
 
     def test_adjusted_f1_dominates_point_wise(self):
         rng = np.random.default_rng(6)
         for _ in range(300):
             labels, preds = random_pair(rng)
-            pw = score_point_wise(labels, preds).f1
-            pa = score_point_adjust(labels, preds).f1
+            pw = score(labels, preds, Protocol.POINT_WISE).f1
+            pa = score(labels, preds, Protocol.POINT_ADJUST).f1
             assert pa >= pw - 1e-12
 
     @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
@@ -247,9 +246,10 @@ class TestInvariants:
         rng = np.random.default_rng(7)
         for _ in range(300):
             labels, preds = random_pair(rng)
-            assert score_composite(labels, preds).recall == score_event_wise(
-                labels, preds
-            ).recall
+            assert (
+                score(labels, preds, Protocol.COMPOSITE).recall
+                == score(labels, preds, Protocol.EVENT_WISE).recall
+            )
 
     def test_perfect_predictions_score_one_everywhere(self):
         rng = np.random.default_rng(8)
@@ -268,7 +268,7 @@ class TestInvariants:
         for _ in range(100):
             labels, _ = random_pair(rng)
             all_pos = PredictionSeries(np.ones(len(labels), dtype=np.int8))
-            report = score_event_wise(labels, all_pos)
+            report = score(labels, all_pos, Protocol.EVENT_WISE)
             if labels.n_normal > 0:
                 assert report.f1 == 0.0
                 assert report.far == 1.0
@@ -277,7 +277,7 @@ class TestInvariants:
         labels = LabelSeries([1, 1, 1])
         preds = PredictionSeries([1, 1, 1])
         with pytest.warns(UserWarning, match="no normal points"):
-            report = score_event_wise(labels, preds)
+            report = score(labels, preds, Protocol.EVENT_WISE)
         assert report.far == 0.0
         assert report.f1 == pytest.approx(1.0)
 
@@ -300,11 +300,14 @@ class TestDispatch:
 
     def test_deprecated_marking(self):
         assert DEPRECATED_PROTOCOLS == {Protocol.POINT_ADJUST}
-        assert not score_point_wise(WORKED_LABELS, WORKED_PREDS).deprecated
+        report = score(WORKED_LABELS, WORKED_PREDS, Protocol.POINT_WISE)
+        assert not report.deprecated
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            score_composite(LabelSeries([0, 1]), PredictionSeries([1]))
+            score(
+                LabelSeries([0, 1]), PredictionSeries([1]), Protocol.COMPOSITE
+            )
 
     def test_report_consistency_enforced(self):
         with pytest.raises(ValueError, match="inconsistent"):
