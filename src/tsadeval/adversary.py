@@ -55,6 +55,7 @@ from tsadeval.metrics import (
     FAR_NO_NORMAL_WARNING,
     LabelSeries,
     PredictionSeries,
+    _check_range,
     point_confusion,
 )
 from tsadeval.protocols import Protocol, _block_counts, _rates, score
@@ -83,14 +84,11 @@ def single_segment_labels(
     total_points: int, segment_length: int, start: Optional[int] = None
 ) -> LabelSeries:
     """Labels with one anomalous segment; centered unless start is given."""
-    if not 1 <= segment_length <= total_points:
-        raise ValueError(
-            f"segment_length {segment_length} outside [1, {total_points}]"
-        )
+    _check_range("total_points", total_points, 1)
+    _check_range("segment_length", segment_length, 1, total_points)
     if start is None:
         start = (total_points - segment_length) // 2
-    if start < 0 or start + segment_length > total_points:
-        raise ValueError("segment does not fit the series")
+    _check_range("start", start, 0, total_points - segment_length)
     values = np.zeros(total_points, dtype=np.int8)
     values[start : start + segment_length] = 1
     return LabelSeries(values)
@@ -105,17 +103,11 @@ class AttackSetup:
     alpha: int
 
     def __post_init__(self) -> None:
-        if self.total_points < 1:
-            raise ValueError("total_points must be >= 1")
-        if not 1 <= self.anomalous_length <= self.total_points:
-            raise ValueError(
-                "anomalous_length must lie in [1, total_points], got "
-                f"{self.anomalous_length}"
-            )
-        if not 1 <= self.alpha <= self.total_points:
-            raise ValueError(
-                f"alpha must lie in [1, total_points], got {self.alpha}"
-            )
+        _check_range("total_points", self.total_points, 1)
+        _check_range(
+            "anomalous_length", self.anomalous_length, 1, self.total_points
+        )
+        _check_range("alpha", self.alpha, 1, self.total_points)
 
     @property
     def contamination_rate(self) -> float:
@@ -133,10 +125,8 @@ def prob_perfect_recall(contamination_rate: float, alpha: int) -> float:
     1 - (1 - r)^alpha. Valid for the single-segment case and, with r the
     per-event rate, as a per-event quantity.
     """
-    if not 0.0 <= contamination_rate <= 1.0:
-        raise ValueError(f"contamination_rate {contamination_rate} outside [0, 1]")
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    _check_range("contamination_rate", contamination_rate, 0, 1)
+    _check_range("alpha", alpha, 1)
     return 1.0 - (1.0 - contamination_rate) ** alpha
 
 
@@ -147,12 +137,9 @@ def f1_pa_for_hits(anomalous_length: int, alpha: int, hits: int) -> float:
     A true positives) and the alpha - s misses stay false positives, giving
     F1 = 2A / (2A + alpha - s). Zero hits leave recall at 0, hence F1 = 0.
     """
-    if anomalous_length < 1:
-        raise ValueError("anomalous_length must be >= 1")
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    if not 0 <= hits <= alpha:
-        raise ValueError(f"hits must lie in [0, alpha], got {hits}")
+    _check_range("anomalous_length", anomalous_length, 1)
+    _check_range("alpha", alpha, 1)
+    _check_range("hits", hits, 0, alpha)
     return float(_f1_pa(anomalous_length, alpha, hits))
 
 
@@ -164,8 +151,8 @@ def _f1_pa(anomalous_length: int, alpha: int, hits):
 
 def worst_case_precision_pa(anomalous_length: int, alpha: int) -> float:
     """Adjusted precision of the least lucky non-zero outcome (one hit)."""
-    if anomalous_length < 1 or alpha < 1:
-        raise ValueError("anomalous_length and alpha must be >= 1")
+    _check_range("anomalous_length", anomalous_length, 1)
+    _check_range("alpha", alpha, 1)
     return anomalous_length / (anomalous_length + alpha - 1)
 
 
@@ -408,8 +395,7 @@ def _sample(
     points left unflagged. Memory is a few arrays of rows * alpha values,
     plus one key (dense) or flag (alpha > total / 2) per point of a row.
     """
-    if not 0 <= alpha <= total:
-        raise ValueError(f"alpha must lie in [0, {total}], got {alpha}")
+    _check_range("alpha", alpha, 0, total)
     k = min(alpha, total - alpha)
     if _DENSE_DIVISOR * k > total:
         return _random_keys(total, alpha, rows, rng)
@@ -472,10 +458,17 @@ class RandomFlagTrials:
 
         On a single-segment layout the adjusted F1 is a function of the hit
         count alone, so every trial with the same count has the same F1.
+        Trials where it is not (more than one event) are refused.
         """
+        f1 = self.f1_by_protocol[Protocol.POINT_ADJUST]
         counts = np.bincount(self.hits)
         f1_by_hits = np.empty(counts.size)
-        f1_by_hits[self.hits] = self.f1_by_protocol[Protocol.POINT_ADJUST]
+        f1_by_hits[self.hits] = f1
+        if not np.array_equal(f1_by_hits[self.hits], f1):
+            raise ValueError(
+                "point-adjust F1 is no function of the hit count: the trials "
+                "ran on labels with more than one event"
+            )
         observed = np.flatnonzero(counts)
         return F1PaDistribution(
             setup=setup,
@@ -526,8 +519,7 @@ def random_flag_trials(
     and independent of the others, and protocols._block_counts counts
     them.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_range("trials", trials, 1)
     protocols = tuple(Protocol(p) for p in protocols)
     hits = np.zeros(trials, dtype=np.int64)
     f1 = {p: np.zeros(trials) for p in protocols}

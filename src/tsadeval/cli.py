@@ -80,7 +80,7 @@ from tsadeval.data_io import (
     write_frame,
 )
 from tsadeval.metric_study import DatasetShape, default_far_grid, f1_far_table
-from tsadeval.metrics import LabelSeries
+from tsadeval.metrics import LabelSeries, _check_range
 from tsadeval.pca_baseline import (
     AnomalyScoreSeries,
     PcaConfig,
@@ -281,20 +281,6 @@ def _add_threshold_policy(parser: argparse.ArgumentParser) -> None:
 
 def _policy_name(policy) -> str:
     return f"fixed:{policy}" if isinstance(policy, float) else "best-pw-f1"
-
-
-def _check_range(option: str, value, low, high=math.inf, ends="[]") -> None:
-    """Reject an option outside the interval from low to high, each end
-    closed ("[", "]") or open ("(", ")") as ends says; NaN lies outside
-    every interval. With no high the message reads "must be >= low"."""
-    above = low <= value if ends[0] == "[" else low < value
-    below = value <= high if ends[1] == "]" else value < high
-    if not (above and below):
-        if high == math.inf:
-            want = f"be >= {low}"
-        else:
-            want = f"lie in {ends[0]}{low}, {high}{ends[1]}"
-        raise ValueError(f"{option} must {want}, got {value}")
 
 
 def _json_threshold(threshold):
@@ -521,9 +507,8 @@ def _cmd_attack_worst(args: argparse.Namespace) -> Report:
     _check_range("--contamination", args.contamination, 0, 1)
     _check_range("--alpha-min", args.alpha_min, 1)
     _check_range("--alpha-step", args.alpha_step, 1)
+    _check_range("--alpha-max", args.alpha_max, args.alpha_min)
     alphas = list(range(args.alpha_min, args.alpha_max + 1, args.alpha_step))
-    if not alphas:
-        raise ValueError("empty alpha range")
     rows = worst_case_table(args.segment_length, args.contamination, alphas)
     last = rows[-1]
     return Report(

@@ -1,6 +1,7 @@
 """File formats, synthetic data generation and label consistency checks.
 
-CSV conventions (all headers mandatory, all indices 0-based):
+CSV conventions (UTF-8 whatever the locale, all headers mandatory, all
+indices 0-based):
 
 * frame:        ``c0,...,c{D-1}[,label]`` with float cells; the optional
                 trailing ``label`` column holds 0/1,
@@ -42,7 +43,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from tsadeval.metrics import LabelSeries, PredictionSeries, Segment, segmentize
+from tsadeval.metrics import (
+    LabelSeries,
+    PredictionSeries,
+    Segment,
+    _check_range,
+    segmentize,
+)
 
 __all__ = [
     "MvtsFrame",
@@ -79,9 +86,9 @@ __all__ = [
 def atomic_open(path: "str | Path", mode: str = "w") -> Iterator:
     """Open a temp file for writing and rename it over `path` on success.
 
-    mode is "w" for text, with no newline translation (what csv expects),
-    or "wb" for binary. The file gets the mode a plain open() would give
-    it (0o666 less the umask).
+    mode is "w" for UTF-8 text, with no newline translation (what csv
+    expects), or "wb" for binary. The file gets the mode a plain open()
+    would give it (0o666 less the umask).
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
@@ -90,7 +97,8 @@ def atomic_open(path: "str | Path", mode: str = "w") -> Iterator:
     except OSError as exc:
         # name the path asked for, not the random temp file
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    handle = os.fdopen(fd, mode, newline=None if "b" in mode else "")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    handle = os.fdopen(fd, mode, **text)
     try:
         yield handle
         handle.close()
@@ -278,30 +286,33 @@ def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
     convert them with the same numpy call, so they return the same values.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        header = next(_records(fh, path, 1), None)
-        kinds = kinds_for(path, header)
-        pieces, first_line = [], 2
-        rest = ()
-        while text := fh.read(_BLOCK_CHARS):
-            text += fh.readline()  # up to the end of the line cut by read
-            values = _plain_block(text, kinds)
-            if values is None:
-                # the lines as the file gives them: \r, \n and \r\n end one
-                rest = itertools.chain(io.StringIO(text, newline=""), fh)
-                break
-            if check is not None:
-                check(values, first_line)
-            pieces.append(values)
-            first_line += len(values)
-        reader = _records(rest, path, first_line)
-        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
-            pieces_of_block = _pieces(block, first_line, header, kinds, path)
-            for line_no, values in pieces_of_block:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(_records(fh, path, 1), None)
+            kinds = kinds_for(path, header)
+            pieces, first_line = [], 2
+            rest = ()
+            while text := fh.read(_BLOCK_CHARS):
+                text += fh.readline()  # up to the end of the line cut by read
+                values = _plain_block(text, kinds)
+                if values is None:
+                    # the lines as the file gives them: \r, \n and \r\n end one
+                    rest = itertools.chain(io.StringIO(text, newline=""), fh)
+                    break
                 if check is not None:
-                    check(values, line_no)
+                    check(values, first_line)
                 pieces.append(values)
-            first_line += len(block)
+                first_line += len(values)
+            reader = _records(rest, path, first_line)
+            while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+                pieces_of_block = _pieces(block, first_line, header, kinds, path)
+                for line_no, values in pieces_of_block:
+                    if check is not None:
+                        check(values, line_no)
+                    pieces.append(values)
+                first_line += len(block)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not pieces and not empty_ok:
         raise ValueError(f"{path}: no data rows")
     return header, np.concatenate(pieces or [np.empty((0, len(kinds)))])
@@ -528,12 +539,16 @@ def labels_from_events(events: np.ndarray, total_points: int) -> LabelSeries:
     length.
 
     Rows may come in any order; overlapping or adjacent events simply
-    union. A negative start, an end before its start or an event reaching
-    past the series end is an error.
+    union. An empty sequence holds no events. Bounds of any other shape
+    than (n, 2), a negative start, an end before its start or an event
+    reaching past the series end is an error.
     """
-    if total_points < 1:
-        raise ValueError("total_points must be >= 1")
+    _check_range("total_points", total_points, 1)
     bounds = np.asarray(events, dtype=np.int64)
+    if bounds.shape == (0,):  # an empty sequence: no events
+        bounds = bounds.reshape(0, 2)
+    if bounds.ndim != 2 or bounds.shape[1] != 2:
+        raise ValueError(f"events must have shape (n, 2), got {bounds.shape}")
     found = _event_error(bounds, total_points=total_points)
     if found is not None:
         raise ValueError(found[1])
@@ -665,21 +680,13 @@ class SyntheticSpec:
             raise ValueError(
                 f"signal_strength must be a number, got {strength!r}"
             )
-        if self.total_points < 1:
-            raise ValueError("total_points must be >= 1")
-        if self.n_channels < 1:
-            raise ValueError("n_channels must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if any(length < 1 for length in self.event_lengths):
-            raise ValueError("event_lengths must be >= 1")
-        if self.gap_policy < 1:
-            raise ValueError(
-                f"gap_policy must be >= 1, got {self.gap_policy}; "
-                "events with no gap between them merge into one"
-            )
-        if not 0 < strength < math.inf:
-            raise ValueError("signal_strength must be finite and > 0")
+        _check_range("total_points", self.total_points, 1)
+        _check_range("n_channels", self.n_channels, 1)
+        _check_range("seed", self.seed, 0)
+        for length in self.event_lengths:
+            _check_range("event_lengths", length, 1)
+        _check_range("gap_policy", self.gap_policy, 1)
+        _check_range("signal_strength", strength, 0, math.inf, "()")
         n = len(self.event_lengths)
         needed = sum(self.event_lengths) + self.gap_policy * max(0, n - 1)
         if needed > self.total_points:
@@ -886,8 +893,7 @@ def generate_train_test(
     labels. Useful for fitting a detector on clean data from the same
     process it is evaluated on.
     """
-    if train_points < 1:
-        raise ValueError("train_points must be >= 1")
+    _check_range("train_points", train_points, 1)
     values, labels = _generate(spec, train_points=train_points)
     train = MvtsFrame(
         values=values[:train_points],

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tsadeval.metrics import prf_from_counts
+from tsadeval.metrics import _check_range, prf_from_counts
 
 __all__ = [
     "DetectorSpec",
@@ -35,10 +35,8 @@ class DetectorSpec:
     far: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.recall <= 1.0:
-            raise ValueError(f"recall {self.recall} outside [0, 1]")
-        if not 0.0 <= self.far <= 1.0:
-            raise ValueError(f"far {self.far} outside [0, 1]")
+        _check_range("recall", self.recall, 0, 1)
+        _check_range("far", self.far, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,8 @@ class DatasetShape:
     n_anomalous: int
 
     def __post_init__(self) -> None:
-        if self.n_normal < 0 or self.n_anomalous < 0:
-            raise ValueError("counts must be non-negative")
+        _check_range("n_normal", self.n_normal, 0)
+        _check_range("n_anomalous", self.n_anomalous, 0)
         if self.n_normal + self.n_anomalous == 0:
             raise ValueError("dataset must hold at least one point")
 
@@ -84,10 +82,9 @@ def default_far_grid(
     low: float = 0.001, high: float = 0.2, points: int = 50
 ) -> np.ndarray:
     """Logarithmic false-alarm-rate grid used by the study."""
-    if not 0.0 < low < high <= 1.0:
-        raise ValueError("need 0 < low < high <= 1")
-    if points < 2:
-        raise ValueError("points must be >= 2")
+    _check_range("high", high, 0, 1, "(]")
+    _check_range("low", low, 0, high, "()")
+    _check_range("points", points, 2)
     return np.logspace(np.log10(low), np.log10(high), points)
 
 

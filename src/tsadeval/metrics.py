@@ -14,11 +14,14 @@ is built on the primitives here. Conventions used throughout the package:
 * precision, recall and F1 are defined as 0.0 whenever their denominator
   is 0, and the false-alarm rate of a series with no normal points is 0.0;
   ``_ratio`` is the one place a zero denominator becomes 0.0, for scalar
-  and array rates alike.
+  and array rates alike,
+* ``_check_range`` is the one check of a scalar against bounds, in the
+  library and the CLI alike; NaN lies outside every range.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -56,9 +59,9 @@ class Segment:
     end: int
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"segment start must be >= 0, got {self.start}")
-        if self.end < self.start:
+        # data_io._event_error words the same faults of a bounds row
+        _check_range("segment start", self.start, 0)
+        if not self.end >= self.start:
             raise ValueError(
                 f"segment end {self.end} precedes start {self.start}"
             )
@@ -203,8 +206,7 @@ class ConfusionCounts:
 
     def __post_init__(self) -> None:
         for name in ("tp", "fp", "fn", "tn"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            _check_range(name, getattr(self, name), 0)
 
     @property
     def total(self) -> int:
@@ -233,6 +235,22 @@ def point_confusion(
     fn = int(np.count_nonzero(lv)) - tp
     tn = lv.size - tp - fp - fn
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+
+
+def _check_range(name: str, value, low, high=math.inf, ends="[]") -> None:
+    """Reject a value outside the interval from low to high, each end
+    closed ("[", "]") or open ("(", ")") as ends says; NaN lies outside
+    every interval. With no high the message reads "must be >= low" (or
+    "> low"), plus "and finite" if ends leaves out infinity."""
+    above = low <= value if ends[0] == "[" else low < value
+    below = value <= high if ends[1] == "]" else value < high
+    if not (above and below):
+        if high == math.inf:
+            want = f"be {'>=' if ends[0] == '[' else '>'} {low}"
+            want += " and finite" if ends[1] == ")" else ""
+        else:
+            want = f"lie in {ends[0]}{low}, {high}{ends[1]}"
+        raise ValueError(f"{name} must {want}, got {value}")
 
 
 def _ratio(num, den):

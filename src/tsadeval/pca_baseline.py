@@ -23,7 +23,7 @@ from typing import BinaryIO, Optional, Union
 import numpy as np
 
 from tsadeval.data_io import MvtsFrame
-from tsadeval.metrics import LabelSeries, PredictionSeries
+from tsadeval.metrics import LabelSeries, PredictionSeries, _check_range
 from tsadeval.protocols import Protocol, _sweep_f1, score
 
 __all__ = [
@@ -55,18 +55,11 @@ class PcaConfig:
     smooth_window: int = 5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.variance_target <= 1.0:
-            raise ValueError(
-                f"variance_target {self.variance_target} outside (0, 1]"
-            )
+        _check_range("variance_target", self.variance_target, 0, 1, "(]")
         lo, hi = self.clip_quantiles
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError(
-                f"clip_quantiles {self.clip_quantiles} must satisfy "
-                "0 <= low < high <= 1"
-            )
-        if self.smooth_window < 1:
-            raise ValueError("smooth_window must be >= 1")
+        _check_range("clip_quantiles[0]", lo, 0, 1, "[)")
+        _check_range("clip_quantiles[1]", hi, lo, 1, "(]")
+        _check_range("smooth_window", self.smooth_window, 1)
 
 
 @dataclass(frozen=True)
@@ -100,13 +93,11 @@ class ScoredModel:
             object.__setattr__(self, f.name, arr)
         if {len(getattr(self, f.name)) for f in arrays} != {self.n_channels}:
             raise ValueError("per-channel arrays disagree on channel count")
-        if not 1 <= self.n_components <= self.n_channels:
-            raise ValueError("component count outside [1, n_channels]")
+        _check_range("n_components", self.n_components, 1, self.n_channels)
         gram = self.basis.T @ self.basis
         if not np.allclose(gram, np.eye(self.n_components), atol=1e-8):
             raise ValueError("basis columns must be orthonormal")
-        if self.smooth_window < 1:
-            raise ValueError("smooth_window must be >= 1")
+        _check_range("smooth_window", self.smooth_window, 1)
 
     @property
     def n_channels(self) -> int:
@@ -145,8 +136,7 @@ class AnomalyScoreSeries:
             raise ValueError("scores must be a non-empty 1-D array")
         if not np.isfinite(arr).all():
             raise ValueError("scores must be finite")
-        if (arr < 0).any():
-            raise ValueError("scores must be non-negative")
+        _check_range("smallest score", arr.min(), 0)
         arr.setflags(write=False)
         object.__setattr__(self, "scores", arr)
 

@@ -35,6 +35,7 @@ import numpy as np
 from tsadeval.metrics import (
     LabelSeries,
     PredictionSeries,
+    _check_range,
     _ratio,
     false_alarm_rate,
     harmonic_f1,
@@ -89,9 +90,7 @@ class ProtocolReport:
 
     def __post_init__(self) -> None:
         for name in ("precision", "recall", "f1", "far"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
+            _check_range(name, getattr(self, name), 0, 1)
         if abs(self.f1 - harmonic_f1(self.precision, self.recall)) > 1e-12:
             raise ValueError("f1 inconsistent with precision/recall")
 

@@ -449,6 +449,18 @@ class TestRandomFlagTrials:
         assert np.all(pa >= pw - 1e-12)
         assert trials.hits.shape == (200,)
 
+    def test_point_adjust_distribution_refuses_several_events(self):
+        # a hit in the short event credits fewer points than one in the
+        # long event, so the adjusted F1 is no function of the hit count
+        values = np.zeros(100, dtype=np.int8)
+        values[10:15] = 1
+        values[50:80] = 1
+        labels = LabelSeries(values)
+        trials = random_flag_trials(labels, alpha=5, trials=2000, seed=1)
+        setup = AttackSetup(100, labels.n_anomalous, 5)
+        with pytest.raises(ValueError, match="no function of the hit count"):
+            trials.point_adjust_distribution(setup)
+
     def test_hits_agree_with_confusion(self):
         labels = single_segment_labels(100, 10)
         trials = random_flag_trials(

@@ -698,6 +698,14 @@ INPUT_ERRORS = {
         "attack-worst", "--segment-length", "5", "--contamination", "0.1",
         "--alpha-max", "4", "--alpha-step", "0",
     ],
+    "attack-worst-zero-alpha-max": [
+        "attack-worst", "--segment-length", "5", "--contamination", "0.1",
+        "--alpha-max", "0",
+    ],
+    "attack-worst-alpha-max-below-alpha-min": [
+        "attack-worst", "--segment-length", "5", "--contamination", "0.1",
+        "--alpha-min", "5", "--alpha-max", "4",
+    ],
     "attack-worst-empty-alpha-range": [
         "attack-worst", "--segment-length", "5", "--contamination", "0.1",
         "--alpha-min", "5", "--alpha-max", "4",
@@ -825,6 +833,10 @@ OPTION_ERRORS = {
     "attack-zero-trials": "--trials must be >= 1, got 0",
     "attack-negative-seed": "--seed must be >= 0, got -1",
     "attack-worst-zero-alpha-step": "--alpha-step must be >= 1, got 0",
+    "attack-worst-zero-alpha-max": "--alpha-max must be >= 1, got 0",
+    "attack-worst-alpha-max-below-alpha-min": (
+        "--alpha-max must be >= 5, got 4"
+    ),
     "attack-cdf-alpha-exceeds-series": "--alpha must lie in [1, 10], got 11",
     "attack-cdf-segment-exceeds-series": (
         "--segment-length must lie in [1, 10], got 20"
@@ -1102,7 +1114,7 @@ UNPARSABLE_OPTIONS = {
     ),
     "negative-shape": (
         ["far-study", "--shapes=-1:5"],
-        "bad shape '-1:5': counts must be non-negative",
+        "bad shape '-1:5': n_normal must be >= 0, got -1",
     ),
 }
 
@@ -1285,6 +1297,45 @@ def test_no_command_imports_scipy(tmp_path, spec_file):
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+LOCALE_SCRIPT = """
+import sys
+from tsadeval.cli import main
+from tsadeval.data_io import load_frame, write_frame
+write_frame(load_frame("frame.csv"), "copy.csv")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale, with neither locale coercion nor UTF-8 mode
+    frame = "temp\u00e9rature,label\r\n0.5,0\r\n1.5,1\r\n"
+    (tmp_path / "frame.csv").write_bytes(frame.encode("utf-8"))
+    (tmp_path / "latin1.csv").write_bytes(frame.encode("latin-1"))
+    (tmp_path / "events.csv").write_text("start,end\n1,1\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("LC_")}
+    env.update(
+        LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+        PYTHONPATH=str(src),
+    )
+
+    def check_labels(labels):
+        return subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", LOCALE_SCRIPT,
+             "check-labels", "--labels", labels, "--events", "events.csv",
+             "--out", "out"],
+            cwd=tmp_path, env=env, capture_output=True, timeout=300,
+        )
+
+    done = check_labels("frame.csv")
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "copy.csv").read_bytes() == frame.encode("utf-8")
+    assert read_report(tmp_path / "out")["results"]["is_consistent"] is True
+    done = check_labels("latin1.csv")
+    assert done.returncode == 2
+    assert b"latin1.csv: not UTF-8 text" in done.stderr
 
 
 class TestReproducibility:

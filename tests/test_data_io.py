@@ -462,6 +462,18 @@ class TestLabelsFromEvents:
         with pytest.raises(ValueError, match="exceeds"):
             labels_from_events([[8, 12]], 10)
 
+    def test_empty_sequence_holds_no_events(self):
+        assert labels_from_events([], 4) == LabelSeries([0, 0, 0, 0])
+
+    @pytest.mark.parametrize(
+        "events, shape",
+        [([1, 2], (2,)), ([[1, 2, 3]], (1, 3)), (np.zeros((1, 2, 2)), (1, 2, 2))],
+    )
+    def test_bounds_of_another_shape_rejected(self, events, shape):
+        message = f"events must have shape (n, 2), got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            labels_from_events(events, 10)
+
     def test_round_trip_with_segmentize(self):
         rng = np.random.default_rng(10)
         for _ in range(100):

@@ -1,5 +1,7 @@
 """Expected-count F1 study: anchors, conventions and the ordering property."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,13 @@ class TestTable:
          (0.9, [float("nan")])],
     )
     def test_out_of_range_rejected(self, recall, grid):
-        with pytest.raises(ValueError, match="outside"):
+        # the message names the value at fault: the recall, else the last far
+        if 0 <= recall <= 1:
+            name, value = "far", grid[-1]
+        else:
+            name, value = "recall", recall
+        message = f"{name} must lie in [0, 1], got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             f1_far_table(recall, np.array(grid), self.SHAPES)
 
     def test_contamination_ordering_strict(self):

@@ -1,6 +1,7 @@
 """Scoring protocols: worked examples, reference scorers and invariants."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -320,7 +321,8 @@ class TestDispatch:
             )
 
     def test_report_range_enforced(self):
-        with pytest.raises(ValueError, match="outside"):
+        message = "precision must lie in [0, 1], got 1.5"
+        with pytest.raises(ValueError, match=re.escape(message)):
             ProtocolReport(
                 protocol=Protocol.POINT_WISE,
                 precision=1.5,
