@@ -1,5 +1,6 @@
 """Random-flag attack: closed forms, distributions and the Monte Carlo path."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -27,6 +28,7 @@ from tsadeval.adversary import (
     worst_case_precision_pa,
     worst_case_table,
 )
+from tsadeval.data_io import AnomalySignal, SyntheticSpec, synthetic_labels
 from tsadeval.metrics import LabelSeries, PredictionSeries, point_confusion
 from tsadeval.protocols import Protocol, score
 
@@ -591,3 +593,50 @@ class TestTrialsAgainstScore:
                     assert trials.f1_by_protocol[p][i] == score(
                         labels, preds, p
                     ).f1
+
+
+# criterion 05's event mix: 450k points, 35 events, contamination 0.12
+CRITERION_05_SPEC = SyntheticSpec(
+    total_points=450_000,
+    event_lengths=tuple([100] * 17 + [450] * 17 + [44_650]),
+    n_channels=1,
+    anomaly_signal=AnomalySignal.MEAN_SHIFT,
+    seed=20260816,
+)
+
+
+class TestEngineGoldenAtScale:
+    """The engine's hits and F1 on criterion 05's mix, pinned by SHA-256.
+
+    300 trials of 1000 alarms run as five blocks of 65 rows, the last one
+    partial, so the pin covers the block loop as well as the counts. A
+    faster engine must keep every hit count and every F1 bit for bit.
+    """
+
+    HITS = "0b5b5bb179fc7ea0c4d33bd8a47b355e141828675f1fc0da4b4262f830e9fcc8"
+    F1 = {
+        Protocol.POINT_WISE: (
+            "a541212f6421624ee87632897640e706e2fb430614b95898957638cdb80e60e2"
+        ),
+        Protocol.POINT_ADJUST: (
+            "5766cf900d8394464fd9e1d2b03ca86b21987fdfb3f4ddc38c37c2be1a7e268a"
+        ),
+        Protocol.COMPOSITE: (
+            "fb916413f8e42e20bc40a277b5dfad326c75b123871cf63ba094836d77cdf40b"
+        ),
+        Protocol.EVENT_WISE: (
+            "9672a65f75d17ca1d65127af62cf4c51f1124081039c2da7862d31dbd00e0335"
+        ),
+    }
+
+    def test_hits_and_f1_are_pinned(self):
+        labels = synthetic_labels(CRITERION_05_SPEC)
+        blocks = list(adversary._alarm_blocks(len(labels), 1000, 300, 5))
+        assert [b.stop - b.start for b, _ in blocks] == [65] * 4 + [40]
+        outcome = random_flag_trials(labels, alpha=1000, trials=300, seed=5)
+        assert outcome.hits.dtype == np.int64
+        assert hashlib.sha256(outcome.hits.tobytes()).hexdigest() == self.HITS
+        for p in Protocol:
+            f1 = outcome.f1_by_protocol[p]
+            assert f1.dtype == np.float64
+            assert hashlib.sha256(f1.tobytes()).hexdigest() == self.F1[p]
