@@ -18,7 +18,10 @@ series, keeps each row's alpha smallest of uniform random keys.
 
 The engine never builds a prediction series: protocols._block_counts
 counts each protocol's terms from the sorted positions, and
-protocols._rates turns them into F1. Each sampler path must pass a
+protocols._rates turns them into F1. Counting touches every alarm only
+twice, with a gather of the labels and a diff along the row; the rest of
+its work grows with the hits, and its memory stays a few arrays of
+rows x alpha, like the sampler's. Each sampler path must pass a
 chi-square test of uniformity over all subsets.
 
 Closed forms (single anomalous segment of length A inside T points,
@@ -56,6 +59,7 @@ from tsadeval.metrics import (
     LabelSeries,
     PredictionSeries,
     _check_range,
+    _is_int,
     point_confusion,
 )
 from tsadeval.protocols import Protocol, _block_counts, _rates, score
@@ -80,15 +84,23 @@ __all__ = [
 ]
 
 
+def _check_count(name: str, value, low: int, high=math.inf) -> None:
+    """_check_range, then refuse a value that is no integer: a count of
+    points, alarms or hits must be a whole number."""
+    _check_range(name, value, low, high)
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def single_segment_labels(
     total_points: int, segment_length: int, start: Optional[int] = None
 ) -> LabelSeries:
     """Labels with one anomalous segment; centered unless start is given."""
-    _check_range("total_points", total_points, 1)
-    _check_range("segment_length", segment_length, 1, total_points)
+    _check_count("total_points", total_points, 1)
+    _check_count("segment_length", segment_length, 1, total_points)
     if start is None:
         start = (total_points - segment_length) // 2
-    _check_range("start", start, 0, total_points - segment_length)
+    _check_count("start", start, 0, total_points - segment_length)
     values = np.zeros(total_points, dtype=np.int8)
     values[start : start + segment_length] = 1
     return LabelSeries(values)
@@ -103,11 +115,11 @@ class AttackSetup:
     alpha: int
 
     def __post_init__(self) -> None:
-        _check_range("total_points", self.total_points, 1)
-        _check_range(
+        _check_count("total_points", self.total_points, 1)
+        _check_count(
             "anomalous_length", self.anomalous_length, 1, self.total_points
         )
-        _check_range("alpha", self.alpha, 1, self.total_points)
+        _check_count("alpha", self.alpha, 1, self.total_points)
 
     @property
     def contamination_rate(self) -> float:
@@ -126,7 +138,7 @@ def prob_perfect_recall(contamination_rate: float, alpha: int) -> float:
     per-event rate, as a per-event quantity.
     """
     _check_range("contamination_rate", contamination_rate, 0, 1)
-    _check_range("alpha", alpha, 1)
+    _check_count("alpha", alpha, 1)
     return 1.0 - (1.0 - contamination_rate) ** alpha
 
 
@@ -137,9 +149,9 @@ def f1_pa_for_hits(anomalous_length: int, alpha: int, hits: int) -> float:
     A true positives) and the alpha - s misses stay false positives, giving
     F1 = 2A / (2A + alpha - s). Zero hits leave recall at 0, hence F1 = 0.
     """
-    _check_range("anomalous_length", anomalous_length, 1)
-    _check_range("alpha", alpha, 1)
-    _check_range("hits", hits, 0, alpha)
+    _check_count("anomalous_length", anomalous_length, 1)
+    _check_count("alpha", alpha, 1)
+    _check_count("hits", hits, 0, alpha)
     return float(_f1_pa(anomalous_length, alpha, hits))
 
 
@@ -151,8 +163,8 @@ def _f1_pa(anomalous_length: int, alpha: int, hits):
 
 def worst_case_precision_pa(anomalous_length: int, alpha: int) -> float:
     """Adjusted precision of the least lucky non-zero outcome (one hit)."""
-    _check_range("anomalous_length", anomalous_length, 1)
-    _check_range("alpha", alpha, 1)
+    _check_count("anomalous_length", anomalous_length, 1)
+    _check_count("alpha", alpha, 1)
     return anomalous_length / (anomalous_length + alpha - 1)
 
 

@@ -48,6 +48,7 @@ from tsadeval.metrics import (
     PredictionSeries,
     Segment,
     _check_range,
+    _is_int,
     segmentize,
 )
 
@@ -694,11 +695,6 @@ class SyntheticSpec:
                 f"events need {needed} points (event_lengths plus gap_policy "
                 f"gaps) but total_points is {self.total_points}"
             )
-
-
-def _is_int(value) -> bool:
-    # JSON's true and false are bools, which Python counts as integers
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def load_synthetic_spec(path: "str | Path") -> SyntheticSpec:

@@ -22,6 +22,7 @@ is built on the primitives here. Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -251,6 +252,12 @@ def _check_range(name: str, value, low, high=math.inf, ends="[]") -> None:
         else:
             want = f"lie in {ends[0]}{low}, {high}{ends[1]}"
         raise ValueError(f"{name} must {want}, got {value}")
+
+
+def _is_int(value) -> bool:
+    """Whether value is a Python or numpy integer. Bools are not: JSON's
+    true and false would otherwise pass for 1 and 0."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _ratio(num, den):

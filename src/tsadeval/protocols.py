@@ -18,6 +18,9 @@ counts, whatever form the output takes: a prediction (score), scores
 ranked at every candidate threshold (_sweep_f1), or rows of sorted alarm
 positions, one per random-flag trial (_block_counts). All three hand
 their counts to _rates, the one place each protocol's formula lives.
+_block_counts touches every alarm twice, with a gather of the labels and
+a diff along each row; the rest of its work grows with the hits alone,
+and its memory stays a few arrays of rows x alpha.
 Arrays of counts, one per threshold or trial, go through the same
 operations as score()'s scalars, so the sweep's and the trial engine's
 F1 equal score() on the corresponding prediction bit for bit; the tests
@@ -298,39 +301,54 @@ def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:
     """Every count _rates reads, one per row of sorted alarms.
 
     Row i of `alarms` holds one trial's distinct alarm positions in
-    ascending order. An alarm's event is the last one starting at or before
-    it, and the alarm is a hit when it lies at or before that event's end.
-    Hits on one event are adjacent in a row, so the first of them marks the
-    event detected. A predicted segment is a run of consecutive positions,
-    and it is false when none of its alarms is a hit.
+    ascending order. Two passes touch every alarm: a gather of the labels
+    at the alarms marks the hits, and a diff along each row counts the
+    predicted segments, the runs of consecutive positions. Everything
+    else runs over the hits alone, flattened in row order, so its cost
+    grows with the hits, and memory stays a few arrays of rows x alpha.
+
+    A hit's event is the last one starting at or before it. Hits on one
+    event are adjacent, so a hit whose row or event differs from the
+    previous hit's marks its event detected. Along a predicted segment,
+    position and flattened index rise together; a hit whose row or lag
+    (position less index) differs from the previous hit's so opens a true
+    segment, and the segments no hit opens are false. A row's count of
+    flagged hits is the number of flagged indices before its end less the
+    number before its start, each found by a search of the flagged indices.
     """
     starts, ends = labels.starts, labels.ends
     rows, alpha = alarms.shape
-    event = np.searchsorted(starts, alarms, side="right") - 1
-    # event -1 (before the first event) reads the appended end -1 and
-    # length 0
-    inside = alarms <= np.append(ends, -1)[event]
-    first_hit = inside.copy()
-    first_hit[:, 1:] &= event[:, 1:] != event[:, :-1]
-    new_segment = np.ones(alarms.shape, dtype=bool)
-    new_segment[:, 1:] = np.diff(alarms, axis=1) != 1
-    segment = np.cumsum(new_segment, axis=1) - 1
-    row = np.broadcast_to(np.arange(rows)[:, None], alarms.shape)
-    true_segment = np.zeros(alarms.shape, dtype=bool)
-    true_segment[row[inside], segment[inside]] = True
+    inside = labels.values[alarms] != 0
     tp = np.count_nonzero(inside, axis=1)
-    fp = alpha - tp
-    tp_e = np.count_nonzero(first_hit, axis=1)
+    segments = (alpha > 0) + np.count_nonzero(
+        np.diff(alarms, axis=1) != 1, axis=1
+    )
+    flat = np.flatnonzero(inside)
+    hit = alarms.ravel()[flat]
+    # one past each row's last hit, in flattened order
+    row_end = np.cumsum(tp)
+    new_row = np.zeros(hit.size, dtype=bool)
+    new_row[(row_end - tp)[tp > 0]] = True
+    event = np.searchsorted(starts, hit, side="right") - 1
+    first_hit = new_row.copy()
+    first_hit[1:] |= event[1:] != event[:-1]
+    lag = hit - flat
+    opens = new_row
+    opens[1:] |= lag[1:] != lag[:-1]
+    first = np.flatnonzero(first_hit)
+    # first hits, and their events' summed lengths, through each row's end
+    detected = np.searchsorted(first, row_end)
+    lengths = (ends - starts + 1)[event[first]]
+    credit = np.concatenate(([0], np.cumsum(lengths)))
+    true_segments = np.searchsorted(np.flatnonzero(opens), row_end)
+    tp_e = np.diff(detected, prepend=0)
     return {
         "tp": tp,
-        "fp": fp,
+        "fp": alpha - tp,
         "fn": labels.n_anomalous - tp,
         "n_normal": labels.n_normal,
-        "adjusted_tp": np.where(
-            first_hit, np.append(ends - starts + 1, 0)[event], 0
-        ).sum(axis=1),
+        "adjusted_tp": np.diff(credit[detected], prepend=0),
         "tp_e": tp_e,
-        "fp_e": np.count_nonzero(new_segment, axis=1)
-        - np.count_nonzero(true_segment, axis=1),
+        "fp_e": segments - np.diff(true_segments, prepend=0),
         "fn_e": labels.n_events - tp_e,
     }

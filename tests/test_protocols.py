@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tsadeval.metrics import LabelSeries, PredictionSeries
+from tsadeval.metrics import LabelSeries, PredictionSeries, point_confusion
 from tsadeval.protocols import (
     DEPRECATED_PROTOCOLS,
     Protocol,
     ProtocolReport,
+    _block_counts,
+    _event_counts,
     point_adjust,
     score,
     score_all,
@@ -170,6 +172,64 @@ class TestEventCountsAgainstNaive:
             score(labels, adjusted, Protocol.POINT_WISE),
             protocol=Protocol.POINT_ADJUST,
         )
+
+
+@st.composite
+def alarm_blocks(draw):
+    """(label values, rows of sorted alarms): up to 40 points, 1 to 5 rows
+    of one alarm count in [0, T], each row a subset of the positions."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    flags = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    labels = draw(st.one_of(flags, st.just([0] * n), st.just([1] * n)))
+    alpha = draw(st.integers(min_value=0, max_value=n))
+    orders = st.lists(st.permutations(range(n)), min_size=1, max_size=5)
+    return labels, [sorted(order[:alpha]) for order in draw(orders)]
+
+
+class TestBlockCountsAgainstScore:
+    """_block_counts against point-by-point counts of each row's prediction.
+
+    F1 alone cannot catch every wrong count: event-wise F1 is 0 whenever
+    tp_e is 0, whatever fp_e reads.
+    """
+
+    @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
+    @settings(max_examples=300, deadline=None)
+    @given(alarm_blocks())
+    @example(([1], [[0]]))  # length 1
+    @example(([0], [[0], [0]]))
+    @example(([1], [[]]))  # no alarms
+    @example(([0, 0, 0, 0, 0], [[0, 2, 3], [1, 2, 4]]))  # no events
+    @example(([1, 1, 1, 1], [[0, 1, 3], [0, 2, 3]]))  # all anomalous
+    @example(([1, 1, 0, 0, 1, 0, 0, 1], [[0, 3, 7], [1, 4, 5]]))  # both ends
+    # alarms that fill the gap between two events, touching both or neither
+    @example(([1, 1, 0, 0, 1], [[1, 2, 3], [2, 3, 4], [0, 2, 3]]))
+    @example(([1, 0, 0, 1], [[1, 2]]))
+    # a row with no hit between rows with hits
+    @example(([0, 1, 0, 0, 1, 1], [[1, 4], [0, 2], [4, 5]]))
+    def test_counts_equal_point_by_point_counts(self, block):
+        values, rows = block
+        labels = LabelSeries(values)
+        alarms = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+        counts = _block_counts(labels, alarms)
+        assert counts["n_normal"] == labels.n_normal
+        names = ("tp", "fp", "fn", "adjusted_tp", "tp_e", "fp_e", "fn_e")
+        assert set(counts) == {"n_normal", *names}
+        for name in names:
+            assert counts[name].dtype == np.int64
+            assert counts[name].shape == (len(rows),)
+        for i, row in enumerate(rows):
+            flags = np.zeros(len(values), dtype=np.int8)
+            flags[row] = 1
+            preds = PredictionSeries(flags)
+            raw = point_confusion(labels, preds)
+            adjusted = point_confusion(labels, point_adjust(labels, preds))
+            tp_e, fp_e, fn_e = _event_counts(labels, preds)
+            expected = dict(
+                tp=raw.tp, fp=raw.fp, fn=raw.fn, adjusted_tp=adjusted.tp,
+                tp_e=tp_e, fp_e=fp_e, fn_e=fn_e,
+            )
+            assert {name: counts[name][i] for name in names} == expected
 
 
 class TestPointAdjustBehaviour:

@@ -14,6 +14,7 @@ from tsadeval.adversary import (
     prob_perfect_recall,
     random_flag_trials,
     single_segment_labels,
+    worst_case_f1_pa,
     worst_case_precision_pa,
 )
 from tsadeval.data_io import (
@@ -184,3 +185,50 @@ def test_dependent_bounds_name_the_sibling_value():
         PcaConfig(clip_quantiles=(0.5, 0.2))
     with pytest.raises(ValueError, match=re.escape("in (0, 0.1), got 0.2")):
         default_far_grid(0.2, 0.1)
+
+
+# (argument the message names, a call that passes it a fractional count);
+# each count is in range, so only the integer check can refuse it
+FRACTIONAL_CASES = {
+    "worst_case_f1_pa": ("alpha", lambda: worst_case_f1_pa(10, 2.5)),
+    "prob_perfect_recall": ("alpha", lambda: prob_perfect_recall(0.1, 2.5)),
+    "f1_pa_for_hits-length": (
+        "anomalous_length", lambda: f1_pa_for_hits(10.5, 5, 1)
+    ),
+    "f1_pa_for_hits-hits": ("hits", lambda: f1_pa_for_hits(10, 5, 1.5)),
+    "worst_case_precision_pa": (
+        "alpha", lambda: worst_case_precision_pa(10, np.float64(2.5))
+    ),
+    "AttackSetup-total": ("total_points", lambda: AttackSetup(100.5, 10, 2)),
+    "AttackSetup-length": (
+        "anomalous_length", lambda: AttackSetup(100, 10.5, 2)
+    ),
+    "AttackSetup-alpha": ("alpha", lambda: AttackSetup(100, 10, 2.5)),
+    "single_segment_labels": (
+        "segment_length", lambda: single_segment_labels(10, 2.5)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRACTIONAL_CASES))
+def test_fractional_counts_are_refused(case):
+    name, call = FRACTIONAL_CASES[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+        call()
+
+
+def test_fractional_count_message_names_the_value():
+    message = "alpha must be an integer, got 2.5"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AttackSetup(100, 10, 2.5)
+
+
+def test_numpy_integer_counts_are_counts():
+    setup = AttackSetup(np.int64(100), np.int32(10), np.int64(2))
+    assert setup.contamination_rate == 0.1
+    assert worst_case_f1_pa(np.int64(10), 2) == worst_case_f1_pa(10, 2)
+    assert prob_perfect_recall(0.1, np.int64(2)) == prob_perfect_recall(0.1, 2)
+    assert f1_pa_for_hits(10, np.int16(5), np.int8(1)) == (
+        f1_pa_for_hits(10, 5, 1)
+    )
+    assert worst_case_precision_pa(np.uint8(10), 2) == 10 / 11
