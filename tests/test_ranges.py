@@ -1,5 +1,6 @@
 """The one range check: every library bound is checked by
-metrics._check_range, which words each violation one way and refuses NaN."""
+metrics._check_range, which words each violation one way and refuses NaN.
+The attack's counts of points, alarms and hits must also be integers."""
 
 import math
 import re
@@ -187,40 +188,41 @@ def test_dependent_bounds_name_the_sibling_value():
         default_far_grid(0.2, 0.1)
 
 
-# (argument the message names, a call that passes it a fractional count);
-# each count is in range, so only the integer check can refuse it
+# (argument and value the message names, a call that passes it a fractional
+# count); each count is in range, so only the integer check can refuse it
 FRACTIONAL_CASES = {
-    "worst_case_f1_pa": ("alpha", lambda: worst_case_f1_pa(10, 2.5)),
-    "prob_perfect_recall": ("alpha", lambda: prob_perfect_recall(0.1, 2.5)),
+    "worst_case_f1_pa": ("alpha", 2.5, lambda: worst_case_f1_pa(10, 2.5)),
+    "prob_perfect_recall": (
+        "alpha", 2.5, lambda: prob_perfect_recall(0.1, 2.5)
+    ),
     "f1_pa_for_hits-length": (
-        "anomalous_length", lambda: f1_pa_for_hits(10.5, 5, 1)
+        "anomalous_length", 10.5, lambda: f1_pa_for_hits(10.5, 5, 1)
     ),
-    "f1_pa_for_hits-hits": ("hits", lambda: f1_pa_for_hits(10, 5, 1.5)),
+    "f1_pa_for_hits-hits": ("hits", 1.5, lambda: f1_pa_for_hits(10, 5, 1.5)),
     "worst_case_precision_pa": (
-        "alpha", lambda: worst_case_precision_pa(10, np.float64(2.5))
+        "alpha",
+        np.float64(2.5),
+        lambda: worst_case_precision_pa(10, np.float64(2.5)),
     ),
-    "AttackSetup-total": ("total_points", lambda: AttackSetup(100.5, 10, 2)),
+    "AttackSetup-total": (
+        "total_points", 100.5, lambda: AttackSetup(100.5, 10, 2)
+    ),
     "AttackSetup-length": (
-        "anomalous_length", lambda: AttackSetup(100, 10.5, 2)
+        "anomalous_length", 10.5, lambda: AttackSetup(100, 10.5, 2)
     ),
-    "AttackSetup-alpha": ("alpha", lambda: AttackSetup(100, 10, 2.5)),
+    "AttackSetup-alpha": ("alpha", 2.5, lambda: AttackSetup(100, 10, 2.5)),
     "single_segment_labels": (
-        "segment_length", lambda: single_segment_labels(10, 2.5)
+        "segment_length", 2.5, lambda: single_segment_labels(10, 2.5)
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FRACTIONAL_CASES))
 def test_fractional_counts_are_refused(case):
-    name, call = FRACTIONAL_CASES[case]
-    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
-        call()
-
-
-def test_fractional_count_message_names_the_value():
-    message = "alpha must be an integer, got 2.5"
+    name, value, call = FRACTIONAL_CASES[case]
+    message = f"{name} must be an integer, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        AttackSetup(100, 10, 2.5)
+        call()
 
 
 def test_numpy_integer_counts_are_counts():
