@@ -191,6 +191,7 @@ def worst_case_table(
     """Analytic curves of the attack outcome as the alarm budget grows."""
     rows = []
     for alpha in alphas:
+        _check_count("alpha", alpha, 1)
         alpha = int(alpha)
         rows.append(
             WorstCaseRow(
@@ -407,7 +408,7 @@ def _sample(
     points left unflagged. Memory is a few arrays of rows * alpha values,
     plus one key (dense) or flag (alpha > total / 2) per point of a row.
     """
-    _check_range("alpha", alpha, 0, total)
+    _check_count("alpha", alpha, 0, total)
     k = min(alpha, total - alpha)
     if _DENSE_DIVISOR * k > total:
         return _random_keys(total, alpha, rows, rng)
@@ -531,7 +532,8 @@ def random_flag_trials(
     and independent of the others, and protocols._block_counts counts
     them.
     """
-    _check_range("trials", trials, 1)
+    _check_count("alpha", alpha, 0, len(labels))
+    _check_count("trials", trials, 1)
     protocols = tuple(Protocol(p) for p in protocols)
     hits = np.zeros(trials, dtype=np.int64)
     f1 = {p: np.zeros(trials) for p in protocols}

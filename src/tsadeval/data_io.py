@@ -813,15 +813,22 @@ def _backbone(
     The decaying singular values concentrate variance in a few directions,
     which is what gives a truncated PCA something to reconstruct. The
     AR(1) filter is _ar1's log-step scan.
+
+    At most two frame-sized arrays are alive at once: the latent factors
+    and their mix, then the mix and the observation noise, which is
+    scaled and added in place.
     """
     q1, _ = np.linalg.qr(rng.standard_normal((n_channels, n_channels)))
     q2, _ = np.linalg.qr(rng.standard_normal((n_channels, n_channels)))
     singulars = _SINGULAR_DECAY ** np.arange(n_channels)
     mixing = (q1 * singulars) @ q2
     latent = _ar1(rng.standard_normal((n_points, n_channels)), _AR_COEF)
-    return latent @ mixing.T + _OBS_NOISE * rng.standard_normal(
-        (n_points, n_channels)
-    )
+    values = latent @ mixing.T
+    del latent
+    noise = rng.standard_normal((n_points, n_channels))
+    noise *= _OBS_NOISE
+    values += noise
+    return values
 
 
 def _inject(

@@ -151,6 +151,10 @@ def fit(train: MvtsFrame, config: Optional[PcaConfig] = None) -> ScoredModel:
     they carry no spread for the quantiles to work with but still
     contribute their residual. Component count is the smallest k whose
     eigenvalues cover config.variance_target of the total variance.
+
+    Scaling and clipping run in one frame-sized buffer, so beside the
+    frame fit holds at most two frame-sized arrays at once: that buffer
+    and the copy that np.median, np.quantile or np.cov sorts or centres.
     """
     config = config or PcaConfig()
     x = train.values
@@ -166,12 +170,13 @@ def fit(train: MvtsFrame, config: Optional[PcaConfig] = None) -> ScoredModel:
             stacklevel=2,
         )
         spread = np.where(flat, 1.0, spread)
-    scaled = (x - center) / spread
+    scaled = x - center
+    scaled /= spread
     lo, hi = config.clip_quantiles
     clip_low, clip_high = np.quantile(scaled, [lo, hi], axis=0)
-    clipped = np.clip(scaled, clip_low, clip_high)
-    mean = clipped.mean(axis=0)
-    cov = np.atleast_2d(np.cov(clipped, rowvar=False))
+    np.clip(scaled, clip_low, clip_high, out=scaled)
+    mean = scaled.mean(axis=0)
+    cov = np.atleast_2d(np.cov(scaled, rowvar=False))
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)
@@ -208,17 +213,23 @@ def _smooth_trailing(raw: np.ndarray, window: int) -> np.ndarray:
 
 
 def score_frame(model: ScoredModel, frame: MvtsFrame) -> AnomalyScoreSeries:
-    """Squared reconstruction error per point, causally smoothed."""
+    """Squared reconstruction error per point, causally smoothed.
+
+    Scaling, clipping, centring and the residual run in one frame-sized
+    buffer, so beside the frame score_frame holds at most two frame-sized
+    arrays at once: that buffer and the reconstruction subtracted from it,
+    with the rows x k projection the reconstruction is built from.
+    """
     if frame.n_channels != model.n_channels:
         raise ValueError(
             f"frame has {frame.n_channels} channels, model expects "
             f"{model.n_channels}"
         )
-    scaled = (frame.values - model.center) / model.spread
-    clipped = np.clip(scaled, model.clip_low, model.clip_high)
-    centered = clipped - model.mean
-    projected = centered @ model.basis
-    residual = centered - projected @ model.basis.T
+    residual = frame.values - model.center
+    residual /= model.spread
+    np.clip(residual, model.clip_low, model.clip_high, out=residual)
+    residual -= model.mean
+    residual -= (residual @ model.basis) @ model.basis.T
     raw = np.einsum("ij,ij->i", residual, residual)
     return AnomalyScoreSeries(_smooth_trailing(raw, model.smooth_window))
 

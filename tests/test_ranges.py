@@ -14,9 +14,11 @@ from tsadeval.adversary import (
     f1_pa_for_hits,
     prob_perfect_recall,
     random_flag_trials,
+    run_attack,
     single_segment_labels,
     worst_case_f1_pa,
     worst_case_precision_pa,
+    worst_case_table,
 )
 from tsadeval.data_io import (
     AnomalySignal,
@@ -214,6 +216,27 @@ FRACTIONAL_CASES = {
     "single_segment_labels": (
         "segment_length", 2.5, lambda: single_segment_labels(10, 2.5)
     ),
+    "worst_case_table": (
+        "alpha", 2.5, lambda: worst_case_table(50, 0.1, [2.5])
+    ),
+    "random_flag_trials-alpha": (
+        "alpha",
+        2.5,
+        lambda: random_flag_trials(single_segment_labels(100, 10), 2.5, 10),
+    ),
+    "random_flag_trials-trials": (
+        "trials",
+        10.5,
+        lambda: random_flag_trials(single_segment_labels(100, 10), 2, 10.5),
+    ),
+    "run_attack": (
+        "alpha", 2.5, lambda: run_attack(single_segment_labels(100, 10), 2.5)
+    ),
+    "_sample": (
+        "alpha",
+        2.5,
+        lambda: adversary._sample(100, 2.5, 1, np.random.default_rng(0)),
+    ),
 }
 
 
@@ -234,3 +257,8 @@ def test_numpy_integer_counts_are_counts():
         f1_pa_for_hits(10, 5, 1)
     )
     assert worst_case_precision_pa(np.uint8(10), 2) == 10 / 11
+    alphas = [row.alpha for row in worst_case_table(50, 0.1, np.arange(1, 3))]
+    assert alphas == [1, 2] and all(type(a) is int for a in alphas)
+    labels = single_segment_labels(100, 10)
+    trials = random_flag_trials(labels, np.int64(2), np.int32(3))
+    assert trials.hits.shape == (3,)
