@@ -58,8 +58,8 @@ from tsadeval.metrics import (
     FAR_NO_NORMAL_WARNING,
     LabelSeries,
     PredictionSeries,
+    _check_count,
     _check_range,
-    _is_int,
     point_confusion,
 )
 from tsadeval.protocols import Protocol, _block_counts, _rates, score
@@ -82,14 +82,6 @@ __all__ = [
     "random_flag_trials",
     "trial_seed",
 ]
-
-
-def _check_count(name: str, value, low: int, high=math.inf) -> None:
-    """_check_range, then refuse a value that is no integer: a count of
-    points, alarms or hits must be a whole number."""
-    _check_range(name, value, low, high)
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def single_segment_labels(

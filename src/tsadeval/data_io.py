@@ -1,7 +1,7 @@
 """File formats, synthetic data generation and label consistency checks.
 
-CSV conventions (UTF-8 whatever the locale, all headers mandatory, all
-indices 0-based):
+CSV conventions (UTF-8 whatever the locale, a leading BOM skipped on
+read, all headers mandatory, all indices 0-based):
 
 * frame:        ``c0,...,c{D-1}[,label]`` with float cells; the optional
                 trailing ``label`` column holds 0/1,
@@ -33,7 +33,6 @@ import io
 import itertools
 import json
 import math
-import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
@@ -47,8 +46,8 @@ from tsadeval.metrics import (
     LabelSeries,
     PredictionSeries,
     Segment,
+    _check_count,
     _check_range,
-    _is_int,
     segmentize,
 )
 
@@ -288,7 +287,7 @@ def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(_records(fh, path, 1), None)
             kinds = kinds_for(path, header)
             pieces, first_line = [], 2
@@ -544,7 +543,7 @@ def labels_from_events(events: np.ndarray, total_points: int) -> LabelSeries:
     than (n, 2), a negative start, an end before its start or an event
     reaching past the series end is an error.
     """
-    _check_range("total_points", total_points, 1)
+    _check_count("total_points", total_points, 1)
     bounds = np.asarray(events, dtype=np.int64)
     if bounds.shape == (0,):  # an empty sequence: no events
         bounds = bounds.reshape(0, 2)
@@ -607,7 +606,7 @@ def check_label_consistency(
         raise ValueError(
             f"length mismatch: {len(integrated)} vs {len(reconstructed)}"
         )
-    diff = integrated.values.astype(np.int8) - reconstructed.values
+    diff = integrated.values - reconstructed.values
     runs = [
         DisagreementRun(segment=seg, direction="integrated-only")
         for seg in segmentize(diff == 1)
@@ -655,17 +654,16 @@ class SyntheticSpec:
     signal_strength: float = 3.0
 
     def __post_init__(self) -> None:
-        for name in ("total_points", "n_channels", "seed", "gap_policy"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("total_points", "n_channels", "gap_policy"):
+            _check_count(name, getattr(self, name), 1)
+        _check_count("seed", self.seed, 0)
         lengths = self.event_lengths
-        if not isinstance(lengths, (list, tuple)) or not all(
-            _is_int(length) for length in lengths
-        ):
+        if not isinstance(lengths, (list, tuple)):
             raise ValueError(
                 f"event_lengths must be a list of integers, got {lengths!r}"
             )
+        for length in lengths:
+            _check_count("event_lengths", length, 1)
         object.__setattr__(self, "event_lengths", tuple(map(int, lengths)))
         try:
             signal = AnomalySignal(self.anomaly_signal)
@@ -676,18 +674,7 @@ class SyntheticSpec:
                 f"got {self.anomaly_signal!r}"
             ) from None
         object.__setattr__(self, "anomaly_signal", signal)
-        strength = self.signal_strength
-        if isinstance(strength, bool) or not isinstance(strength, numbers.Real):
-            raise ValueError(
-                f"signal_strength must be a number, got {strength!r}"
-            )
-        _check_range("total_points", self.total_points, 1)
-        _check_range("n_channels", self.n_channels, 1)
-        _check_range("seed", self.seed, 0)
-        for length in self.event_lengths:
-            _check_range("event_lengths", length, 1)
-        _check_range("gap_policy", self.gap_policy, 1)
-        _check_range("signal_strength", strength, 0, math.inf, "()")
+        _check_range("signal_strength", self.signal_strength, 0, ends="()")
         n = len(self.event_lengths)
         needed = sum(self.event_lengths) + self.gap_policy * max(0, n - 1)
         if needed > self.total_points:
@@ -735,6 +722,10 @@ def place_events(
     events via the classic dividers construction, which makes every
     admissible layout equally likely.
     """
+    _check_count("total_points", total_points, 1)
+    for length in event_lengths:
+        _check_count("event_lengths", length, 1)
+    _check_count("gap_policy", gap_policy, 0)
     n = len(event_lengths)
     if n == 0:
         return np.empty((0, 2), dtype=np.int64)
@@ -896,7 +887,7 @@ def generate_train_test(
     labels. Useful for fitting a detector on clean data from the same
     process it is evaluated on.
     """
-    _check_range("train_points", train_points, 1)
+    _check_count("train_points", train_points, 1)
     values, labels = _generate(spec, train_points=train_points)
     train = MvtsFrame(
         values=values[:train_points],

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tsadeval.metrics import _check_range, prf_from_counts
+from tsadeval.metrics import _check_count, _check_range, prf_from_counts
 
 __all__ = [
     "DetectorSpec",
@@ -47,8 +47,8 @@ class DatasetShape:
     n_anomalous: int
 
     def __post_init__(self) -> None:
-        _check_range("n_normal", self.n_normal, 0)
-        _check_range("n_anomalous", self.n_anomalous, 0)
+        _check_count("n_normal", self.n_normal, 0)
+        _check_count("n_anomalous", self.n_anomalous, 0)
         if self.n_normal + self.n_anomalous == 0:
             raise ValueError("dataset must hold at least one point")
 
@@ -84,7 +84,7 @@ def default_far_grid(
     """Logarithmic false-alarm-rate grid used by the study."""
     _check_range("high", high, 0, 1, "(]")
     _check_range("low", low, 0, high, "()")
-    _check_range("points", points, 2)
+    _check_count("points", points, 2)
     return np.logspace(np.log10(low), np.log10(high), points)
 
 

@@ -15,8 +15,9 @@ is built on the primitives here. Conventions used throughout the package:
   is 0, and the false-alarm rate of a series with no normal points is 0.0;
   ``_ratio`` is the one place a zero denominator becomes 0.0, for scalar
   and array rates alike,
-* ``_check_range`` is the one check of a scalar against bounds, in the
-  library and the CLI alike; NaN lies outside every range.
+* ``_check_range`` is the one check of a real number against bounds, in
+  the library and the CLI alike, and ``_check_count`` its twin for a whole
+  number (of points, alarms, hits or trials); NaN lies outside every range.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ class ConfusionCounts:
 
     def __post_init__(self) -> None:
         for name in ("tp", "fp", "fn", "tn"):
-            _check_range(name, getattr(self, name), 0)
+            _check_count(name, getattr(self, name), 0)
 
     @property
     def total(self) -> int:
@@ -242,7 +243,10 @@ def _check_range(name: str, value, low, high=math.inf, ends="[]") -> None:
     """Reject a value outside the interval from low to high, each end
     closed ("[", "]") or open ("(", ")") as ends says; NaN lies outside
     every interval. With no high the message reads "must be >= low" (or
-    "> low"), plus "and finite" if ends leaves out infinity."""
+    "> low"), plus "and finite" if ends leaves out infinity. A value
+    that is no real number (a str, None, a bool) is refused first."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     above = low <= value if ends[0] == "[" else low < value
     below = value <= high if ends[1] == "]" else value < high
     if not (above and below):
@@ -252,6 +256,14 @@ def _check_range(name: str, value, low, high=math.inf, ends="[]") -> None:
         else:
             want = f"lie in {ends[0]}{low}, {high}{ends[1]}"
         raise ValueError(f"{name} must {want}, got {value}")
+
+
+def _check_count(name: str, value, low: int, high=math.inf) -> None:
+    """Refuse a value that is no integer, then one outside [low, high]: a
+    count of points, alarms or hits must be a whole number."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    _check_range(name, value, low, high)
 
 
 def _is_int(value) -> bool:

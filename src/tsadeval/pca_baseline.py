@@ -23,7 +23,12 @@ from typing import BinaryIO, Optional, Union
 import numpy as np
 
 from tsadeval.data_io import MvtsFrame
-from tsadeval.metrics import LabelSeries, PredictionSeries, _check_range
+from tsadeval.metrics import (
+    LabelSeries,
+    PredictionSeries,
+    _check_count,
+    _check_range,
+)
 from tsadeval.protocols import Protocol, _sweep_f1, score
 
 __all__ = [
@@ -59,7 +64,7 @@ class PcaConfig:
         lo, hi = self.clip_quantiles
         _check_range("clip_quantiles[0]", lo, 0, 1, "[)")
         _check_range("clip_quantiles[1]", hi, lo, 1, "(]")
-        _check_range("smooth_window", self.smooth_window, 1)
+        _check_count("smooth_window", self.smooth_window, 1)
 
 
 @dataclass(frozen=True)
@@ -93,11 +98,11 @@ class ScoredModel:
             object.__setattr__(self, f.name, arr)
         if {len(getattr(self, f.name)) for f in arrays} != {self.n_channels}:
             raise ValueError("per-channel arrays disagree on channel count")
-        _check_range("n_components", self.n_components, 1, self.n_channels)
+        _check_count("n_components", self.n_components, 1, self.n_channels)
         gram = self.basis.T @ self.basis
         if not np.allclose(gram, np.eye(self.n_components), atol=1e-8):
             raise ValueError("basis columns must be orthonormal")
-        _check_range("smooth_window", self.smooth_window, 1)
+        _check_count("smooth_window", self.smooth_window, 1)
 
     @property
     def n_channels(self) -> int:
@@ -120,7 +125,7 @@ class ScoredModel:
             if tag != _FORMAT_TAG:
                 raise ValueError(f"{path}: unknown model format {tag!r}")
             arrays = {f.name: bundle[f.name] for f in fields(cls)}
-        arrays["smooth_window"] = int(arrays["smooth_window"])
+        arrays["smooth_window"] = arrays["smooth_window"].item()
         return cls(**arrays)
 
 

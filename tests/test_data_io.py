@@ -53,6 +53,12 @@ def small_spec(**overrides):
     return SyntheticSpec(**base)
 
 
+def frame_contents(path):
+    frame = load_frame(path)
+    labels = frame.labels.values.tolist()
+    return frame.channel_names, frame.values.tolist(), labels
+
+
 class TestAtomicWrites:
     def test_write_and_replace(self, tmp_path):
         target = tmp_path / "x.txt"
@@ -356,6 +362,24 @@ class TestSingleColumnLoaders:
         path.write_text("score\n0.25\n1.5\n")
         assert load_score_series(path).tolist() == [0.25, 1.5]
 
+    @pytest.mark.parametrize(
+        "text, read",
+        [
+            ("label\n0\n1\n", lambda p: load_label_series(p).values.tolist()),
+            ("score\n0.25\n1.5\n", lambda p: load_score_series(p).tolist()),
+            ("c0,c1,label\n0.5,1,0\n0.7,2,1\n", frame_contents),
+            ("start,end\n3,7\n", lambda p: load_events(p).tolist()),
+        ],
+        ids=["labels", "scores", "frame", "events"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, read):
+        # Excel's "CSV UTF-8" export starts the file with a BOM
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert read(marked) == read(plain)
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("value\n0.25\n")
@@ -656,8 +680,9 @@ class TestSyntheticSpec:
                 "seed must be an integer",
             ),
             ("\xff", "can't decode"),
+            ('[{"total_points": 500}]', "expected a JSON object$"),
         ],
-        ids=["malformed-json", "mistyped-value", "not-text"],
+        ids=["malformed-json", "mistyped-value", "not-text", "not-an-object"],
     )
     def test_error_names_the_file(self, tmp_path, text, message):
         path = tmp_path / "spec.json"

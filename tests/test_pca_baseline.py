@@ -95,6 +95,14 @@ class TestFit:
             model = fit(MvtsFrame(values=values))
         assert model.spread[0] == 1.0
 
+    def test_constant_frame_keeps_one_component(self):
+        # no variance at all: the component count falls back to 1
+        frame = MvtsFrame(values=np.full((50, 3), 2.0))
+        with pytest.warns(UserWarning, match=r"^3 channel\(s\) have zero IQR"):
+            model = fit(frame)
+        assert model.n_components == 1
+        assert not score_frame(model, frame).scores.any()
+
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="training rows"):
             fit(MvtsFrame(values=np.zeros((1, 3))))
@@ -205,6 +213,18 @@ class TestPersistence:
         path = tmp_path / "weird.npz"
         np.savez(path, format=np.array("something-else"), x=np.zeros(3))
         with pytest.raises(ValueError, match="unknown model format"):
+            ScoredModel.load(path)
+
+    def test_fractional_window_is_refused_on_load(self, tmp_path):
+        # a stored window is read as it was written, never truncated
+        path = tmp_path / "model.npz"
+        fit(random_frame(np.random.default_rng(9))).save(path)
+        with np.load(path) as bundle:
+            arrays = dict(bundle)
+        np.savez(path, **{**arrays, "smooth_window": np.array(2.5)})
+        with pytest.raises(
+            ValueError, match=r"^smooth_window must be an integer, got 2\.5$"
+        ):
             ScoredModel.load(path)
 
     def test_model_validation(self):

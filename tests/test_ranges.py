@@ -1,6 +1,7 @@
 """The one range check: every library bound is checked by
-metrics._check_range, which words each violation one way and refuses NaN.
-The attack's counts of points, alarms and hits must also be integers."""
+metrics._check_range, which words each violation one way and refuses NaN
+and non-numbers. Every count of points, alarms, hits, windows or trials
+goes through metrics._check_count, which also refuses a non-integer."""
 
 import math
 import re
@@ -25,13 +26,20 @@ from tsadeval.data_io import (
     SyntheticSpec,
     generate_train_test,
     labels_from_events,
+    place_events,
 )
 from tsadeval.metric_study import DatasetShape, DetectorSpec, default_far_grid
-from tsadeval.metrics import ConfusionCounts, Segment, _check_range
+from tsadeval.metrics import (
+    ConfusionCounts,
+    Segment,
+    _check_count,
+    _check_range,
+)
 from tsadeval.pca_baseline import PcaConfig, ScoredModel
 from tsadeval.protocols import Protocol, ProtocolReport
 
 NAN = math.nan
+RNG = np.random.default_rng(0)
 
 
 def spec(**overrides):
@@ -148,23 +156,36 @@ def test_nan_is_out_of_every_range(case):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (("x", 5, 1, 4), "x must lie in [1, 4], got 5"),
-        (("x", 0.0, 0, 1, "(]"), "x must lie in (0, 1], got 0.0"),
-        (("x", 1.0, 0, 1, "[)"), "x must lie in [0, 1), got 1.0"),
-        (("x", -1, 0), "x must be >= 0, got -1"),
+        ((_check_range, "x", 5, 1, 4), "x must lie in [1, 4], got 5"),
+        (
+            (_check_range, "x", 0.0, 0, 1, "(]"),
+            "x must lie in (0, 1], got 0.0",
+        ),
+        (
+            (_check_range, "x", 1.0, 0, 1, "[)"),
+            "x must lie in [0, 1), got 1.0",
+        ),
+        ((_check_range, "x", -1, 0), "x must be >= 0, got -1"),
         # an open lower end with no upper bound
-        (("x", 0, 0, math.inf, "(]"), "x must be > 0, got 0"),
+        ((_check_range, "x", 0, 0, math.inf, "(]"), "x must be > 0, got 0"),
         # an open upper end at infinity leaves infinity out
         (
-            ("x", math.inf, 0, math.inf, "()"),
+            (_check_range, "x", math.inf, 0, math.inf, "()"),
             "x must be > 0 and finite, got inf",
         ),
-        (("x", NAN, 0), "x must be >= 0, got nan"),
+        ((_check_range, "x", NAN, 0), "x must be >= 0, got nan"),
+        # a value that is no number is refused before any comparison
+        ((_check_range, "x", "a", 0), "x must be a number, got 'a'"),
+        ((_check_range, "x", None, 0), "x must be a number, got None"),
+        ((_check_range, "x", True, 0), "x must be a number, got True"),
+        # a count is checked for integer-ness before its bounds
+        ((_check_count, "x", "7", 1), "x must be an integer, got '7'"),
     ],
 )
 def test_one_wording(args, message):
+    check, *rest = args
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        _check_range(*args)
+        check(*rest)
 
 
 @pytest.mark.parametrize(
@@ -237,6 +258,31 @@ FRACTIONAL_CASES = {
         2.5,
         lambda: adversary._sample(100, 2.5, 1, np.random.default_rng(0)),
     ),
+    "labels_from_events": (
+        "total_points", 10.5, lambda: labels_from_events([[1, 2]], 10.5)
+    ),
+    "generate_train_test": (
+        "train_points", 50.5, lambda: generate_train_test(spec(), 50.5)
+    ),
+    "place_events-total": (
+        "total_points", 100.5, lambda: place_events(100.5, [5], 2, RNG)
+    ),
+    "place_events-length": (
+        "event_lengths", 5.5, lambda: place_events(100, [5.5], 2, RNG)
+    ),
+    "place_events-gap": (
+        "gap_policy", 2.5, lambda: place_events(100, [5, 5], 2.5, RNG)
+    ),
+    "DatasetShape-normal": ("n_normal", 10.5, lambda: DatasetShape(10.5, 2)),
+    "DatasetShape-anomalous": (
+        "n_anomalous", 2.5, lambda: DatasetShape(10, 2.5)
+    ),
+    "default_far_grid": (
+        "points", 4.5, lambda: default_far_grid(0.01, 0.1, 4.5)
+    ),
+    "ConfusionCounts": ("tp", 1.5, lambda: ConfusionCounts(1.5, 0, 0, 0)),
+    "PcaConfig": ("smooth_window", 2.5, lambda: PcaConfig(smooth_window=2.5)),
+    "ScoredModel": ("smooth_window", 2.5, lambda: model(smooth_window=2.5)),
 }
 
 
