@@ -526,6 +526,7 @@ def random_flag_trials(
     """
     _check_count("alpha", alpha, 0, len(labels))
     _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
     protocols = tuple(Protocol(p) for p in protocols)
     hits = np.zeros(trials, dtype=np.int64)
     f1 = {p: np.zeros(trials) for p in protocols}

@@ -511,6 +511,8 @@ def load_events(
     """
     path = Path(path)
     shift = 1 if end_exclusive else 0
+    if total_points is not None:
+        _check_count("total_points", total_points, 1)
 
     def check(bounds: np.ndarray, first_line: int) -> None:
         found = _event_error(bounds, shift, total_points)
@@ -524,13 +526,26 @@ def load_events(
     return bounds
 
 
+def _bounds(events) -> np.ndarray:
+    """`events` as (n, 2) int64 bounds; bounds of another shape, or of a
+    non-integer dtype that the cast would truncate, are an error."""
+    bounds = np.asarray(events)
+    if bounds.shape == (0,):  # an empty sequence: no events
+        bounds = bounds.reshape(0, 2)
+    if bounds.ndim != 2 or bounds.shape[1] != 2:
+        raise ValueError(f"events must have shape (n, 2), got {bounds.shape}")
+    if bounds.size and not np.issubdtype(bounds.dtype, np.integer):
+        raise ValueError(f"events must be integers, got dtype {bounds.dtype}")
+    return bounds.astype(np.int64, copy=False)
+
+
 def write_events(
     events: np.ndarray, path: "str | Path", end_exclusive: bool = False
 ) -> None:
     """Write (n, 2) inclusive event bounds as a `start,end` CSV; with
     end_exclusive=True each end is written one past the event."""
     shift = 1 if end_exclusive else 0
-    rows = np.asarray(events, dtype=np.int64).tolist()
+    rows = _bounds(events).tolist()
     _write_rows(path, ["start", "end"], ([s, e + shift] for s, e in rows))
 
 
@@ -540,15 +555,11 @@ def labels_from_events(events: np.ndarray, total_points: int) -> LabelSeries:
 
     Rows may come in any order; overlapping or adjacent events simply
     union. An empty sequence holds no events. Bounds of any other shape
-    than (n, 2), a negative start, an end before its start or an event
-    reaching past the series end is an error.
+    than (n, 2) or of a non-integer dtype, a negative start, an end before
+    its start or an event reaching past the series end is an error.
     """
     _check_count("total_points", total_points, 1)
-    bounds = np.asarray(events, dtype=np.int64)
-    if bounds.shape == (0,):  # an empty sequence: no events
-        bounds = bounds.reshape(0, 2)
-    if bounds.ndim != 2 or bounds.shape[1] != 2:
-        raise ValueError(f"events must have shape (n, 2), got {bounds.shape}")
+    bounds = _bounds(events)
     found = _event_error(bounds, total_points=total_points)
     if found is not None:
         raise ValueError(found[1])

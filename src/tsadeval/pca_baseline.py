@@ -29,7 +29,7 @@ from tsadeval.metrics import (
     _check_count,
     _check_range,
 )
-from tsadeval.protocols import Protocol, _sweep_f1, score
+from tsadeval.protocols import Protocol, _rates, _sweep_counts, score
 
 __all__ = [
     "PcaConfig",
@@ -121,10 +121,14 @@ class ScoredModel:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ScoredModel":
         with np.load(path) as bundle:
-            tag = str(bundle["format"])
-            if tag != _FORMAT_TAG:
+            names = [f.name for f in fields(cls)]
+            missing = sorted({"format", *names} - set(bundle.files))
+            tag = None if "format" in missing else str(bundle["format"])
+            if tag not in (None, _FORMAT_TAG):
                 raise ValueError(f"{path}: unknown model format {tag!r}")
-            arrays = {f.name: bundle[f.name] for f in fields(cls)}
+            if missing:
+                raise ValueError(f"{path}: missing keys {missing}")
+            arrays = {name: bundle[name] for name in names}
         arrays["smooth_window"] = arrays["smooth_window"].item()
         return cls(**arrays)
 
@@ -261,16 +265,17 @@ def sweep_threshold(
     larger threshold, i.e. the fewest positive points.
 
     Every candidate is still scored exactly, with event-aware protocols
-    too, whose F1 is not monotone in the threshold: the counts at all
-    candidates come from one sort, in O(T log T), and score() runs once,
-    at the winning threshold, to build the report.
+    too, whose F1 is not monotone in the threshold: every protocol's
+    counts at all candidates come from one sort, in O(T log T), and
+    score() runs once, at the winning threshold, to build the report.
     """
     if len(scores) != len(labels):
         raise ValueError(
             f"length mismatch: {len(scores)} scores vs {len(labels)} labels"
         )
     protocol = Protocol(protocol)
-    thresholds, f1 = _sweep_f1(scores.scores, labels, protocol)
+    thresholds, counts = _sweep_counts(scores.scores, labels)
+    f1 = _rates(protocol, **counts)[2]
     # argmax takes the first maximum, i.e. the largest threshold
     threshold = float(thresholds[np.argmax(f1)])
     report = score(labels, predictions_at_threshold(scores, threshold), protocol)

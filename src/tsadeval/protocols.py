@@ -14,10 +14,10 @@ score and score_all return ProtocolReports of one shape, so reports can
 be tabulated uniformly.
 
 This module is the one place that turns a detector's output into protocol
-counts, whatever form the output takes: a prediction (score), scores
-ranked at every candidate threshold (_sweep_f1), or rows of sorted alarm
-positions, one per random-flag trial (_block_counts). All three hand
-their counts to _rates, the one place each protocol's formula lives.
+counts, whatever form the output takes: a prediction (score), scores ranked
+at every candidate threshold (_sweep_counts) or rows of sorted alarm
+positions, one per random-flag trial (_block_counts). Each gives _rates the
+same eight counts, and _rates alone picks the counts a protocol reads.
 _block_counts touches every alarm twice, with a gather of the labels and
 a diff along each row; the rest of its work grows with the hits alone,
 and its memory stays a few arrays of rows x alpha.
@@ -147,24 +147,26 @@ def point_adjust(
     return PredictionSeries(preds.values | np.repeat(flags, lengths))
 
 
-def _event_counts(
-    labels: LabelSeries, preds: PredictionSeries
-) -> tuple[int, int, int]:
-    """(tp_e, fp_e, fn_e): events detected, predicted segments touching no
-    anomalous point, events missed."""
-    events = (labels.starts, labels.ends)
-    segments = (preds.starts, preds.ends)
-    tp_e = int(np.count_nonzero(_overlap_counts(*events, *segments)))
-    true_segments = int(np.count_nonzero(_overlap_counts(*segments, *events)))
-    return tp_e, preds.starts.size - true_segments, labels.n_events - tp_e
+def _event_counts(labels: LabelSeries, preds: PredictionSeries) -> dict:
+    """adjusted_tp, the detected events' summed length; tp_e/fn_e, events
+    detected/missed; fp_e, predicted segments touching no anomalous point."""
+    starts, ends = labels.starts, labels.ends
+    detected = _detected_events(labels, preds)
+    tp_e = int(np.count_nonzero(detected))
+    true_segments = _overlap_counts(preds.starts, preds.ends, starts, ends)
+    return {
+        "adjusted_tp": int((ends - starts + 1)[detected].sum()),
+        "tp_e": tp_e,
+        "fp_e": preds.starts.size - int(np.count_nonzero(true_segments)),
+        "fn_e": labels.n_events - tp_e,
+    }
 
 
 def _rates(
-    protocol: Protocol, tp, fp, fn,
-    n_normal=None, adjusted_tp=None, tp_e=None, fp_e=None, fn_e=None,
+    protocol: Protocol, *, tp, fp, fn, n_normal, adjusted_tp, tp_e, fp_e, fn_e
 ):
-    """(precision, recall, f1) of one protocol: the one place each
-    protocol's formula lives.
+    """(precision, recall, f1) of one protocol: the one place that picks
+    the counts a protocol reads and applies its formula.
 
     tp/fp/fn are the raw point counts. Point-adjust also reads adjusted_tp,
     the detected events' summed length; composite reads tp_e/fn_e; and
@@ -198,26 +200,22 @@ def score(
     """
     protocol = Protocol(protocol)
     counts = point_confusion(labels, preds)
-    adjusted_tp = tp_e = fp_e = fn_e = None
-    if protocol is Protocol.POINT_ADJUST:
-        detected = _detected_events(labels, preds)
-        adjusted_tp = int((labels.ends - labels.starts + 1)[detected].sum())
-    elif protocol is not Protocol.POINT_WISE:
-        tp_e, fp_e, fn_e = _event_counts(labels, preds)
+    events = _event_counts(labels, preds)
     precision, recall, f1 = _rates(
-        protocol, counts.tp, counts.fp, counts.fn, counts.fp + counts.tn,
-        adjusted_tp, tp_e, fp_e, fn_e,
+        protocol, tp=counts.tp, fp=counts.fp, fn=counts.fn,
+        n_normal=counts.fp + counts.tn, **events,
     )
+    event_aware = protocol in (Protocol.COMPOSITE, Protocol.EVENT_WISE)
     return ProtocolReport(
         protocol=protocol,
         precision=precision,
         recall=recall,
         f1=f1,
         far=false_alarm_rate(counts),
-        tp_e=tp_e,
+        tp_e=events["tp_e"] if event_aware else None,
         # composite's precision is point-level, so it reports no fp_e
-        fp_e=fp_e if protocol is Protocol.EVENT_WISE else None,
-        fn_e=fn_e,
+        fp_e=events["fp_e"] if protocol is Protocol.EVENT_WISE else None,
+        fn_e=events["fn_e"] if event_aware else None,
     )
 
 
@@ -230,11 +228,9 @@ def score_all(
     return [score(labels, preds, p) for p in protocols]
 
 
-def _sweep_f1(
-    scores: np.ndarray, labels: LabelSeries, protocol: Protocol
-) -> tuple[np.ndarray, np.ndarray]:
-    """(thresholds, f1): every distinct score plus +inf, from high to low,
-    and the F1 that score() gives the predictions at each threshold.
+def _sweep_counts(scores: np.ndarray, labels: LabelSeries) -> tuple:
+    """(thresholds, counts): every distinct score plus +inf, from high to
+    low, and _block_counts' counts of the predictions at each threshold.
 
     The prediction at threshold t is on where score >= t, so every count a
     protocol needs is "how many precomputed values are >= t". Each value is
@@ -253,25 +249,13 @@ def _sweep_f1(
     anomalous = labels.values.astype(bool)
     tp = at_or_above(rank[anomalous])
     fp = at_or_above(rank[~anomalous])
-    fn = labels.n_anomalous - tp
-    if protocol is Protocol.POINT_WISE:
-        return thresholds, _rates(protocol, tp, fp, fn)[2]
 
     # an event is detected once the threshold falls to its peak score; the
     # appended 0 keeps the index one past an event at the series end valid
     starts, ends = labels.starts, labels.ends
     bounds = np.column_stack((starts, ends + 1)).ravel()
     peak = np.maximum.reduceat(np.append(rank, 0), bounds)[::2]
-    if protocol is Protocol.POINT_ADJUST:
-        # a detected event counts its whole length
-        adjusted_tp = at_or_above(peak, ends - starts + 1)
-        return thresholds, _rates(
-            protocol, tp, fp, fn, adjusted_tp=adjusted_tp
-        )[2]
     tp_e = at_or_above(peak)
-    fn_e = starts.size - tp_e
-    if protocol is Protocol.COMPOSITE:
-        return thresholds, _rates(protocol, tp, fp, fn, tp_e=tp_e, fn_e=fn_e)[2]
 
     # event-wise fp_e counts the on-runs made only of normal points. Runs of
     # on normal points are on normal points less on normal-normal pairs;
@@ -280,21 +264,19 @@ def _sweep_f1(
     # is joined twice, so it is added back once. A pair is on at the
     # smaller of its two ranks.
     pair = np.minimum(rank[:-1], rank[1:])
-    left, right = anomalous[:-1], anomalous[1:]
     gap = np.column_stack((ends[:-1] + 1, starts[1:])).ravel()
     bridge = np.minimum(
         np.minimum.reduceat(rank, gap)[::2],
         np.minimum(rank[ends[:-1]], rank[starts[1:]]),
     )
-    fp_e = (
-        fp
-        - at_or_above(pair[~left & ~right])
-        - at_or_above(pair[left != right])
-        + at_or_above(bridge)
+    pairs_with_normal = pair[~(anomalous[:-1] & anomalous[1:])]
+    fp_e = fp - at_or_above(pairs_with_normal) + at_or_above(bridge)
+    return thresholds, dict(
+        tp=tp, fp=fp, fn=labels.n_anomalous - tp, n_normal=labels.n_normal,
+        # a detected event counts its whole length
+        adjusted_tp=at_or_above(peak, ends - starts + 1),
+        tp_e=tp_e, fp_e=fp_e, fn_e=starts.size - tp_e,
     )
-    return thresholds, _rates(
-        protocol, tp, fp, fn, labels.n_normal, tp_e=tp_e, fp_e=fp_e, fn_e=fn_e
-    )[2]
 
 
 def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:

@@ -457,6 +457,32 @@ class TestEvents:
         events = load_events(path, end_exclusive=True, total_points=9)
         assert events.tolist() == [[0, 0], [3, 8]]
 
+    @pytest.mark.parametrize(
+        "total_points, message",
+        [
+            (8000.5, "total_points must be an integer, got 8000.5"),
+            (-3, "total_points must be >= 1, got -3"),
+        ],
+    )
+    def test_total_points_is_a_count(self, tmp_path, total_points, message):
+        path = tmp_path / "e.csv"
+        path.write_text("start,end\n3,7\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_events(path, total_points=total_points)
+
+    @pytest.mark.parametrize(
+        "events, message",
+        [
+            ([[1.5, 2.7]], "events must be integers, got dtype float64"),
+            ([[1, 2, 3]], "events must have shape (n, 2), got (1, 3)"),
+        ],
+    )
+    def test_bad_bounds_are_not_written(self, tmp_path, events, message):
+        path = tmp_path / "e.csv"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_events(events, path)
+        assert not path.exists()
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("begin,end\n1,2\n")
@@ -488,6 +514,15 @@ class TestLabelsFromEvents:
 
     def test_empty_sequence_holds_no_events(self):
         assert labels_from_events([], 4) == LabelSeries([0, 0, 0, 0])
+
+    @pytest.mark.parametrize(
+        "events", [[[1.5, 2.7]], np.array([[1.0, 2.0]]), [[True, True]]]
+    )
+    def test_non_integer_bounds_rejected(self, events):
+        dtype = np.asarray(events).dtype
+        message = f"events must be integers, got dtype {dtype}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            labels_from_events(events, 10)
 
     @pytest.mark.parametrize(
         "events, shape",

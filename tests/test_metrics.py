@@ -182,20 +182,21 @@ class TestRates:
         counts[:, 1::2] *= rng.random((6, 200))
         tp, fp, fn, tp_e, fp_e, fn_e = counts
         adjusted_tp = np.where(rng.random(tp.size) < 0.5, tp, tp + fn)
+        names = ("tp", "fp", "fn", "adjusted_tp", "tp_e", "fp_e", "fn_e")
         columns = (tp, fp, fn, adjusted_tp, tp_e, fp_e, fn_e)
         # as score() passes them: ints where the count is whole
         rows = [
-            [int(v) if v.is_integer() else v for v in row]
+            {n: int(v) if v.is_integer() else v for n, v in zip(names, row)}
             for row in zip(*(c.tolist() for c in columns))
         ]
         assert not (tp + fp).all() and not (tp_e + fn_e).all()
         for n_normal in (0, 5):
             for protocol in Protocol:
-                arrays = _rates(protocol, tp, fp, fn, n_normal, *columns[3:])
-                for i, (tp_i, fp_i, fn_i, *events) in enumerate(rows):
-                    scalars = _rates(
-                        protocol, tp_i, fp_i, fn_i, n_normal, *events
-                    )
+                arrays = _rates(
+                    protocol, n_normal=n_normal, **dict(zip(names, columns))
+                )
+                for i, row in enumerate(rows):
+                    scalars = _rates(protocol, n_normal=n_normal, **row)
                     assert all(type(v) is float for v in scalars)
                     assert tuple(a[i] for a in arrays) == scalars
         with pytest.warns(UserWarning, match="no normal points"):

@@ -1,5 +1,6 @@
 """PCA baseline: fitting, scoring, persistence and the threshold sweep."""
 
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from tsadeval.data_io import (
     SyntheticSpec,
     generate_train_test,
 )
-from tsadeval.metrics import LabelSeries, PredictionSeries
+from tsadeval.metrics import LabelSeries, PredictionSeries, point_confusion
 from tsadeval.pca_baseline import (
     AnomalyScoreSeries,
     PcaConfig,
@@ -25,7 +26,14 @@ from tsadeval.pca_baseline import (
     score_frame,
     sweep_threshold,
 )
-from tsadeval.protocols import Protocol, _sweep_f1, score
+from tsadeval.protocols import (
+    Protocol,
+    _block_counts,
+    _event_counts,
+    _rates,
+    _sweep_counts,
+    score,
+)
 
 
 def synthetic_pair(seed=7, signal=AnomalySignal.MEAN_SHIFT):
@@ -215,6 +223,27 @@ class TestPersistence:
         with pytest.raises(ValueError, match="unknown model format"):
             ScoredModel.load(path)
 
+    @pytest.mark.parametrize(
+        "stored, missing",
+        [
+            (
+                {"x": np.zeros(3)},
+                "basis center clip_high clip_low format mean smooth_window "
+                "spread",
+            ),
+            (
+                {"format": np.array("tsadeval-pca-v1"), "center": np.zeros(2)},
+                "basis clip_high clip_low mean smooth_window spread",
+            ),
+        ],
+    )
+    def test_foreign_file_names_missing_keys(self, tmp_path, stored, missing):
+        path = tmp_path / "foreign.npz"
+        np.savez(path, **stored)
+        message = f"{path}: missing keys {missing.split()}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScoredModel.load(path)
+
     def test_fractional_window_is_refused_on_load(self, tmp_path):
         # a stored window is read as it was written, never truncated
         path = tmp_path / "model.npz"
@@ -344,16 +373,29 @@ class TestSweepAgainstBruteForce:
         values, label_values = layout
         scores = AnomalyScoreSeries(np.array(values))
         labels = LabelSeries(label_values)
+        thresholds, counts = _sweep_counts(scores.scores, labels)
+        no_alarms = np.zeros((1, 0), dtype=np.int64)
+        assert set(counts) == set(_block_counts(labels, no_alarms))
         for protocol in Protocol:
             assert sweep_threshold(scores, labels, protocol) == (
                 brute_force_sweep(scores, labels, protocol)
             )
             # not only the winner: the F1 at every candidate is score()'s
-            thresholds, f1 = _sweep_f1(scores.scores, labels, protocol)
-            assert f1.tolist() == [
+            assert _rates(protocol, **counts)[2].tolist() == [
                 score(labels, predictions_at_threshold(scores, t), protocol).f1
                 for t in thresholds.tolist()
             ]
+        # F1 alone misses a wrong fp_e whenever tp_e is 0, so every count
+        # at every candidate is checked against the prediction's
+        for i, t in enumerate(thresholds.tolist()):
+            preds = predictions_at_threshold(scores, t)
+            raw = point_confusion(labels, preds)
+            expected = dict(
+                tp=raw.tp, fp=raw.fp, fn=raw.fn, n_normal=raw.fp + raw.tn,
+                **_event_counts(labels, preds),
+            )
+            at_t = {k: v[i] if np.ndim(v) else v for k, v in counts.items()}
+            assert at_t == expected
 
 
 class TestSweepCost:

@@ -224,10 +224,10 @@ class TestBlockCountsAgainstScore:
             preds = PredictionSeries(flags)
             raw = point_confusion(labels, preds)
             adjusted = point_confusion(labels, point_adjust(labels, preds))
-            tp_e, fp_e, fn_e = _event_counts(labels, preds)
+            events = _event_counts(labels, preds)
             expected = dict(
                 tp=raw.tp, fp=raw.fp, fn=raw.fn, adjusted_tp=adjusted.tp,
-                tp_e=tp_e, fp_e=fp_e, fn_e=fn_e,
+                tp_e=events["tp_e"], fp_e=events["fp_e"], fn_e=events["fn_e"],
             )
             assert {name: counts[name][i] for name in names} == expected
 

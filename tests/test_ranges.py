@@ -113,6 +113,10 @@ NAN_CASES = {
         "trials",
         lambda: random_flag_trials(single_segment_labels(10, 2), 2, NAN),
     ),
+    "random_flag_trials-seed": (
+        "seed",
+        lambda: random_flag_trials(single_segment_labels(10, 2), 2, 1, NAN),
+    ),
     "PcaConfig-variance": (
         "variance_target", lambda: PcaConfig(variance_target=NAN)
     ),
@@ -180,6 +184,10 @@ def test_nan_is_out_of_every_range(case):
         ((_check_range, "x", True, 0), "x must be a number, got True"),
         # a count is checked for integer-ness before its bounds
         ((_check_count, "x", "7", 1), "x must be an integer, got '7'"),
+        (
+            (random_flag_trials, single_segment_labels(10, 2), 2, 1, -1),
+            "seed must be >= 0, got -1",
+        ),
     ],
 )
 def test_one_wording(args, message):
@@ -249,6 +257,11 @@ FRACTIONAL_CASES = {
         "trials",
         10.5,
         lambda: random_flag_trials(single_segment_labels(100, 10), 2, 10.5),
+    ),
+    "random_flag_trials-seed": (
+        "seed",
+        1.5,
+        lambda: random_flag_trials(single_segment_labels(100, 10), 2, 10, 1.5),
     ),
     "run_attack": (
         "alpha", 2.5, lambda: run_attack(single_segment_labels(100, 10), 2.5)
