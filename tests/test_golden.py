@@ -90,6 +90,25 @@ CASES = {
             "event-wise       1.000000   1.000000   1.000000   0.000000\n"
         ),
     ),
+    "evaluate-scores-fixed-subset": (
+        [["evaluate", "--labels", "labels.csv", "--scores", "scores.csv",
+          "--threshold-policy", "fixed:0.9",
+          "--protocols", "event-wise,point-wise", "--out", "out"]],
+        {
+            "out/report.csv": (
+                "fae9f14e53f96991fa1204efbaf9a51a6e0a4dc7a0b11e3692c4be3dc41f81a3"
+            ),
+            "out/report.json": (
+                "a6a51513e2c79043dd1624277f7aac530e48986f84b9fb834a77a43a7e61b606"
+            ),
+        },
+        (
+            "protocol        precision     recall         f1        far\n"
+            "----------------------------------------------------------\n"
+            "event-wise       0.312500   1.000000   0.476190   0.166667\n"
+            "point-wise       0.708333   0.944444   0.809524   0.166667\n"
+        ),
+    ),
     "attack-single-segment": (
         [["attack", "--total-points", "300", "--segment-length", "30",
           "--alpha", "10", "--trials", "200", "--seed", "5",
