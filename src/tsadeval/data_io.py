@@ -18,11 +18,14 @@ quote, end their lines in LF or CRLF, and have the header's field count:
 ``csv.reader`` would make the same tokens of them. From the first block
 that fails this, or holds a bad cell, ``csv.reader`` parses the rest, and
 only that path words an error, so values and errors do not depend on
-which path ran. One writer, ``_write_rows``, writes every CSV but frames,
-whose body ``write_frame`` joins as text to the same bytes. All writers
-are atomic (temp file in the target directory, then rename), so a crashed
-run never leaves a half-written artifact behind; files get the mode
-``open()`` would give.
+which path ran. A block of a single flag column whose every line is
+exactly ``0`` or ``1`` is converted from its bytes, without float
+parsing; any other spelling of a flag takes the numpy conversion. One
+writer, ``_write_rows``, writes every CSV but frames, whose body
+``write_frame`` joins as text to the same bytes. All writers are atomic
+(temp file in the target directory, then rename), so a crashed run never
+leaves a half-written artifact behind; files get the mode ``open()``
+would give.
 """
 
 from __future__ import annotations
@@ -231,7 +234,9 @@ def _plain_block(text: str, kinds: list):
     \\r\\n (csv.reader ends a record at a lone \\r too), each line has
     len(kinds) - 1 commas, and no field can exceed csv's field size limit.
     Each line is then one record, its tokens are csv.reader's, and the
-    numpy call that converts them is _pieces' own.
+    numpy call that converts them is _pieces' own. A lone flag column
+    whose lines are all exactly 0 or 1 skips that call: its values are
+    its bytes less b"0", as the same floats.
     """
     if '"' in text or len(text) > csv.field_size_limit():
         return None
@@ -239,6 +244,13 @@ def _plain_block(text: str, kinds: list):
         if text.count("\r") != text.count("\r\n"):
             return None
         text = text.replace("\r\n", "\n")
+    if kinds == ["flag"]:
+        # every line exactly 0 or 1: the characters alternate between a
+        # flag and a newline, and the flags' bytes less b"0" are the values
+        flags = text[::2]
+        if not flags.strip("01") and not text[1::2].strip("\n"):
+            values = np.frombuffer(flags.encode("ascii"), dtype=np.uint8)
+            return (values - 48.0).reshape(-1, 1)
     rows = text.split("\n")
     if not rows[-1]:  # the last line ended in a newline
         rows.pop()

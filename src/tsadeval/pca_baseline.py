@@ -16,6 +16,7 @@ average.
 from __future__ import annotations
 
 import warnings
+import zipfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Optional, Union
@@ -29,7 +30,8 @@ from tsadeval.metrics import (
     _check_count,
     _check_range,
 )
-from tsadeval.protocols import Protocol, _rates, _sweep_counts, score
+# score goes unused here; perfbench/tracer.py binds it
+from tsadeval.protocols import Protocol, _rates, _report, _sweep_counts, score
 
 __all__ = [
     "PcaConfig",
@@ -120,15 +122,27 @@ class ScoredModel:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ScoredModel":
-        with np.load(path) as bundle:
-            names = [f.name for f in fields(cls)]
-            missing = sorted({"format", *names} - set(bundle.files))
-            tag = None if "format" in missing else str(bundle["format"])
-            if tag not in (None, _FORMAT_TAG):
-                raise ValueError(f"{path}: unknown model format {tag!r}")
-            if missing:
-                raise ValueError(f"{path}: missing keys {missing}")
-            arrays = {name: bundle[name] for name in names}
+        # the file is opened here, as np.load leaves its own file open
+        # when zipfile refuses a damaged archive
+        with open(path, "rb") as fh:
+            try:
+                bundle = np.load(fh)
+            except (ValueError, EOFError, zipfile.BadZipFile):
+                # numpy reads a file that is no .npy or .npz as a pickle,
+                # and finds nothing to read in an empty one
+                bundle = None
+            if not isinstance(bundle, np.lib.npyio.NpzFile):
+                # an .npy holds one bare array
+                raise ValueError(f"{path}: not a model archive (.npz)")
+            with bundle:
+                names = [f.name for f in fields(cls)]
+                missing = sorted({"format", *names} - set(bundle.files))
+                tag = None if "format" in missing else str(bundle["format"])
+                if tag not in (None, _FORMAT_TAG):
+                    raise ValueError(f"{path}: unknown model format {tag!r}")
+                if missing:
+                    raise ValueError(f"{path}: missing keys {missing}")
+                arrays = {name: bundle[name] for name in names}
         arrays["smooth_window"] = arrays["smooth_window"].item()
         return cls(**arrays)
 
@@ -266,8 +280,9 @@ def sweep_threshold(
 
     Every candidate is still scored exactly, with event-aware protocols
     too, whose F1 is not monotone in the threshold: every protocol's
-    counts at all candidates come from one sort, in O(T log T), and
-    score() runs once, at the winning threshold, to build the report.
+    counts at all candidates come from one sort, in O(T log T), and the
+    report is built from those counts at the winning threshold, with no
+    binarization and no second count.
     """
     if len(scores) != len(labels):
         raise ValueError(
@@ -277,6 +292,9 @@ def sweep_threshold(
     thresholds, counts = _sweep_counts(scores.scores, labels)
     f1 = _rates(protocol, **counts)[2]
     # argmax takes the first maximum, i.e. the largest threshold
-    threshold = float(thresholds[np.argmax(f1)])
-    report = score(labels, predictions_at_threshold(scores, threshold), protocol)
-    return threshold, report
+    best = int(np.argmax(f1))
+    winner = {
+        name: int(value[best] if np.ndim(value) else value)
+        for name, value in counts.items()
+    }
+    return float(thresholds[best]), _report(protocol, winner)

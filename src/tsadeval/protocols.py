@@ -11,13 +11,18 @@
   is discounted by the point-level false-alarm rate.
 
 score and score_all return ProtocolReports of one shape, so reports can
-be tabulated uniformly.
+be tabulated uniformly. Both count the prediction once, into one record of
+eight counts (_prediction_counts), and build each protocol's report from
+that record through _report; score_all so counts once however many
+protocols it is given. The threshold sweep builds its report through
+_report too, from its own counts at the winning threshold.
 
 This module is the one place that turns a detector's output into protocol
-counts, whatever form the output takes: a prediction (score), scores ranked
-at every candidate threshold (_sweep_counts) or rows of sorted alarm
-positions, one per random-flag trial (_block_counts). Each gives _rates the
-same eight counts, and _rates alone picks the counts a protocol reads.
+counts, whatever form the output takes: a prediction (_prediction_counts),
+scores ranked at every candidate threshold (_sweep_counts) or rows of
+sorted alarm positions, one per random-flag trial (_block_counts). Each
+gives _rates the same eight counts, and _rates alone picks the counts a
+protocol reads.
 _block_counts touches every alarm twice, with a gather of the labels and
 a diff along each row; the rest of its work grows with the hits alone,
 and its memory stays a few arrays of rows x alpha.
@@ -36,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from tsadeval.metrics import (
+    ConfusionCounts,
     LabelSeries,
     PredictionSeries,
     _check_range,
@@ -190,33 +196,44 @@ def _rates(
     return precision, recall, harmonic_f1(precision, recall)
 
 
-def score(
-    labels: LabelSeries, preds: PredictionSeries, protocol: Protocol
-) -> ProtocolReport:
-    """Score one pair under one protocol.
-
-    The point-adjusted series is never built; event-wise fp_e counts the
-    predicted segments that touch no anomalous point.
-    """
-    protocol = Protocol(protocol)
+def _prediction_counts(labels: LabelSeries, preds: PredictionSeries) -> dict:
+    """The eight counts _rates reads, of one prediction: one
+    point_confusion and one _event_counts. The point-adjusted series is
+    never built; fp_e counts the predicted segments that touch no
+    anomalous point."""
     counts = point_confusion(labels, preds)
-    events = _event_counts(labels, preds)
-    precision, recall, f1 = _rates(
-        protocol, tp=counts.tp, fp=counts.fp, fn=counts.fn,
-        n_normal=counts.fp + counts.tn, **events,
+    return dict(
+        tp=counts.tp, fp=counts.fp, fn=counts.fn,
+        n_normal=counts.fp + counts.tn, **_event_counts(labels, preds),
     )
+
+
+def _report(protocol: Protocol, counts: dict) -> ProtocolReport:
+    """The report of one protocol from a record of the eight counts, each
+    a Python int. Each call checks the FAR, so each warns of a series with
+    no normal points."""
+    precision, recall, f1 = _rates(protocol, **counts)
+    tp, fp, fn = counts["tp"], counts["fp"], counts["fn"]
+    point = ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=counts["n_normal"] - fp)
     event_aware = protocol in (Protocol.COMPOSITE, Protocol.EVENT_WISE)
     return ProtocolReport(
         protocol=protocol,
         precision=precision,
         recall=recall,
         f1=f1,
-        far=false_alarm_rate(counts),
-        tp_e=events["tp_e"] if event_aware else None,
+        far=false_alarm_rate(point),
+        tp_e=counts["tp_e"] if event_aware else None,
         # composite's precision is point-level, so it reports no fp_e
-        fp_e=events["fp_e"] if protocol is Protocol.EVENT_WISE else None,
-        fn_e=events["fn_e"] if event_aware else None,
+        fp_e=counts["fp_e"] if protocol is Protocol.EVENT_WISE else None,
+        fn_e=counts["fn_e"] if event_aware else None,
     )
+
+
+def score(
+    labels: LabelSeries, preds: PredictionSeries, protocol: Protocol
+) -> ProtocolReport:
+    """Score one pair under one protocol."""
+    return _report(Protocol(protocol), _prediction_counts(labels, preds))
 
 
 def score_all(
@@ -224,8 +241,10 @@ def score_all(
     preds: PredictionSeries,
     protocols: tuple[Protocol, ...] = tuple(Protocol),
 ) -> list[ProtocolReport]:
-    """Score one pair under several protocols, in the order given."""
-    return [score(labels, preds, p) for p in protocols]
+    """Score one pair under several protocols, in the order given; the
+    pair is counted once, whatever the number of protocols."""
+    counts = _prediction_counts(labels, preds)
+    return [_report(Protocol(p), counts) for p in protocols]
 
 
 def _sweep_counts(scores: np.ndarray, labels: LabelSeries) -> tuple:

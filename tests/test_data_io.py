@@ -422,6 +422,64 @@ class TestSingleColumnLoaders:
             load_score_series(path)
 
 
+class TestFlagBytes:
+    """A lone flag column of plain 0/1 lines is converted from its bytes."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize(
+        "header, load",
+        [("label", load_label_series), ("prediction", load_prediction_series)],
+    )
+    def test_plain_flags_equal_the_numpy_conversion(
+        self, tmp_path, newline, header, load
+    ):
+        # several blocks of lines, with no newline after the last one
+        rows = 2 * data_io._BLOCK_CHARS + 5
+        flags = np.random.default_rng(rows).integers(0, 2, rows).astype(str)
+        path = tmp_path / "flags.csv"
+        path.write_text(newline.join([header, *flags]), newline="")
+        converted = mock.patch.object(
+            data_io, "_converted", wraps=data_io._converted
+        )
+        with converted as numpy_conversion:
+            values = load(path).values
+        numpy_conversion.assert_not_called()
+        expected = data_io._converted(flags.tolist(), ["flag"], rows)
+        assert values.tolist() == expected[:, 0].tolist()
+        block = data_io._plain_block(newline.join(flags[:100]), ["flag"])
+        assert block.dtype == expected.dtype
+        assert np.array_equal(block, expected[:100])
+
+    def test_other_spellings_take_the_numpy_conversion(self, tmp_path):
+        # one plain block, then a block of spellings only float() reads
+        plain = data_io._BLOCK_CHARS // len("1\n") + 1
+        spelled = ["1.0", " 1", "-0", "\u0661", "0"]
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n" + "1\n" * plain + "\n".join(spelled) + "\n")
+        values = load_label_series(path).values.tolist()
+        assert values == [1] * plain + [1, 1, 0, 1, 0]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_bad_flag_after_the_first_block_names_its_line(
+        self, tmp_path, newline
+    ):
+        plain = 2 * data_io._BLOCK_CHARS // len("0" + newline) + 3
+        path = tmp_path / "labels.csv"
+        lines = ["label", *["0"] * plain, "2", "1"]
+        path.write_text(newline.join(lines) + newline, newline="")
+        message = f"{path}: line {plain + 2}: column 'label': expected 0 or 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, got '2'$"):
+            load_label_series(path)
+
+    @pytest.mark.parametrize("body", ["0\n\n11\n", "\n01\n", "1\n0\n\n"])
+    def test_blank_lines_are_refused(self, tmp_path, body):
+        # no more 0s and 1s than lines, yet one line is blank
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n" + body)
+        with pytest.raises(ValueError, match="expected 1 field, got 0"):
+            load_label_series(path)
+
+
 class TestEvents:
     def test_round_trip(self, tmp_path):
         events = np.array([[3, 7], [20, 20]], dtype=np.int64)
@@ -1008,7 +1066,7 @@ def ref_events(path, end_exclusive):
 
 NUMBERS = ["0", "-2.5", "0.125", "1e3", " 1", "1_0", "+.5", "٣"]
 NUMBER_FAULTS = ["x", "", "nan", "inf", "-inf", "1e400", "0x10"]
-FLAGS = ["0", "1", "1.0", "-0", " 1"]
+FLAGS = ["0", "1", "1.0", "-0", " 1", "\u0661"]
 FLAG_FAULTS = ["2", "0.5", "x", "nan", ""]
 # a fault in either bound column can also be a segment ending before it
 # starts

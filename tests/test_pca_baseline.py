@@ -244,6 +244,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ScoredModel.load(path)
 
+    @pytest.mark.parametrize(
+        "name, write",
+        [
+            ("model.csv", lambda path: path.write_text("score\n0.5\n")),
+            ("model.npy", lambda path: np.save(path, np.zeros(3))),
+            ("model.npz", lambda path: path.write_bytes(b"")),
+            ("cut.npz", lambda path: path.write_bytes(b"PK\x03\x04cut")),
+        ],
+    )
+    def test_file_that_is_no_archive_is_named(self, tmp_path, name, write):
+        path = tmp_path / name
+        write(path)
+        message = f"{path}: not a model archive (.npz)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScoredModel.load(path)
+
     def test_fractional_window_is_refused_on_load(self, tmp_path):
         # a stored window is read as it was written, never truncated
         path = tmp_path / "model.npz"
@@ -398,23 +414,54 @@ class TestSweepAgainstBruteForce:
             assert at_t == expected
 
 
+class TestSweepReport:
+    @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
+    @settings(max_examples=200, deadline=None)
+    @given(scored_layouts())
+    @example(([0.5], [1]))
+    @example(([0.5], [0]))
+    @example(([0.1, 0.9, 0.3], [0, 0, 0]))  # +inf wins
+    @example(([0.1, 0.9, 0.3], [1, 1, 1]))
+    @example(([0.4, 0.4, 0.4, 0.4], [0, 1, 1, 0]))
+    @example(([0.7, 0.2, 0.7, 0.2, 0.7], [1, 0, 0, 0, 1]))
+    def test_report_is_score_of_the_winning_prediction(self, layout):
+        # the report built from the sweep's counts is score()'s report of
+        # the prediction at the returned threshold, +inf and ties included;
+        # reprs are equal only if every float has the same bits and every
+        # count is a Python int
+        values, label_values = layout
+        scores = AnomalyScoreSeries(np.array(values))
+        labels = LabelSeries(label_values)
+        for protocol in Protocol:
+            threshold, report = sweep_threshold(scores, labels, protocol)
+            preds = predictions_at_threshold(scores, threshold)
+            assert repr(report) == repr(score(labels, preds, protocol))
+
+
 class TestSweepCost:
     @pytest.mark.parametrize("n", [1, 50, 5000])
     def test_one_score_call_per_sweep(self, n, monkeypatch):
+        # the report comes from the sweep's own counts: nothing is
+        # binarized or scored again
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return score(*args)
+        def counted(fn):
+            def call(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
 
-        monkeypatch.setattr(pca_baseline, "score", counted)
+            return call
+
+        for name in ("score", "predictions_at_threshold"):
+            fn = getattr(pca_baseline, name)
+            monkeypatch.setattr(pca_baseline, name, counted(fn))
         rng = np.random.default_rng(n)
         scores = AnomalyScoreSeries(rng.random(n))
         labels = LabelSeries((rng.random(n) < 0.2).astype(np.int8))
         for protocol in Protocol:
             calls.clear()
             sweep_threshold(scores, labels, protocol)
-            assert len(calls) == 1
+            assert calls == []
 
     def test_all_anomalous_warns_once_per_sweep(self):
         scores = AnomalyScoreSeries(np.linspace(0.0, 1.0, 40))

@@ -2,12 +2,14 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsadeval import protocols as protocols_module
 from tsadeval.metrics import LabelSeries, PredictionSeries, point_confusion
 from tsadeval.protocols import (
     DEPRECATED_PROTOCOLS,
@@ -172,6 +174,55 @@ class TestEventCountsAgainstNaive:
             score(labels, adjusted, Protocol.POINT_WISE),
             protocol=Protocol.POINT_ADJUST,
         )
+
+
+def warned_no_normal(call):
+    """call()'s result and how many times it warned of no normal points."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, sum("no normal points" in str(w.message) for w in caught)
+
+
+class TestScoreAllAgainstScore:
+    @settings(max_examples=300, deadline=None)
+    @given(flag_pairs(), st.lists(st.sampled_from(list(Protocol)), unique=True))
+    @example(([1], [1]), list(Protocol))  # length 1
+    @example(([0, 0, 0], [0, 1, 0]), list(Protocol))  # no events
+    @example(([1, 1, 1], [0, 1, 0]), list(Protocol)[::-1])  # all anomalous
+    @example(([0, 1, 1, 0], [1, 1, 1, 1]), list(Protocol))  # all predicted
+    @example(([0, 1, 1, 0], [0, 0, 0, 0]), list(Protocol))  # none predicted
+    def test_reports_equal_per_protocol_scores(self, pair, protocols):
+        # reprs are equal only if every float has the same bits and every
+        # count the same type and value
+        labels, preds = LabelSeries(pair[0]), PredictionSeries(pair[1])
+        together, warned = warned_no_normal(
+            lambda: score_all(labels, preds, tuple(protocols))
+        )
+        one_by_one, warned_alone = warned_no_normal(
+            lambda: [score(labels, preds, p) for p in protocols]
+        )
+        assert repr(together) == repr(one_by_one)
+        # each protocol's FAR warns of a series with no normal points
+        expected = len(protocols) if labels.n_normal == 0 else 0
+        assert warned == warned_alone == expected
+
+    def test_counts_the_pair_once(self, monkeypatch):
+        calls = []
+        for name in ("point_confusion", "_event_counts"):
+            fn = getattr(protocols_module, name)
+
+            def counted(*args, fn=fn):
+                calls.append(fn.__name__)
+                return fn(*args)
+
+            monkeypatch.setattr(protocols_module, name, counted)
+        subsets = [list(Protocol)[:n] for n in range(1, len(Protocol) + 1)]
+        for chosen in [*subsets, list(Protocol) * 2]:
+            calls.clear()
+            reports = score_all(WORKED_LABELS, WORKED_PREDS, tuple(chosen))
+            assert len(reports) == len(chosen)
+            assert sorted(calls) == ["_event_counts", "point_confusion"]
 
 
 @st.composite
