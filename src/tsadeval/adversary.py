@@ -46,7 +46,6 @@ to 1e8 and alpha up to 100000; the tests hold it to math.comb.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -55,11 +54,11 @@ import numpy as np
 
 # point_confusion and score go unused here; perfbench/tracer.py binds both
 from tsadeval.metrics import (
-    FAR_NO_NORMAL_WARNING,
     LabelSeries,
     PredictionSeries,
     _check_count,
     _check_range,
+    _warn_no_normal,
     point_confusion,
 )
 from tsadeval.protocols import Protocol, _block_counts, _rates, score
@@ -535,8 +534,7 @@ def random_flag_trials(
         hits[block] = counts["tp"]
         for p in protocols:
             f1[p][block] = _rates(p, **counts)[2]
-    if protocols and not labels.n_normal:
-        warnings.warn(FAR_NO_NORMAL_WARNING, stacklevel=2)
+    _warn_no_normal(labels.n_normal, protocols)
     return RandomFlagTrials(
         alpha=alpha, trials=trials, seed=seed, hits=hits, f1_by_protocol=f1
     )

@@ -19,8 +19,8 @@ reports exactly what evaluate --scores reports on its scores.csv.
 Every command computes a `Report` and writes nothing. One function then
 checks every destination: each must sit in an existing directory or
 directly in --out (default ".", overridable via the TSADEVAL_OUT
-environment variable), must not be a directory, and must not be the same
-file as another. Only then does it create --out, write the command's
+environment variable), and must be neither a directory, an input nor
+another output. Only then does it create --out, write the command's
 files and its record, and print its lines. The record, `report.json` in
 --out, holds the results and a run manifest: command line, resolved
 configuration, seeds, SHA-256 digests of the input files, package version
@@ -161,6 +161,7 @@ def _write_outputs(args: argparse.Namespace) -> int:
     manifest = _manifest(args.command, report.config, report.seeds, report.inputs)
     out = getattr(args, "out", None)  # synth has no --out
     record = report.record or Path(out) / "report.json"
+    inputs = {Path(p).resolve() for p in report.inputs}
     seen = set()
     for path in [p for p, _ in report.files] + [record]:
         resolved = Path(path).resolve()
@@ -169,6 +170,8 @@ def _write_outputs(args: argparse.Namespace) -> int:
             raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
         if resolved.is_dir():
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if resolved in inputs:
+            raise ValueError(f"{path}: an output at an input's path")
         if resolved in seen:
             raise ValueError(f"{path}: two outputs at one path")
         seen.add(resolved)
@@ -305,7 +308,10 @@ def _scored(args: argparse.Namespace, labels: LabelSeries, series) -> tuple:
     if isinstance(series, AnomalyScoreSeries):
         threshold = args.threshold_policy
         if not isinstance(threshold, float):
-            threshold, _ = sweep_threshold(series, labels, Protocol.POINT_WISE)
+            # its report is thrown away, and score_all warns of these labels
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                threshold, _ = sweep_threshold(series, labels, Protocol.POINT_WISE)
         preds = predictions_at_threshold(series, threshold)
     rows = [_report_row(r) for r in score_all(labels, preds, args.protocols)]
     return threshold, Report(
@@ -667,6 +673,11 @@ def _cmd_baseline(args: argparse.Namespace) -> Report:
             f"{args.test}: {test.n_channels} channels, but {args.train} "
             f"holds {train.n_channels}"
         )
+    if test.channel_names != train.channel_names:
+        raise ValueError(
+            f"{args.test}: channels {','.join(test.channel_names)}, but "
+            f"{args.train} holds {','.join(train.channel_names)}"
+        )
     model = fit(train, config)
     scores = score_frame(model, test)
     threshold, report = _scored(args, test.labels, scores)
@@ -836,29 +847,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_each_warning_once() -> None:
-    """Show each warning text once until the enclosing catch_warnings exits.
-
-    Every protocol of a run warns alike about a series with no normal
-    points; the user needs to read it once, not once per protocol.
-    """
-    show = warnings.showwarning
-    seen = set()
-
-    def show_once(message, category, filename, lineno, file=None, line=None):
-        key = (category, str(message))
-        if key not in seen:
-            seen.add(key)
-            show(message, category, filename, lineno, file, line)
-
-    warnings.showwarning = show_once
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # entering it resets the registry of warnings shown, so each run warns anew
     with warnings.catch_warnings():
-        _show_each_warning_once()
         try:
             return _write_outputs(args)
         except (ValueError, OSError) as exc:

@@ -307,6 +307,12 @@ def precision_recall_f1(counts: ConfusionCounts) -> tuple[float, float, float]:
 def false_alarm_rate(counts: ConfusionCounts) -> float:
     """FP / (FP + TN). A series with no normal points has FAR 0.0."""
     normal = counts.fp + counts.tn
-    if normal == 0:
-        warnings.warn(FAR_NO_NORMAL_WARNING, stacklevel=2)
+    _warn_no_normal(normal)
     return _ratio(counts.fp, normal)
+
+
+def _warn_no_normal(n_normal: int, scored=True) -> None:
+    """If anything was scored over no normal points, warn at the caller's
+    caller that the FAR reads 0.0; each public scoring call does so once."""
+    if scored and not n_normal:
+        warnings.warn(FAR_NO_NORMAL_WARNING, stacklevel=3)

@@ -29,6 +29,7 @@ from tsadeval.metrics import (
     PredictionSeries,
     _check_count,
     _check_range,
+    _warn_no_normal,
 )
 # score goes unused here; perfbench/tracer.py binds it
 from tsadeval.protocols import Protocol, _rates, _report, _sweep_counts, score
@@ -282,7 +283,7 @@ def sweep_threshold(
     too, whose F1 is not monotone in the threshold: every protocol's
     counts at all candidates come from one sort, in O(T log T), and the
     report is built from those counts at the winning threshold, with no
-    binarization and no second count.
+    binarization and no second count. It warns once of no normal points.
     """
     if len(scores) != len(labels):
         raise ValueError(
@@ -297,4 +298,5 @@ def sweep_threshold(
         name: int(value[best] if np.ndim(value) else value)
         for name, value in counts.items()
     }
+    _warn_no_normal(winner["n_normal"])
     return float(thresholds[best]), _report(protocol, winner)

@@ -12,10 +12,10 @@
 
 score and score_all return ProtocolReports of one shape, so reports can
 be tabulated uniformly. Both count the prediction once, into one record of
-eight counts (_prediction_counts), and build each protocol's report from
-that record through _report; score_all so counts once however many
-protocols it is given. The threshold sweep builds its report through
-_report too, from its own counts at the winning threshold.
+eight counts (_prediction_counts), however many protocols score_all is
+given, and build each report from it through _report, as the threshold
+sweep does from its own counts at the winning threshold. _report never
+warns; each of the three calls warns once of labels with no normal points.
 
 This module is the one place that turns a detector's output into protocol
 counts, whatever form the output takes: a prediction (_prediction_counts),
@@ -41,12 +41,11 @@ from typing import Optional
 import numpy as np
 
 from tsadeval.metrics import (
-    ConfusionCounts,
     LabelSeries,
     PredictionSeries,
     _check_range,
     _ratio,
-    false_alarm_rate,
+    _warn_no_normal,
     harmonic_f1,
     point_confusion,
     prf_from_counts,
@@ -210,18 +209,15 @@ def _prediction_counts(labels: LabelSeries, preds: PredictionSeries) -> dict:
 
 def _report(protocol: Protocol, counts: dict) -> ProtocolReport:
     """The report of one protocol from a record of the eight counts, each
-    a Python int. Each call checks the FAR, so each warns of a series with
-    no normal points."""
+    a Python int. It never warns; the public calls that build reports do."""
     precision, recall, f1 = _rates(protocol, **counts)
-    tp, fp, fn = counts["tp"], counts["fp"], counts["fn"]
-    point = ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=counts["n_normal"] - fp)
     event_aware = protocol in (Protocol.COMPOSITE, Protocol.EVENT_WISE)
     return ProtocolReport(
         protocol=protocol,
         precision=precision,
         recall=recall,
         f1=f1,
-        far=false_alarm_rate(point),
+        far=_ratio(counts["fp"], counts["n_normal"]),
         tp_e=counts["tp_e"] if event_aware else None,
         # composite's precision is point-level, so it reports no fp_e
         fp_e=counts["fp_e"] if protocol is Protocol.EVENT_WISE else None,
@@ -233,7 +229,10 @@ def score(
     labels: LabelSeries, preds: PredictionSeries, protocol: Protocol
 ) -> ProtocolReport:
     """Score one pair under one protocol."""
-    return _report(Protocol(protocol), _prediction_counts(labels, preds))
+    protocol = Protocol(protocol)
+    counts = _prediction_counts(labels, preds)
+    _warn_no_normal(counts["n_normal"])
+    return _report(protocol, counts)
 
 
 def score_all(
@@ -244,7 +243,9 @@ def score_all(
     """Score one pair under several protocols, in the order given; the
     pair is counted once, whatever the number of protocols."""
     counts = _prediction_counts(labels, preds)
-    return [_report(Protocol(p), counts) for p in protocols]
+    reports = [_report(Protocol(p), counts) for p in protocols]
+    _warn_no_normal(counts["n_normal"], reports)
+    return reports
 
 
 def _sweep_counts(scores: np.ndarray, labels: LabelSeries) -> tuple:

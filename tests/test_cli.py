@@ -14,7 +14,7 @@ import pytest
 import tsadeval.cli
 from tsadeval.cli import main
 from tsadeval.data_io import load_frame
-from tsadeval.metrics import LabelSeries, PredictionSeries
+from tsadeval.metrics import FAR_NO_NORMAL_WARNING, LabelSeries, PredictionSeries
 from tsadeval.pca_baseline import ScoredModel
 from tsadeval.protocols import score_all
 
@@ -1230,7 +1230,125 @@ def test_no_normal_points_warned_once_per_run(argv, tmp_path, monkeypatch):
             assert warned(caught) == 1
             caught.clear()
         score_all(LabelSeries(labels), PredictionSeries(labels))
-        assert warned(caught) == 4
+        assert warned(caught) == 1
+
+
+# Every command that scores all-anomalous labels, each run showing the
+# warning of a series with no normal points once
+NO_NORMAL_COMMANDS = {
+    "evaluate-predictions": [
+        "evaluate", "--labels", "labels.csv", "--predictions", "preds.csv",
+    ],
+    "evaluate-scores-best-pw-f1": [
+        "evaluate", "--labels", "labels.csv", "--scores", "scores.csv",
+        "--threshold-policy", "best-pw-f1",
+    ],
+    "evaluate-scores-fixed": [
+        "evaluate", "--labels", "labels.csv", "--scores", "scores.csv",
+        "--threshold-policy", "fixed:0.5",
+    ],
+    "baseline": ["baseline", "--train", "train.csv", "--test", "test.csv"],
+    "attack": [
+        "attack", "--labels", "labels.csv", "--alpha", "3", "--trials", "20",
+    ],
+}
+
+
+@pytest.mark.parametrize("action", ["default", "always"])
+@pytest.mark.parametrize("case", sorted(NO_NORMAL_COMMANDS))
+def test_no_normal_points_warned_once_in_each_run(
+    case, action, tmp_path, monkeypatch
+):
+    # under "default" Python shows a warning once per line that raised it;
+    # main starts each run afresh, so the second run warns as the first did
+    monkeypatch.chdir(tmp_path)
+    labels = [1] * 40
+    write_column(tmp_path / "labels.csv", "label", labels)
+    write_column(tmp_path / "preds.csv", "prediction", [i % 2 for i in range(40)])
+    write_column(tmp_path / "scores.csv", "score", [i / 40 for i in range(40)])
+    rng = np.random.default_rng(1)
+    write_frame_csv(tmp_path / "train.csv", rng.standard_normal((40, 3)))
+    write_frame_csv(tmp_path / "test.csv", rng.standard_normal((40, 3)), labels)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        for _ in range(2):
+            caught.clear()
+            assert main([*NO_NORMAL_COMMANDS[case], "--out", "out"]) == 0
+            assert [str(w.message) for w in caught] == [FAR_NO_NORMAL_WARNING]
+
+
+# An output that resolves to an input of the same run
+OUTPUT_AT_INPUT = {
+    "baseline-model-out-over-train": (
+        [
+            "baseline", "--train", "train.csv", "--test", "test.csv",
+            "--out", "o1", "--model-out", "train.csv",
+        ],
+        "train.csv: an output at an input's path",
+    ),
+    "evaluate-report-over-labels": (
+        [
+            "evaluate", "--labels", "o2/report.csv", "--scores",
+            "o2/scores.csv", "--out", "o2",
+        ],
+        "o2/report.csv: an output at an input's path",
+    ),
+    "synth-out-file-over-spec": (
+        ["synth", "--spec", "spec.json", "--out-file", "spec.json"],
+        "spec.json: an output at an input's path",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_AT_INPUT))
+def test_output_at_an_input_path_writes_nothing(
+    case, tmp_path, spec_file, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o2").mkdir()
+    write_column(tmp_path / "o2" / "report.csv", "label", WORKED_LABELS)
+    write_column(tmp_path / "o2" / "scores.csv", "score", [i / 10 for i in range(10)])
+    rng = np.random.default_rng(0)
+    write_frame_csv(tmp_path / "train.csv", rng.standard_normal((10, 2)))
+    write_frame_csv(
+        tmp_path / "test.csv", rng.standard_normal((10, 2)), WORKED_LABELS
+    )
+
+    def tree():
+        return {
+            path: path.read_bytes()
+            for path in tmp_path.rglob("*") if path.is_file()
+        }
+
+    before = tree()
+    argv, message = OUTPUT_AT_INPUT[case]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert tree() == before
+    assert not (tmp_path / "o1").exists()
+
+
+@pytest.mark.parametrize(
+    "header", ["c2,c1,c0", "c0,c1,x2"], ids=["reordered", "renamed"]
+)
+def test_baseline_refuses_other_channel_names(
+    header, tmp_path, monkeypatch, capsys
+):
+    # the same channels in another order would be scaled and projected
+    # with the wrong channel's statistics
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    write_frame_csv(tmp_path / "train.csv", rng.standard_normal((40, 3)))
+    write_frame_csv(
+        tmp_path / "test.csv", rng.standard_normal((40, 3)), WORKED_LABELS * 4
+    )
+    text = (tmp_path / "test.csv").read_text()
+    (tmp_path / "test.csv").write_text(text.replace("c0,c1,c2", header, 1))
+    argv = ["baseline", "--train", "train.csv", "--test", "test.csv"]
+    assert main([*argv, "--out", "out"]) == 2
+    message = f"test.csv: channels {header}, but train.csv holds c0,c1,c2"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # Every command runs without importing scipy, each on small inputs written

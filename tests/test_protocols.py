@@ -1,6 +1,7 @@
 """Scoring protocols: worked examples, reference scorers and invariants."""
 
 import dataclasses
+import itertools
 import re
 import warnings
 
@@ -10,7 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsadeval import protocols as protocols_module
-from tsadeval.metrics import LabelSeries, PredictionSeries, point_confusion
+from tsadeval.adversary import random_flag_trials
+from tsadeval.metrics import (
+    FAR_NO_NORMAL_WARNING,
+    LabelSeries,
+    PredictionSeries,
+    point_confusion,
+)
+from tsadeval.pca_baseline import AnomalyScoreSeries, sweep_threshold
 from tsadeval.protocols import (
     DEPRECATED_PROTOCOLS,
     Protocol,
@@ -203,9 +211,10 @@ class TestScoreAllAgainstScore:
             lambda: [score(labels, preds, p) for p in protocols]
         )
         assert repr(together) == repr(one_by_one)
-        # each protocol's FAR warns of a series with no normal points
-        expected = len(protocols) if labels.n_normal == 0 else 0
-        assert warned == warned_alone == expected
+        # each call warns once of a series with no normal points
+        no_normal = labels.n_normal == 0
+        assert warned == (min(1, len(protocols)) if no_normal else 0)
+        assert warned_alone == (len(protocols) if no_normal else 0)
 
     def test_counts_the_pair_once(self, monkeypatch):
         calls = []
@@ -440,4 +449,71 @@ class TestDispatch:
                 recall=0.5,
                 f1=0.75,
                 far=0.0,
+            )
+
+
+# every subset of the protocols, the empty one included
+PROTOCOL_SUBSETS = [
+    subset
+    for size in range(len(Protocol) + 1)
+    for subset in itertools.combinations(Protocol, size)
+]
+
+
+def subset_id(protocols):
+    return ",".join(p.value for p in protocols) or "none"
+
+
+def assert_warns_at_caller(call, times):
+    """call() warns of no normal points `times` times, and of nothing else;
+    each warning points at this file, where the call was made."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert [str(w.message) for w in caught] == [FAR_NO_NORMAL_WARNING] * times
+    assert [w.filename for w in caught] == [__file__] * times
+
+
+class TestNoNormalPointsWarnOncePerCall:
+    """A series with no normal points has FAR 0.0 by convention. Each public
+    scoring call warns of it at most once, and never of labels that hold a
+    normal point."""
+
+    ALL_ANOMALOUS = LabelSeries([1] * 6)
+    WITH_NORMAL = LabelSeries([1, 1, 0, 1, 1, 1])
+    PREDS = PredictionSeries([0, 1, 1, 0, 0, 1])
+    SCORES = AnomalyScoreSeries(np.linspace(0.0, 1.0, 6))
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_score(self, protocol):
+        for labels, times in ((self.ALL_ANOMALOUS, 1), (self.WITH_NORMAL, 0)):
+            assert_warns_at_caller(
+                lambda: score(labels, self.PREDS, protocol), times
+            )
+
+    @pytest.mark.parametrize("protocols", PROTOCOL_SUBSETS, ids=subset_id)
+    def test_score_all(self, protocols):
+        for labels, times in (
+            (self.ALL_ANOMALOUS, min(1, len(protocols))),
+            (self.WITH_NORMAL, 0),
+        ):
+            assert_warns_at_caller(
+                lambda: score_all(labels, self.PREDS, protocols), times
+            )
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_sweep_threshold(self, protocol):
+        for labels, times in ((self.ALL_ANOMALOUS, 1), (self.WITH_NORMAL, 0)):
+            assert_warns_at_caller(
+                lambda: sweep_threshold(self.SCORES, labels, protocol), times
+            )
+
+    @pytest.mark.parametrize("protocols", PROTOCOL_SUBSETS, ids=subset_id)
+    def test_random_flag_trials(self, protocols):
+        for labels, times in (
+            (self.ALL_ANOMALOUS, min(1, len(protocols))),
+            (self.WITH_NORMAL, 0),
+        ):
+            assert_warns_at_caller(
+                lambda: random_flag_trials(labels, 3, 20, 1, protocols), times
             )
