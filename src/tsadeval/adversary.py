@@ -17,12 +17,9 @@ where the alarms and the unflagged points both exceed a fifth of the
 series, keeps each row's alpha smallest of uniform random keys.
 
 The engine never builds a prediction series: protocols._block_counts
-counts each protocol's terms from the sorted positions, and
-protocols._rates turns them into F1. Counting touches every alarm only
-twice, with a gather of the labels and a diff along the row; the rest of
-its work grows with the hits, and its memory stays a few arrays of
-rows x alpha, like the sampler's. Each sampler path must pass a
-chi-square test of uniformity over all subsets.
+counts each protocol's terms from the sorted positions (its docstring
+says how), and protocols._rates turns them into F1. Each sampler path
+must pass a chi-square test of uniformity over all subsets.
 
 Closed forms (single anomalous segment of length A inside T points,
 alpha random alarms, s of them landing inside the segment):
@@ -233,6 +230,7 @@ def hit_probabilities(
     if exact:
         log_ratio += np.log(marked - s) - np.log(total - marked - alpha + s + 1)
     elif s.size:
+        # an all-anomalous series leaves s empty, and log1p(-1) would raise
         r = setup.contamination_rate
         log_ratio += math.log(r) - math.log1p(-r)
     # log P(s) / P(mode), summed outward from the mode, where the ratio

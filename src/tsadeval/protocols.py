@@ -314,9 +314,8 @@ def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:
     previous hit's marks its event detected. Along a predicted segment,
     position and flattened index rise together; a hit whose row or lag
     (position less index) differs from the previous hit's so opens a true
-    segment, and the segments no hit opens are false. A row's count of
-    flagged hits is the number of flagged indices before its end less the
-    number before its start, each found by a search of the flagged indices.
+    segment, and the segments no hit opens are false. Each row's totals
+    are bincounts of the marked hits' row numbers.
     """
     starts, ends = labels.starts, labels.ends
     rows, alpha = alarms.shape
@@ -327,30 +326,27 @@ def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:
     )
     flat = np.flatnonzero(inside)
     hit = alarms.ravel()[flat]
-    # one past each row's last hit, in flattened order
-    row_end = np.cumsum(tp)
-    new_row = np.zeros(hit.size, dtype=bool)
-    new_row[(row_end - tp)[tp > 0]] = True
+    row = flat // max(alpha, 1)
     event = np.searchsorted(starts, hit, side="right") - 1
-    first_hit = new_row.copy()
-    first_hit[1:] |= event[1:] != event[:-1]
     lag = hit - flat
-    opens = new_row
-    opens[1:] |= lag[1:] != lag[:-1]
-    first = np.flatnonzero(first_hit)
-    # first hits, and their events' summed lengths, through each row's end
-    detected = np.searchsorted(first, row_end)
-    lengths = (ends - starts + 1)[event[first]]
-    credit = np.concatenate(([0], np.cumsum(lengths)))
-    true_segments = np.searchsorted(np.flatnonzero(opens), row_end)
-    tp_e = np.diff(detected, prepend=0)
+    new_row = row[1:] != row[:-1]
+    first_hit = np.ones(hit.size, dtype=bool)
+    first_hit[1:] = new_row | (event[1:] != event[:-1])
+    opens = np.ones(hit.size, dtype=bool)
+    opens[1:] = new_row | (lag[1:] != lag[:-1])
+    # each row's first hits, their events' summed lengths, and true segments
+    first = row[first_hit]
+    tp_e = np.bincount(first, minlength=rows)
+    lengths = (ends - starts + 1)[event[first_hit]]
+    # float64 weights sum exactly below 2**53 points
+    adjusted_tp = np.bincount(first, lengths, minlength=rows).astype(np.int64)
     return {
         "tp": tp,
         "fp": alpha - tp,
         "fn": labels.n_anomalous - tp,
         "n_normal": labels.n_normal,
-        "adjusted_tp": np.diff(credit[detected], prepend=0),
+        "adjusted_tp": adjusted_tp,
         "tp_e": tp_e,
-        "fp_e": segments - np.diff(true_segments, prepend=0),
+        "fp_e": segments - np.bincount(row[opens], minlength=rows),
         "fn_e": labels.n_events - tp_e,
     }

@@ -154,6 +154,25 @@ class TestSetup:
         with pytest.raises(ValueError):
             AttackSetup(**kwargs)
 
+    @pytest.mark.parametrize(
+        "hits, f1, probability, message",
+        [
+            ([0, 1], [0.0], [0.5, 0.5], "support arrays must have equal"),
+            ([], [], [], "distribution support is empty"),
+            ([1, 1], [0.5, 0.5], [0.5, 0.5], "hit counts must be strictly"),
+            ([0, 1], [0.0, 0.5], [0.5, 0.4], "probabilities sum to 0.9,"),
+        ],
+    )
+    def test_distribution_validation(self, hits, f1, probability, message):
+        with pytest.raises(ValueError, match=message):
+            adversary.F1PaDistribution(
+                setup=AttackSetup(10, 5, 1),
+                model="monte-carlo",
+                hits=np.array(hits, dtype=np.int64),
+                f1=np.array(f1),
+                probability=np.array(probability),
+            )
+
 
 class TestHitDistributions:
     def test_bernoulli_matches_oracle(self):

@@ -326,6 +326,12 @@ class TestFrameRoundTrip:
         with pytest.raises(ValueError, match="channel names"):
             MvtsFrame(values=np.zeros((2, 2)), channel_names=("a",))
 
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (0, 0)])
+    def test_empty_frame_is_refused(self, shape):
+        message = "^frame needs at least one row and one channel$"
+        with pytest.raises(ValueError, match=message):
+            MvtsFrame(values=np.zeros(shape))
+
 
 class TestSingleColumnLoaders:
     def test_label_only_file(self, tmp_path):

@@ -115,6 +115,12 @@ class TestSeries:
         assert LabelSeries([0, 1]) == LabelSeries([0, 1])
         assert LabelSeries([0, 1]) != LabelSeries([1, 1])
 
+    @pytest.mark.parametrize("values", [[0, 1], [1], [0, 0, 1, 1]])
+    def test_labels_never_equal_predictions(self, values):
+        labels, preds = LabelSeries(values), PredictionSeries(values)
+        assert labels.__eq__(preds) is NotImplemented
+        assert labels != preds and preds != labels
+
 
 class TestConfusion:
     def test_worked_example(self):

@@ -272,6 +272,30 @@ class TestPersistence:
         ):
             ScoredModel.load(path)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(center=np.zeros((3, 1))), "^center must be 1-D$"),
+            (dict(basis=np.ones(3)), "^basis must be 2-D$"),
+            (
+                dict(mean=np.zeros(2)),
+                "^per-channel arrays disagree on channel count$",
+            ),
+            (
+                dict(basis=np.eye(4)[:, :2]),
+                "^per-channel arrays disagree on channel count$",
+            ),
+        ],
+    )
+    def test_model_shapes_are_refused(self, changes, message):
+        fields = dict(
+            center=np.zeros(3), spread=np.ones(3), clip_low=-np.ones(3),
+            clip_high=np.ones(3), mean=np.zeros(3), basis=np.eye(3)[:, :2],
+            smooth_window=1,
+        )
+        with pytest.raises(ValueError, match=message):
+            ScoredModel(**{**fields, **changes})
+
     def test_model_validation(self):
         eye = np.eye(3)
         with pytest.raises(ValueError, match="orthonormal"):
