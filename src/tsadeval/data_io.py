@@ -402,7 +402,7 @@ def load_frame(path: "str | Path") -> MvtsFrame:
     return MvtsFrame(
         values=values[:, :-1],
         channel_names=tuple(header[:-1]),
-        labels=LabelSeries(values[:, -1].astype(np.int8)),
+        labels=LabelSeries(values[:, -1]),
     )
 
 
@@ -456,13 +456,12 @@ def load_label_series(path: "str | Path") -> LabelSeries:
             raise ValueError(f"{path}: frame has no label column")
         return kinds
 
-    return LabelSeries(_read_csv(path, kinds_for)[1][:, -1].astype(np.int8))
+    return LabelSeries(_read_csv(path, kinds_for)[1][:, -1])
 
 
 def load_prediction_series(path: "str | Path") -> PredictionSeries:
     """Read a `prediction`-only CSV of 0/1 flags."""
-    flags = _one_column(path, "prediction", "flag")
-    return PredictionSeries(flags.astype(np.int8))
+    return PredictionSeries(_one_column(path, "prediction", "flag"))
 
 
 def load_score_series(path: "str | Path") -> np.ndarray:

@@ -5,10 +5,10 @@ is built on the primitives here. Conventions used throughout the package:
 
 * indices are 0-based; segments are inclusive on both ends,
 * the runs of 1s in a series are represented by two read-only int64
-  arrays, ``starts`` and ``ends``, found once per series and cached;
-  Segment objects are built from them only for the public
-  ``events``/``segments``/``segmentize`` views (file IO reads and writes
-  events as (n, 2) int64 bounds),
+  arrays, ``starts`` and ``ends``, found when the series is built, beside
+  its count of 1s, ``n_positive``; Segment objects are built from them
+  only for the public ``events``/``segments``/``segmentize`` views (file
+  IO reads and writes events as (n, 2) int64 bounds),
 * labels and predictions must be exactly 0/1 (booleans are accepted,
   anything else is rejected rather than coerced),
 * precision, recall and F1 are defined as 0.0 whenever their denominator
@@ -118,9 +118,12 @@ def segmentize(flags: FlagsLike) -> list[Segment]:
 
 
 class _BinarySeries:
-    """Immutable 0/1 series with lazily cached run bounds."""
+    """Immutable 0/1 series. Its runs of 1s and its count of 1s are found
+    once, when it is built: ``starts`` holds the first index of each run,
+    ascending, ``ends`` the last, inclusive (both read-only int64), and
+    ``n_positive`` the number of 1s."""
 
-    __slots__ = ("values", "_bounds")
+    __slots__ = ("values", "starts", "ends", "n_positive")
 
     def __init__(self, values: FlagsLike):
         arr = as_binary_array(values)
@@ -128,7 +131,10 @@ class _BinarySeries:
             raise ValueError("series must hold at least one point")
         arr.setflags(write=False)
         self.values: np.ndarray = arr
-        self._bounds: tuple[np.ndarray, np.ndarray] | None = None
+        self.starts, self.ends = _run_bounds(arr)
+        self.starts.setflags(write=False)
+        self.ends.setflags(write=False)
+        self.n_positive = int(np.count_nonzero(arr))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -141,28 +147,6 @@ class _BinarySeries:
     @property
     def n_points(self) -> int:
         return int(self.values.size)
-
-    @property
-    def n_positive(self) -> int:
-        return int(np.count_nonzero(self.values))
-
-    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._bounds is None:
-            starts, ends = _run_bounds(self.values)
-            starts.setflags(write=False)
-            ends.setflags(write=False)
-            self._bounds = (starts, ends)
-        return self._bounds
-
-    @property
-    def starts(self) -> np.ndarray:
-        """First index of each run of 1s, ascending (read-only int64)."""
-        return self._runs()[0]
-
-    @property
-    def ends(self) -> np.ndarray:
-        """Last index, inclusive, of each run of 1s (read-only int64)."""
-        return self._runs()[1]
 
 
 class LabelSeries(_BinarySeries):
@@ -230,12 +214,10 @@ def point_confusion(
 ) -> ConfusionCounts:
     """Count point-level TP/FP/FN/TN; series lengths must match."""
     require_same_length(labels, preds)
-    lv = labels.values
-    pv = preds.values
-    tp = int(np.count_nonzero(lv & pv))
-    fp = int(np.count_nonzero(pv)) - tp
-    fn = int(np.count_nonzero(lv)) - tp
-    tn = lv.size - tp - fp - fn
+    tp = int(np.count_nonzero(labels.values & preds.values))
+    fp = preds.n_positive - tp
+    fn = labels.n_positive - tp
+    tn = len(labels) - tp - fp - fn
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
@@ -274,11 +256,12 @@ def _is_int(value) -> bool:
 
 def _ratio(num, den):
     """num / den, 0.0 wherever den is 0: a float for scalars, else an
-    array of the broadcast shape, by the same float64 division."""
-    num = np.asarray(num, dtype=np.float64)
-    den = np.asarray(den, dtype=np.float64)
+    array of the broadcast shape, by the same float64 division (np.divide
+    casts the counts to float64 inside its loop, copying none)."""
     shape = np.broadcast(num, den).shape
-    out = np.divide(num, den, out=np.zeros(shape), where=den > 0)
+    out = np.divide(
+        num, den, out=np.zeros(shape), where=den > 0, dtype=np.float64
+    )
     return float(out) if out.ndim == 0 else out
 
 

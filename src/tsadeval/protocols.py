@@ -190,7 +190,7 @@ def _rates(
         # the FAR factor makes the all-positive prediction score 0 whenever
         # any normal point exists, a degenerate case the segment counts
         # alone would reward
-        base, recall, _ = prf_from_counts(tp_e, fp_e, fn_e)
+        base, recall = _ratio(tp_e, tp_e + fp_e), _ratio(tp_e, tp_e + fn_e)
         precision = base * (1.0 - _ratio(fp, n_normal))
     return precision, recall, harmonic_f1(precision, recall)
 

@@ -217,6 +217,13 @@ LOADER_ERRORS = [
         "line 2: expected 2 fields, got 3",
         id="frame-fields-shifted-between-lines",
     ),
+    # each line is counted: a well-formed line beside them hides neither
+    pytest.param(
+        load_frame,
+        "c0,c1\n1\n1,2\n1,2,3\n",
+        "line 2: expected 2 fields, got 1",
+        id="frame-fields-shifted-around-a-good-line",
+    ),
     # a record ends at a lone CR, and at no other control character
     pytest.param(
         load_label_series,

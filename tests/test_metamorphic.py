@@ -4,7 +4,9 @@ Every protocol reads events and predicted segments, never their order in
 time, so reversing a series leaves every count unchanged. Two series
 joined by one normal point that no output flags keep their events and
 predicted segments apart, so each count of the join is the sum of the
-two, except n_normal, which gains the joining point.
+two, except n_normal, which gains the joining point. For a sweep, the
+joining point scores below every other point, so no threshold but the
+last flags it.
 """
 
 import numpy as np
@@ -100,6 +102,28 @@ class TestTimeReversal:
         backward = _block_counts(*reversed_block(labels, alarms))
         assert_counts_equal(backward, forward)
 
+    def test_sweep_counts_at_sweep_scale(self):
+        # evaluate-sweep's shape: 50k points, 25 events of 60-140 points
+        # and distinct gamma scores, higher inside events
+        rng = np.random.default_rng(26)
+        n = 50_000
+        labels = np.zeros(n, dtype=np.int8)
+        slot = n // 25
+        for begin in range(0, n, slot):
+            length = int(rng.integers(60, 141))
+            start = begin + int(rng.integers(0, slot - length))
+            labels[start : start + length] = 1
+        scores = rng.gamma(2.0, 1.0, size=n) + 2.5 * labels
+        assert np.unique(scores).size == n
+        assert LabelSeries(labels).n_events == 25
+        thresholds, forward = _sweep_counts(scores, LabelSeries(labels))
+        reversed_thresholds, backward = _sweep_counts(
+            scores[::-1], LabelSeries(labels[::-1])
+        )
+        assert thresholds.size == n + 1
+        assert np.array_equal(reversed_thresholds, thresholds)
+        assert_counts_equal(backward, forward)
+
     def test_evaluate_writes_the_same_report(self, tmp_path, monkeypatch):
         # --predictions and --scores, each on files written forward and
         # reversed in time
@@ -141,6 +165,41 @@ class TestJoin:
         assert both == joined(
             _prediction_counts(LabelSeries(labels1), PredictionSeries(preds1)),
             _prediction_counts(LabelSeries(labels2), PredictionSeries(preds2)),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_layouts(), scored_layouts())
+    def test_sweep_counts(self, first, second):
+        (scores1, labels1), (scores2, labels2) = (
+            [np.array(v) for v in layout] for layout in (first, second)
+        )
+        # the joining point's score lies below every other, so it is off
+        # at every threshold but the last
+        below = min(scores1.min(), scores2.min()) - 1.0
+        thresholds, both = _sweep_counts(
+            np.concatenate((scores1, [below], scores2)),
+            LabelSeries(np.concatenate((labels1, [0], labels2))),
+        )
+        expected = np.union1d(scores1, scores2)[::-1]
+        assert np.array_equal(
+            thresholds, np.concatenate(([np.inf], expected, [below]))
+        )
+
+        def at(scores, labels):
+            # the counts at the smallest own threshold at or above each t
+            own, counts = _sweep_counts(scores, LabelSeries(labels))
+            index = np.count_nonzero(own >= thresholds[:-1, None], axis=1) - 1
+            return {
+                name: value if np.ndim(value) == 0 else value[index]
+                for name, value in counts.items()
+            }
+
+        all_but_last = {
+            name: value if np.ndim(value) == 0 else value[:-1]
+            for name, value in both.items()
+        }
+        assert_counts_equal(
+            all_but_last, joined(at(scores1, labels1), at(scores2, labels2))
         )
 
     @settings(max_examples=300, deadline=None)

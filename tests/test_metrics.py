@@ -8,6 +8,7 @@ from tsadeval.metrics import (
     LabelSeries,
     PredictionSeries,
     Segment,
+    _ratio,
     as_binary_array,
     false_alarm_rate,
     harmonic_f1,
@@ -98,6 +99,33 @@ class TestSeries:
         assert labels.n_events == 2
         assert labels.contamination_rate == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("cls", [LabelSeries, PredictionSeries])
+    def test_runs_match_a_naive_scan_and_are_read_only(self, cls):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            flags = (rng.random(rng.integers(1, 60)) < 0.4).astype(int)
+            series = cls(flags)
+            runs = zip(series.starts.tolist(), series.ends.tolist())
+            assert list(runs) == naive_segments(flags)
+            for bounds in (series.starts, series.ends):
+                assert bounds.dtype == np.int64
+                assert not bounds.flags.writeable
+        with pytest.raises(ValueError):
+            cls([0, 1, 1]).starts[0] = 0
+        with pytest.raises(ValueError):
+            cls([0, 1, 1]).ends[0] = 0
+
+    @pytest.mark.parametrize(
+        "values", [[1], [0], [1, 0, 0], [1, 1, 0, 1], [0, 1, 1, 0, 1], [0, 0]]
+    )
+    def test_counts_equal_a_recount(self, values):
+        ones = int(np.count_nonzero(values))
+        labels, preds = LabelSeries(values), PredictionSeries(values)
+        assert labels.n_positive == preds.n_positive == ones
+        assert labels.n_anomalous == ones
+        assert labels.n_normal == len(values) - ones
+        assert labels.n_events == len(naive_segments(values))
+
     def test_values_are_immutable(self):
         labels = LabelSeries([0, 1])
         with pytest.raises(ValueError):
@@ -184,30 +212,52 @@ class TestRates:
         # fractional counts, many of them 0, through every protocol's rates
         # (point-wise's are prf_from_counts')
         rng = np.random.default_rng(11)
-        counts = rng.integers(0, 4, (6, 400)).astype(float)
-        counts[:, 1::2] *= rng.random((6, 200))
-        tp, fp, fn, tp_e, fp_e, fn_e = counts
-        adjusted_tp = np.where(rng.random(tp.size) < 0.5, tp, tp + fn)
         names = ("tp", "fp", "fn", "adjusted_tp", "tp_e", "fp_e", "fn_e")
-        columns = (tp, fp, fn, adjusted_tp, tp_e, fp_e, fn_e)
-        # as score() passes them: ints where the count is whole
-        rows = [
-            {n: int(v) if v.is_integer() else v for n, v in zip(names, row)}
-            for row in zip(*(c.tolist() for c in columns))
-        ]
-        assert not (tp + fp).all() and not (tp_e + fn_e).all()
-        for n_normal in (0, 5):
-            for protocol in Protocol:
-                arrays = _rates(
-                    protocol, n_normal=n_normal, **dict(zip(names, columns))
-                )
-                for i, row in enumerate(rows):
-                    scalars = _rates(protocol, n_normal=n_normal, **row)
-                    assert all(type(v) is float for v in scalars)
-                    assert tuple(a[i] for a in arrays) == scalars
+
+        def assert_rows_match(counts):
+            tp, fp, fn, tp_e, fp_e, fn_e = counts
+            adjusted_tp = np.where(rng.random(tp.size) < 0.5, tp, tp + fn)
+            columns = (tp, fp, fn, adjusted_tp, tp_e, fp_e, fn_e)
+            # as score() passes them: ints where the count is whole
+            rows = [
+                {n: int(v) if v == int(v) else v for n, v in zip(names, row)}
+                for row in zip(*(c.tolist() for c in columns))
+            ]
+            assert not (tp + fp).all() and not (tp_e + fn_e).all()
+            for n_normal in (0, 5):
+                for protocol in Protocol:
+                    by_name = dict(zip(names, columns))
+                    arrays = _rates(protocol, n_normal=n_normal, **by_name)
+                    for i, row in enumerate(rows):
+                        scalars = _rates(protocol, n_normal=n_normal, **row)
+                        assert all(type(v) is float for v in scalars)
+                        assert tuple(a[i] for a in arrays) == scalars
+
+        fractional = rng.integers(0, 4, (6, 400)).astype(float)
+        fractional[:, 1::2] *= rng.random((6, 200))
+        assert_rows_match(fractional)
+        # whole counts as the sweep and the trial engine pass them: int64
+        # arrays, which np.divide turns into float64 inside its loop
+        assert_rows_match(rng.integers(0, 4, (6, 400)))
+        # bool arrays too, as numerator and denominator alike
+        flags = rng.random((2, 400)) < 0.5
+        whole = rng.integers(0, 3, 400)
+        pairs = ((flags[0], flags[1]), (flags[0], whole), (whole, flags[1]))
+        for num, den in pairs:
+            rates = _ratio(num, den)
+            assert rates.dtype == np.float64
+            assert rates.tolist() == [
+                _ratio(int(n), int(d)) for n, d in zip(num, den)
+            ]
         with pytest.warns(UserWarning, match="no normal points"):
             far = false_alarm_rate(ConfusionCounts(tp=2, fp=0, fn=1, tn=0))
         assert far == 0.0 and type(far) is float
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.int64])
+    def test_ratio_divides_in_float64(self, dtype):
+        assert _ratio(dtype(1), dtype(3)) == 1 / 3
+        rates = _ratio(np.array([1, 0], dtype), np.array([3, 0], dtype))
+        assert rates.dtype == np.float64 and rates.tolist() == [1 / 3, 0.0]
 
     def test_far_all_anomalous_is_zero_with_warning(self):
         counts = ConfusionCounts(tp=3, fp=0, fn=1, tn=0)

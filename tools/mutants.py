@@ -1,4 +1,5 @@
-"""Run the committed mutants of the counting code against the tests.
+"""Run the committed mutants of the counting, loading and fitting code
+against the tests.
 
 Each mutant is one textual edit of one file under src/, plus the tests
 that must catch it. The script copies src/ to a temporary directory,
@@ -108,6 +109,51 @@ MUTANTS = [
         "    elif s.size:\n",
         "    else:\n",
         ("tests/test_adversary.py::TestHitDistributions",),
+    ),
+    # event-wise precision divides by the missed events, not the false
+    # segments
+    (
+        "protocols.py",
+        "base, recall = _ratio(tp_e, tp_e + fp_e), _ratio(tp_e, tp_e + fn_e)",
+        "base, recall = _ratio(tp_e, tp_e + fn_e), _ratio(tp_e, tp_e + fn_e)",
+        ("tests/test_protocols.py", "tests/test_pca_baseline.py"),
+    ),
+    # a series' count of 1s skips its first point
+    (
+        "metrics.py",
+        "self.n_positive = int(np.count_nonzero(arr))",
+        "self.n_positive = int(np.count_nonzero(arr[1:]))",
+        ("tests/test_metrics.py",),
+    ),
+    # the plain reader takes a block once any line has the right field
+    # count, so lines with too few or too many fields shift the cells
+    (
+        "data_io.py",
+        "if commas != {len(kinds) - 1}:",
+        "if len(kinds) - 1 not in commas:",
+        ("tests/test_data_io.py",),
+    ),
+    # the plain reader reads a lone CR, which ends a csv record, as part
+    # of a cell
+    (
+        "data_io.py",
+        'if text.count("\\r") != text.count("\\r\\n"):',
+        "if False:",
+        ("tests/test_data_io.py",),
+    ),
+    # fit centres each channel on its mean, not its median
+    (
+        "pca_baseline.py",
+        "center = np.median(x, axis=0)",
+        "center = np.mean(x, axis=0)",
+        ("tests/test_golden.py", "tests/test_acceptance.py"),
+    ),
+    # a zero denominator is divided by, not turned into 0.0
+    (
+        "metrics.py",
+        "where=den > 0,",
+        "where=den >= 0,",
+        ("tests/test_metrics.py",),
     ),
 ]
 
