@@ -45,7 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from tsadeval.metrics import (
     PredictionSeries,
     _check_count,
     _check_range,
+    _read_only,
     _warn_no_normal,
     point_confusion,
 )
@@ -261,6 +263,8 @@ class F1PaDistribution:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in ("hits", "f1", "probability"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         if not (len(self.hits) == len(self.f1) == len(self.probability)):
             raise ValueError("support arrays must have equal length")
         if len(self.hits) == 0:
@@ -270,8 +274,6 @@ class F1PaDistribution:
         total = float(self.probability.sum())
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise ValueError(f"probabilities sum to {total}, not 1")
-        for arr in (self.hits, self.f1, self.probability):
-            arr.setflags(write=False)
 
     @property
     def cumulative(self) -> np.ndarray:
@@ -448,7 +450,17 @@ class RandomFlagTrials:
     trials: int
     seed: int
     hits: np.ndarray
-    f1_by_protocol: dict = field(default_factory=dict)
+    f1_by_protocol: Mapping = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "hits", _read_only(self.hits))
+        f1 = {p: _read_only(a) for p, a in self.f1_by_protocol.items()}
+        object.__setattr__(self, "f1_by_protocol", MappingProxyType(f1))
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle, so rebuild from a plain dict
+        f1 = dict(self.f1_by_protocol)
+        return type(self), (self.alpha, self.trials, self.seed, self.hits, f1)
 
     def mean_f1(self, protocol: Protocol) -> float:
         return float(self.f1_by_protocol[Protocol(protocol)].mean())

@@ -51,6 +51,7 @@ from tsadeval.metrics import (
     Segment,
     _check_count,
     _check_range,
+    _read_only,
     segmentize,
 )
 
@@ -354,14 +355,13 @@ class MvtsFrame:
     labels: Optional[LabelSeries] = None
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        arr = _read_only(self.values, np.float64)
         if arr.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("frame needs at least one row and one channel")
         if not np.isfinite(arr).all():
             raise ValueError("values must be finite (no NaN/inf)")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         names = tuple(self.channel_names) or tuple(
             f"c{i}" for i in range(arr.shape[1])

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -98,6 +98,14 @@ def as_binary_array(flags: FlagsLike) -> np.ndarray:
     return arr.astype(np.int8)
 
 
+def _read_only(values, dtype=None, order="C") -> np.ndarray:
+    """A read-only copy of values in the given memory order: the one way a
+    value takes an array, so that it shares none with its caller."""
+    arr = np.array(values, dtype=dtype, order=order)
+    arr.setflags(write=False)
+    return arr
+
+
 def _run_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inclusive (starts, ends) of the maximal runs of 1s in a 0/1 array."""
     padded = np.zeros(values.size + 2, dtype=bool)
@@ -126,15 +134,22 @@ class _BinarySeries:
     __slots__ = ("values", "starts", "ends", "n_positive")
 
     def __init__(self, values: FlagsLike):
-        arr = as_binary_array(values)
+        arr = _read_only(as_binary_array(values))
         if arr.size == 0:
             raise ValueError("series must hold at least one point")
-        arr.setflags(write=False)
-        self.values: np.ndarray = arr
-        self.starts, self.ends = _run_bounds(arr)
-        self.starts.setflags(write=False)
-        self.ends.setflags(write=False)
-        self.n_positive = int(np.count_nonzero(arr))
+        starts, ends = map(_read_only, _run_bounds(arr))
+        n_positive = int(np.count_nonzero(arr))
+        for name, value in zip(self.__slots__, (arr, starts, ends, n_positive)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # the default would set each slot back through __setattr__
+        return type(self), (self.values,)
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -29,6 +29,7 @@ from tsadeval.metrics import (
     PredictionSeries,
     _check_count,
     _check_range,
+    _read_only,
     _warn_no_normal,
 )
 # score goes unused here; perfbench/tracer.py binds it
@@ -90,14 +91,14 @@ class ScoredModel:
 
     def __post_init__(self) -> None:
         # every field but the last, smooth_window, is a float array with one
-        # row per channel; basis alone is 2-D, one column per component
+        # row per channel; basis alone is 2-D, one column per component, and
+        # keeps its memory order, which save writes into the archive
         *arrays, _ = fields(self)
         for f in arrays:
-            arr = np.asarray(getattr(self, f.name), dtype=np.float64)
+            arr = _read_only(getattr(self, f.name), np.float64, order="K")
             ndim = 2 if f.name == "basis" else 1
             if arr.ndim != ndim:
                 raise ValueError(f"{f.name} must be {ndim}-D")
-            arr.setflags(write=False)
             object.__setattr__(self, f.name, arr)
         if {len(getattr(self, f.name)) for f in arrays} != {self.n_channels}:
             raise ValueError("per-channel arrays disagree on channel count")
@@ -155,13 +156,12 @@ class AnomalyScoreSeries:
     scores: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.scores, dtype=np.float64)
+        arr = _read_only(self.scores, np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("scores must be a non-empty 1-D array")
         if not np.isfinite(arr).all():
             raise ValueError("scores must be finite")
         _check_range("smallest score", arr.min(), 0)
-        arr.setflags(write=False)
         object.__setattr__(self, "scores", arr)
 
     def __len__(self) -> int:

@@ -1,7 +1,9 @@
 """Random-flag attack: closed forms, distributions and the Monte Carlo path."""
 
+import copy
 import hashlib
 import math
+import pickle
 import tracemalloc
 import warnings
 from unittest import mock
@@ -456,6 +458,58 @@ class TestMonteCarlo:
     def test_trial_seeds_differ(self):
         assert trial_seed(0, 1).entropy != trial_seed(0, 2).entropy
         assert trial_seed(1, 0).entropy != trial_seed(2, 0).entropy
+
+
+class TestReadOnlyOutcomes:
+    def test_distribution_keeps_read_only_copies(self):
+        arrays = dict(
+            hits=np.array([0, 1]), f1=np.array([0.0, 0.5]),
+            probability=np.array([0.25, 0.75]),
+        )
+        dist = adversary.F1PaDistribution(
+            setup=AttackSetup(10, 5, 1), model="monte-carlo", **arrays
+        )
+        for name, arr in arrays.items():
+            assert arr.flags.writeable
+            assert not getattr(dist, name).flags.writeable
+            arr[0] = 1
+        assert dist.hits.tolist() == [0, 1]
+        assert dist.f1.tolist() == [0.0, 0.5]
+        assert dist.probability.tolist() == [0.25, 0.75]
+
+    def test_trials_keep_read_only_copies(self):
+        hits, f1 = np.array([0, 2]), np.array([0.0, 0.8])
+        trials = adversary.RandomFlagTrials(
+            alpha=2, trials=2, seed=0, hits=hits,
+            f1_by_protocol={Protocol.POINT_WISE: f1},
+        )
+        assert hits.flags.writeable and f1.flags.writeable
+        hits[0], f1[0] = 5, 0.5
+        assert trials.hits.tolist() == [0, 2]
+        assert trials.f1_by_protocol[Protocol.POINT_WISE].tolist() == [0.0, 0.8]
+
+    def test_trials_refuse_writes(self):
+        labels = LabelSeries([0, 1, 1, 0, 0, 1, 0, 0])
+        trials = random_flag_trials(labels, alpha=3, trials=10, seed=2)
+        with pytest.raises(ValueError):
+            trials.hits[0] = 3
+        for protocol in Protocol:
+            with pytest.raises(ValueError):
+                trials.f1_by_protocol[protocol][0] = 1.0
+        with pytest.raises(TypeError):
+            trials.f1_by_protocol[Protocol.POINT_WISE] = np.ones(10)
+        with pytest.raises(TypeError):
+            del trials.f1_by_protocol[Protocol.POINT_WISE]
+
+    def test_trials_pickle_and_deepcopy_round_trip(self):
+        labels = LabelSeries([0, 1, 1, 0, 0, 1, 0, 0])
+        trials = random_flag_trials(labels, alpha=3, trials=10, seed=2)
+        for back in (pickle.loads(pickle.dumps(trials)), copy.deepcopy(trials)):
+            assert (back.alpha, back.trials, back.seed) == (3, 10, 2)
+            assert np.array_equal(back.hits, trials.hits)
+            assert back.f1_by_protocol.keys() == trials.f1_by_protocol.keys()
+            for p, f1 in trials.f1_by_protocol.items():
+                assert np.array_equal(back.f1_by_protocol[p], f1)
 
 
 class TestRandomFlagTrials:

@@ -1,9 +1,11 @@
 """File formats, synthetic generation and the consistency checker."""
 
+import copy
 import csv
 import json
 import math
 import os
+import pickle
 import re
 import stat
 from unittest import mock
@@ -270,6 +272,27 @@ class TestFrameRoundTrip:
         assert np.array_equal(back.values, frame.values)
         assert back.labels == frame.labels
         assert back.channel_names == ("c0", "c1", "c2")
+
+    def test_keeps_a_read_only_copy_of_the_callers_array(self):
+        values = np.arange(6.0).reshape(3, 2)
+        frame = MvtsFrame(values=values)
+        assert values.flags.writeable
+        assert not frame.values.flags.writeable
+        values[0, 0] = 99.0
+        assert frame.values[0, 0] == 0.0
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        frame = MvtsFrame(
+            values=np.arange(6.0).reshape(3, 2),
+            channel_names=("a", "b"),
+            labels=LabelSeries([0, 1, 1]),
+        )
+        for back in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame)):
+            assert np.array_equal(back.values, frame.values)
+            assert back.channel_names == ("a", "b")
+            assert back.labels == frame.labels
+            assert back.labels.starts.tolist() == [1]
+            assert back.labels.ends.tolist() == [2]
 
     def test_unlabelled_frame(self, tmp_path):
         frame = MvtsFrame(values=np.ones((3, 2)))

@@ -1,5 +1,8 @@
 """Core containers, segmentation and point-level rates."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,34 @@ class TestSeries:
         labels = LabelSeries([0, 1])
         with pytest.raises(ValueError):
             labels.values[0] = 1
+
+    @pytest.mark.parametrize("cls", [LabelSeries, PredictionSeries])
+    @pytest.mark.parametrize(
+        "name", ["values", "starts", "ends", "n_positive", "extra"]
+    )
+    def test_attributes_cannot_be_rebound(self, cls, name):
+        series = cls([0, 1, 1, 0])
+        with pytest.raises(AttributeError):
+            setattr(series, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(series, name)
+        assert len(series) == 4
+        assert series.starts.tolist() == [1]
+        assert series.ends.tolist() == [2]
+        assert series.n_positive == 2
+        assert not hasattr(series, "extra")
+        if cls is LabelSeries:
+            assert series.n_normal == 2
+
+    @pytest.mark.parametrize("cls", [LabelSeries, PredictionSeries])
+    def test_pickle_and_deepcopy_round_trip(self, cls):
+        series = cls([1, 1, 0, 0, 1])
+        for back in (pickle.loads(pickle.dumps(series)), copy.deepcopy(series)):
+            assert type(back) is cls
+            assert back == series
+            assert back.starts.tolist() == [0, 4]
+            assert back.ends.tolist() == [1, 4]
+            assert back.n_positive == 3
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

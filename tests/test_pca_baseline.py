@@ -192,6 +192,14 @@ class TestScore:
         )
         assert np.allclose(smooth, expected, atol=1e-12)
 
+    def test_score_series_keeps_a_read_only_copy(self):
+        scores = np.array([0.0, 1.5, 2.0])
+        series = AnomalyScoreSeries(scores)
+        assert scores.flags.writeable
+        assert not series.scores.flags.writeable
+        scores[0] = 9.0
+        assert series.scores[0] == 0.0
+
     def test_score_series_validation(self):
         with pytest.raises(ValueError):
             AnomalyScoreSeries(np.array([-0.1, 0.2]))
@@ -295,6 +303,17 @@ class TestPersistence:
         )
         with pytest.raises(ValueError, match=message):
             ScoredModel(**{**fields, **changes})
+
+    def test_model_keeps_read_only_copies(self):
+        model = fit(random_frame(np.random.default_rng(4)))
+        names = ("center", "spread", "clip_low", "clip_high", "mean", "basis")
+        given = {name: np.array(getattr(model, name)) for name in names}
+        built = ScoredModel(**given, smooth_window=model.smooth_window)
+        for name, arr in given.items():
+            assert arr.flags.writeable
+            assert not getattr(built, name).flags.writeable
+            arr[...] = 7.0
+            assert np.array_equal(getattr(built, name), getattr(model, name))
 
     def test_model_validation(self):
         eye = np.eye(3)

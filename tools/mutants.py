@@ -121,8 +121,8 @@ MUTANTS = [
     # a series' count of 1s skips its first point
     (
         "metrics.py",
-        "self.n_positive = int(np.count_nonzero(arr))",
-        "self.n_positive = int(np.count_nonzero(arr[1:]))",
+        "n_positive = int(np.count_nonzero(arr))",
+        "n_positive = int(np.count_nonzero(arr[1:]))",
         ("tests/test_metrics.py",),
     ),
     # the plain reader takes a block once any line has the right field
@@ -154,6 +154,45 @@ MUTANTS = [
         "where=den > 0,",
         "where=den >= 0,",
         ("tests/test_metrics.py",),
+    ),
+    # a value keeps the caller's own array, and marks it read-only
+    (
+        "metrics.py",
+        "arr = np.array(values, dtype=dtype, order=order)",
+        "arr = np.asarray(values, dtype=dtype, order=order)",
+        (
+            "tests/test_data_io.py::TestFrameRoundTrip::"
+            "test_keeps_a_read_only_copy_of_the_callers_array",
+            "tests/test_pca_baseline.py::TestScore::"
+            "test_score_series_keeps_a_read_only_copy",
+            "tests/test_pca_baseline.py::TestPersistence::"
+            "test_model_keeps_read_only_copies",
+            "tests/test_adversary.py::TestReadOnlyOutcomes::"
+            "test_distribution_keeps_read_only_copies",
+            "tests/test_adversary.py::TestReadOnlyOutcomes::"
+            "test_trials_keep_read_only_copies",
+        ),
+    ),
+    # a value's arrays stay writable
+    (
+        "metrics.py",
+        "    arr.setflags(write=False)\n    return arr",
+        "    return arr",
+        (
+            "tests/test_adversary.py::TestReadOnlyOutcomes::"
+            "test_trials_refuse_writes",
+            "tests/test_metrics.py::TestSeries::test_values_are_immutable",
+        ),
+    ),
+    # a series lets any attribute be reassigned
+    (
+        "metrics.py",
+        'raise FrozenInstanceError(f"cannot assign to or delete {name!r}")',
+        "object.__setattr__(self, name, value)",
+        (
+            "tests/test_metrics.py::TestSeries::"
+            "test_attributes_cannot_be_rebound",
+        ),
     ),
 ]
 
