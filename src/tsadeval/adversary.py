@@ -54,6 +54,7 @@ import numpy as np
 from tsadeval.metrics import (
     LabelSeries,
     PredictionSeries,
+    _Value,
     _check_count,
     _check_range,
     _read_only,
@@ -245,8 +246,8 @@ def hit_probabilities(
     return probability
 
 
-@dataclass(frozen=True)
-class F1PaDistribution:
+@dataclass(frozen=True, eq=False)
+class F1PaDistribution(_Value):
     """Distribution of the adjusted F1 a random flagger achieves.
 
     Support rows are ordered by hit count (equivalently by F1, which is
@@ -442,8 +443,8 @@ def monte_carlo_f1_pa(
     return outcomes.point_adjust_distribution(setup)
 
 
-@dataclass(frozen=True)
-class RandomFlagTrials:
+@dataclass(frozen=True, eq=False)
+class RandomFlagTrials(_Value):
     """Per-trial attack outcomes under one or more protocols."""
 
     alpha: int
@@ -456,11 +457,6 @@ class RandomFlagTrials:
         object.__setattr__(self, "hits", _read_only(self.hits))
         f1 = {p: _read_only(a) for p, a in self.f1_by_protocol.items()}
         object.__setattr__(self, "f1_by_protocol", MappingProxyType(f1))
-
-    def __reduce__(self):
-        # a mapping proxy does not pickle, so rebuild from a plain dict
-        f1 = dict(self.f1_by_protocol)
-        return type(self), (self.alpha, self.trials, self.seed, self.hits, f1)
 
     def mean_f1(self, protocol: Protocol) -> float:
         return float(self.f1_by_protocol[Protocol(protocol)].mean())

@@ -49,6 +49,7 @@ from tsadeval.metrics import (
     LabelSeries,
     PredictionSeries,
     Segment,
+    _Value,
     _check_count,
     _check_range,
     _read_only,
@@ -343,8 +344,8 @@ def sha256_digest(path: "str | Path") -> str:
 # multivariate frames
 
 
-@dataclass(frozen=True)
-class MvtsFrame:
+@dataclass(frozen=True, eq=False)
+class MvtsFrame(_Value):
     """A multivariate series (rows are time, columns are channels).
 
     Values are float64 and finite. Labels, when present, align with rows.

@@ -11,6 +11,8 @@ is built on the primitives here. Conventions used throughout the package:
   IO reads and writes events as (n, 2) int64 bounds),
 * labels and predictions must be exactly 0/1 (booleans are accepted,
   anything else is rejected rather than coerced),
+* a value that keeps read-only arrays, here or in another module, is a
+  frozen dataclass on ``_Value``, which pickles, copies and compares it,
 * precision, recall and F1 are defined as 0.0 whenever their denominator
   is 0, and the false-alarm rate of a series with no normal points is 0.0;
   ``_ratio`` is the one place a zero denominator becomes 0.0, for scalar
@@ -25,7 +27,8 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -77,7 +80,7 @@ class Segment:
 
 
 def as_binary_array(flags: FlagsLike) -> np.ndarray:
-    """Validate a 0/1 sequence and return it as a 1-D int8 array.
+    """Validate a 0/1 sequence and return it as a read-only 1-D int8 copy.
 
     Raises ValueError on any value other than 0 or 1; nothing is rounded
     or clipped on the way in.
@@ -86,7 +89,7 @@ def as_binary_array(flags: FlagsLike) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D sequence, got shape {arr.shape}")
     if arr.dtype == bool:
-        return arr.astype(np.int8)
+        return _read_only(arr, np.int8)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"flags must be numeric 0/1, got dtype {arr.dtype}")
     bad = (arr != 0) & (arr != 1)
@@ -95,7 +98,7 @@ def as_binary_array(flags: FlagsLike) -> np.ndarray:
         raise ValueError(
             f"flags must be exactly 0 or 1; index {first} holds {arr[first]!r}"
         )
-    return arr.astype(np.int8)
+    return _read_only(arr, np.int8)
 
 
 def _read_only(values, dtype=None, order="C") -> np.ndarray:
@@ -125,45 +128,60 @@ def segmentize(flags: FlagsLike) -> list[Segment]:
     return _as_segments(*_run_bounds(as_binary_array(flags)))
 
 
-class _BinarySeries:
+class _Value:
+    """Base of every value that keeps read-only arrays, a frozen dataclass
+    with eq=False. It pickles and copies through its constructor (a mapping
+    proxy, which does not pickle, as its dict) and equals a value of its type
+    whose init fields are equal, arrays by np.array_equal; it has no hash."""
+
+    def _args(self) -> tuple:
+        args = (getattr(self, f.name) for f in fields(self) if f.init)
+        return tuple(dict(a) if isinstance(a, MappingProxyType) else a for a in args)
+
+    def __reduce__(self):
+        return type(self), self._args()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(_same, self._args(), other._args()))
+
+
+def _same(a, b) -> bool:
+    """a == b, but arrays compare by np.array_equal, also in a dict."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@dataclass(frozen=True, eq=False)
+class _BinarySeries(_Value):
     """Immutable 0/1 series. Its runs of 1s and its count of 1s are found
     once, when it is built: ``starts`` holds the first index of each run,
     ascending, ``ends`` the last, inclusive (both read-only int64), and
     ``n_positive`` the number of 1s."""
 
-    __slots__ = ("values", "starts", "ends", "n_positive")
+    values: np.ndarray
+    starts: np.ndarray = field(init=False, repr=False)
+    ends: np.ndarray = field(init=False, repr=False)
+    n_positive: int = field(init=False, repr=False)
 
-    def __init__(self, values: FlagsLike):
-        arr = _read_only(as_binary_array(values))
+    def __post_init__(self) -> None:
+        arr = as_binary_array(self.values)
         if arr.size == 0:
             raise ValueError("series must hold at least one point")
         starts, ends = map(_read_only, _run_bounds(arr))
         n_positive = int(np.count_nonzero(arr))
-        for name, value in zip(self.__slots__, (arr, starts, ends, n_positive)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        # the default would set each slot back through __setattr__
-        return type(self), (self.values,)
+        for f, value in zip(fields(self), (arr, starts, ends, n_positive)):
+            object.__setattr__(self, f.name, value)
 
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-    @property
-    def n_points(self) -> int:
-        return int(self.values.size)
+    n_points = property(__len__)
 
 
+@dataclass(frozen=True, eq=False)
 class LabelSeries(_BinarySeries):
     """Ground-truth series; its positive runs are the anomalous events."""
 
@@ -188,6 +206,7 @@ class LabelSeries(_BinarySeries):
         return self.n_positive / self.n_points
 
 
+@dataclass(frozen=True, eq=False)
 class PredictionSeries(_BinarySeries):
     """Detector output series; its positive runs are predicted segments."""
 

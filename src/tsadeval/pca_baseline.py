@@ -27,6 +27,7 @@ from tsadeval.data_io import MvtsFrame
 from tsadeval.metrics import (
     LabelSeries,
     PredictionSeries,
+    _Value,
     _check_count,
     _check_range,
     _read_only,
@@ -71,8 +72,8 @@ class PcaConfig:
         _check_count("smooth_window", self.smooth_window, 1)
 
 
-@dataclass(frozen=True)
-class ScoredModel:
+@dataclass(frozen=True, eq=False)
+class ScoredModel(_Value):
     """Everything needed to score new data exactly as at fit time.
 
     center/spread are the per-channel median and IQR of the training data;
@@ -149,8 +150,8 @@ class ScoredModel:
         return cls(**arrays)
 
 
-@dataclass(frozen=True)
-class AnomalyScoreSeries:
+@dataclass(frozen=True, eq=False)
+class AnomalyScoreSeries(_Value):
     """Non-negative per-point anomaly scores (higher = more anomalous)."""
 
     scores: np.ndarray
@@ -262,9 +263,7 @@ def predictions_at_threshold(
     scores: AnomalyScoreSeries, threshold: float
 ) -> PredictionSeries:
     """Binarize scores: positive where score >= threshold."""
-    return PredictionSeries(
-        (scores.scores >= threshold).astype(np.int8)
-    )
+    return PredictionSeries(scores.scores >= threshold)
 
 
 def sweep_threshold(

@@ -2,10 +2,14 @@
 
 import copy
 import pickle
+from dataclasses import fields, is_dataclass
+from typing import Mapping
 
 import numpy as np
 import pytest
 
+from tsadeval.adversary import AttackSetup, F1PaDistribution, RandomFlagTrials
+from tsadeval.data_io import MvtsFrame
 from tsadeval.metrics import (
     ConfusionCounts,
     LabelSeries,
@@ -20,6 +24,7 @@ from tsadeval.metrics import (
     prf_from_counts,
     segmentize,
 )
+from tsadeval.pca_baseline import AnomalyScoreSeries, ScoredModel
 from tsadeval.protocols import Protocol, _rates
 
 
@@ -69,6 +74,17 @@ class TestAsBinaryArray:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             as_binary_array(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "flags",
+        [np.array([True, False]), np.array([1, 0], np.int8), np.array([1.0, 0.0])],
+        ids=["bool", "int", "float"],
+    )
+    def test_returns_a_read_only_int8_copy(self, flags):
+        arr = as_binary_array(flags)
+        assert arr.dtype == np.int8 and arr.tolist() == [1, 0]
+        assert not arr.flags.writeable and flags.flags.writeable
+        assert not np.shares_memory(arr, flags)
 
 
 class TestSegmentize:
@@ -179,6 +195,88 @@ class TestSeries:
         labels, preds = LabelSeries(values), PredictionSeries(values)
         assert labels.__eq__(preds) is NotImplemented
         assert labels != preds and preds != labels
+
+
+def values_of_every_type(bump=0):
+    """One value of each type that keeps read-only arrays, by type name;
+    bump=1 changes one element of one of its arrays."""
+    return {
+        "LabelSeries": LabelSeries([1, 1, 0, 0, 1 - bump]),
+        "PredictionSeries": PredictionSeries([1, 1, 0, 0, 1 - bump]),
+        "MvtsFrame": MvtsFrame(
+            [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0 + bump]],
+            channel_names=("a", "b"),
+            labels=LabelSeries([0, 1, 1]),
+        ),
+        "AnomalyScoreSeries": AnomalyScoreSeries([0.0, 1.5, 2.0 + bump]),
+        # a Fortran-ordered basis, as fit leaves it
+        "ScoredModel": ScoredModel(
+            center=[0.0, bump, 1.0], spread=[1.0, 2.0, 1.0],
+            clip_low=[-3.0] * 3, clip_high=[3.0] * 3, mean=[0.0, 0.5, 0.0],
+            basis=np.asfortranarray(np.eye(3)[:, :2]), smooth_window=2,
+        ),
+        "F1PaDistribution": F1PaDistribution(
+            AttackSetup(10, 5, 1), "monte-carlo", hits=[0, 1],
+            f1=[0.0, 0.5 + bump / 4], probability=[0.25, 0.75],
+            trials=4, seed=0,
+        ),
+        # the changed element lies in the F1 mapping
+        "RandomFlagTrials": RandomFlagTrials(
+            alpha=2, trials=2, seed=0, hits=[0, 2],
+            f1_by_protocol={
+                Protocol.POINT_WISE: [0.0, 0.8],
+                Protocol.POINT_ADJUST: [0.0, 1.0 - bump / 10],
+            },
+        ),
+    }
+
+
+def arrays_of(value):
+    """Every array a value holds, in its fields, its mappings and the
+    values it holds in turn."""
+    for f in fields(value):
+        item = getattr(value, f.name)
+        for x in item.values() if isinstance(item, Mapping) else [item]:
+            if isinstance(x, np.ndarray):
+                yield x
+            elif is_dataclass(x):
+                yield from arrays_of(x)
+
+
+TYPE_NAMES = list(values_of_every_type())
+
+
+class TestValues:
+    @pytest.mark.parametrize("name", TYPE_NAMES)
+    def test_pickle_and_deepcopy_rebuild_an_equal_read_only_value(self, name):
+        value = values_of_every_type()[name]
+        for back in (
+            pickle.loads(pickle.dumps(value)),
+            copy.deepcopy(value),
+            copy.copy(value),
+        ):
+            assert type(back) is type(value)
+            assert back == value and not back != value
+            arrays = list(zip(arrays_of(back), arrays_of(value), strict=True))
+            assert arrays
+            for got, want in arrays:
+                assert not got.flags.writeable
+                assert got.dtype == want.dtype
+                assert got.flags.f_contiguous == want.flags.f_contiguous
+                assert got.flags.c_contiguous == want.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", TYPE_NAMES)
+    def test_one_changed_element_makes_values_unequal(self, name):
+        value, same = values_of_every_type()[name], values_of_every_type()[name]
+        changed = values_of_every_type(bump=1)[name]
+        assert value == same and value is not same
+        assert value != changed and not value == changed
+        assert changed != value
+
+    @pytest.mark.parametrize("name", TYPE_NAMES)
+    def test_values_do_not_hash(self, name):
+        with pytest.raises(TypeError):
+            hash(values_of_every_type()[name])
 
 
 class TestConfusion:

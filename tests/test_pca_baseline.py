@@ -217,6 +217,7 @@ class TestPersistence:
         path = tmp_path / "model.npz"
         model.save(path)
         loaded = ScoredModel.load(path)
+        assert loaded == model
         for name in ("center", "spread", "clip_low", "clip_high", "mean", "basis"):
             assert np.array_equal(getattr(model, name), getattr(loaded, name))
         assert loaded.smooth_window == model.smooth_window

@@ -171,6 +171,8 @@ MUTANTS = [
             "test_distribution_keeps_read_only_copies",
             "tests/test_adversary.py::TestReadOnlyOutcomes::"
             "test_trials_keep_read_only_copies",
+            "tests/test_metrics.py::TestAsBinaryArray::"
+            "test_returns_a_read_only_int8_copy",
         ),
     ),
     # a value's arrays stay writable
@@ -184,14 +186,45 @@ MUTANTS = [
             "tests/test_metrics.py::TestSeries::test_values_are_immutable",
         ),
     ),
-    # a series lets any attribute be reassigned
+    # a label series takes new attributes, as its class is no frozen
+    # dataclass of its own
     (
         "metrics.py",
-        'raise FrozenInstanceError(f"cannot assign to or delete {name!r}")',
-        "object.__setattr__(self, name, value)",
+        "@dataclass(frozen=True, eq=False)\nclass LabelSeries(_BinarySeries):",
+        "class LabelSeries(_BinarySeries):",
         (
             "tests/test_metrics.py::TestSeries::"
-            "test_attributes_cannot_be_rebound",
+            "test_attributes_cannot_be_rebound[extra-LabelSeries]",
+        ),
+    ),
+    # values pickle and copy their attributes, not through the constructor
+    (
+        "metrics.py",
+        "    def __reduce__(self):\n        return type(self), self._args()",
+        "    def _reduce(self):\n        return type(self), self._args()",
+        (
+            "tests/test_metrics.py::TestValues::"
+            "test_pickle_and_deepcopy_rebuild_an_equal_read_only_value",
+        ),
+    ),
+    # arrays compare equal whatever they hold
+    (
+        "metrics.py",
+        "return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b",
+        "return True if isinstance(a, np.ndarray) else a == b",
+        (
+            "tests/test_metrics.py::TestValues::"
+            "test_one_changed_element_makes_values_unequal",
+        ),
+    ),
+    # two mappings with the same keys compare equal whatever they hold
+    (
+        "metrics.py",
+        "return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)",
+        "return a.keys() == b.keys()",
+        (
+            "tests/test_metrics.py::TestValues::"
+            "test_one_changed_element_makes_values_unequal[RandomFlagTrials]",
         ),
     ),
 ]
