@@ -85,15 +85,15 @@ from tsadeval.pca_baseline import (
     AnomalyScoreSeries,
     PcaConfig,
     fit,
-    predictions_at_threshold,
     score_frame,
-    sweep_threshold,
 )
 from tsadeval.protocols import (
     DEPRECATED_PROTOCOLS,
     Protocol,
     ProtocolReport,
+    predictions_at_threshold,
     score_all,
+    sweep_threshold,
 )
 
 __all__ = ["main"]

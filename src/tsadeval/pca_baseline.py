@@ -3,9 +3,10 @@
 A deliberately simple, training-free-in-spirit detector: fit a linear
 subspace to (robustly scaled, clipped) normal training data, score test
 points by their squared reconstruction error outside that subspace, smooth
-the score causally, and pick a threshold by sweeping. Despite its age this
-kind of baseline is competitive with much heavier models under honest
-evaluation protocols, which is exactly why it is bundled with the scorers.
+the score causally, and pick a threshold by sweeping (tsadeval.protocols
+does, for any detector's scores). Despite its age this kind of baseline is
+competitive with much heavier models under honest evaluation protocols,
+which is exactly why it is bundled with the scorers.
 
 Pipeline order is fixed and reproduced exactly at scoring time:
 median/IQR scaling -> quantile clipping -> centering -> projection onto
@@ -24,17 +25,9 @@ from typing import BinaryIO, Optional, Union
 import numpy as np
 
 from tsadeval.data_io import MvtsFrame
-from tsadeval.metrics import (
-    LabelSeries,
-    PredictionSeries,
-    _Value,
-    _check_count,
-    _check_range,
-    _read_only,
-    _warn_no_normal,
-)
-# score goes unused here; perfbench/tracer.py binds it
-from tsadeval.protocols import Protocol, _rates, _report, _sweep_counts, score
+from tsadeval.metrics import _Value, _check_count, _check_range, _read_only
+# re-exports; score goes unused here, but perfbench/tracer.py binds it
+from tsadeval.protocols import predictions_at_threshold, score, sweep_threshold
 
 __all__ = [
     "PcaConfig",
@@ -80,6 +73,8 @@ class ScoredModel(_Value):
     clip_low/clip_high are quantiles of the scaled training data; mean is
     the mean of the scaled-and-clipped training data; basis holds the
     leading eigenvectors of its covariance, one column per component.
+    A NaN or infinity in any array, a spread <= 0 and crossed clip bounds
+    are refused: fit makes none of them, and scoring would not notice.
     """
 
     center: np.ndarray
@@ -100,10 +95,16 @@ class ScoredModel(_Value):
             ndim = 2 if f.name == "basis" else 1
             if arr.ndim != ndim:
                 raise ValueError(f"{f.name} must be {ndim}-D")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{f.name} must be finite")
             object.__setattr__(self, f.name, arr)
         if {len(getattr(self, f.name)) for f in arrays} != {self.n_channels}:
             raise ValueError("per-channel arrays disagree on channel count")
         _check_count("n_components", self.n_components, 1, self.n_channels)
+        _check_range("smallest spread", self.spread.min(), 0, ends="(]")
+        # np.clip would return clip_high wherever the bounds cross
+        gap = self.clip_high - self.clip_low
+        _check_range("smallest clip_high - clip_low", gap.min(), 0)
         gram = self.basis.T @ self.basis
         if not np.allclose(gram, np.eye(self.n_components), atol=1e-8):
             raise ValueError("basis columns must be orthonormal")
@@ -258,44 +259,3 @@ def score_frame(model: ScoredModel, frame: MvtsFrame) -> AnomalyScoreSeries:
     raw = np.einsum("ij,ij->i", residual, residual)
     return AnomalyScoreSeries(_smooth_trailing(raw, model.smooth_window))
 
-
-def predictions_at_threshold(
-    scores: AnomalyScoreSeries, threshold: float
-) -> PredictionSeries:
-    """Binarize scores: positive where score >= threshold."""
-    return PredictionSeries(scores.scores >= threshold)
-
-
-def sweep_threshold(
-    scores: AnomalyScoreSeries,
-    labels: LabelSeries,
-    protocol: Protocol = Protocol.POINT_WISE,
-) -> tuple:
-    """Threshold sweep maximizing F1 under the given protocol.
-
-    Candidates are every distinct score plus infinity (the all-negative
-    prediction), so the all-positive and all-negative extremes are always
-    considered. Returns (threshold, report); ties in F1 resolve toward the
-    larger threshold, i.e. the fewest positive points.
-
-    Every candidate is still scored exactly, with event-aware protocols
-    too, whose F1 is not monotone in the threshold: every protocol's
-    counts at all candidates come from one sort, in O(T log T), and the
-    report is built from those counts at the winning threshold, with no
-    binarization and no second count. It warns once of no normal points.
-    """
-    if len(scores) != len(labels):
-        raise ValueError(
-            f"length mismatch: {len(scores)} scores vs {len(labels)} labels"
-        )
-    protocol = Protocol(protocol)
-    thresholds, counts = _sweep_counts(scores.scores, labels)
-    f1 = _rates(protocol, **counts)[2]
-    # argmax takes the first maximum, i.e. the largest threshold
-    best = int(np.argmax(f1))
-    winner = {
-        name: int(value[best] if np.ndim(value) else value)
-        for name, value in counts.items()
-    }
-    _warn_no_normal(winner["n_normal"])
-    return float(thresholds[best]), _report(protocol, winner)

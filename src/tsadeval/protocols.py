@@ -22,10 +22,9 @@ counts, whatever form the output takes: a prediction (_prediction_counts),
 scores ranked at every candidate threshold (_sweep_counts) or rows of
 sorted alarm positions, one per random-flag trial (_block_counts). Each
 gives _rates the same eight counts, and _rates alone picks the counts a
-protocol reads.
-_block_counts touches every alarm twice, with a gather of the labels and
-a diff along each row; the rest of its work grows with the hits alone,
-and its memory stays a few arrays of rows x alpha.
+protocol reads. Picking a threshold is part of evaluation, so the module
+also picks one from the sweep's counts (sweep_threshold) and binarizes
+any detector's scores at it (predictions_at_threshold).
 Arrays of counts, one per threshold or trial, go through the same
 operations as score()'s scalars, so the sweep's and the trial engine's
 F1 equal score() on the corresponding prediction bit for bit; the tests
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -52,13 +51,18 @@ from tsadeval.metrics import (
     require_same_length,
 )
 
+if TYPE_CHECKING:
+    from tsadeval.pca_baseline import AnomalyScoreSeries
+
 __all__ = [
     "Protocol",
     "DEPRECATED_PROTOCOLS",
     "ProtocolReport",
     "point_adjust",
+    "predictions_at_threshold",
     "score",
     "score_all",
+    "sweep_threshold",
 ]
 
 
@@ -297,6 +301,48 @@ def _sweep_counts(scores: np.ndarray, labels: LabelSeries) -> tuple:
         adjusted_tp=at_or_above(peak, ends - starts + 1),
         tp_e=tp_e, fp_e=fp_e, fn_e=starts.size - tp_e,
     )
+
+
+def predictions_at_threshold(
+    scores: AnomalyScoreSeries, threshold: float
+) -> PredictionSeries:
+    """Binarize scores: positive where score >= threshold."""
+    return PredictionSeries(scores.scores >= threshold)
+
+
+def sweep_threshold(
+    scores: AnomalyScoreSeries,
+    labels: LabelSeries,
+    protocol: Protocol = Protocol.POINT_WISE,
+) -> tuple:
+    """Threshold sweep maximizing F1 under the given protocol.
+
+    Candidates are every distinct score plus infinity (the all-negative
+    prediction), so the all-positive and all-negative extremes are always
+    considered. Returns (threshold, report); ties in F1 resolve toward the
+    larger threshold, i.e. the fewest positive points.
+
+    Every candidate is still scored exactly, with event-aware protocols
+    too, whose F1 is not monotone in the threshold: every protocol's
+    counts at all candidates come from one sort, in O(T log T), and the
+    report is built from those counts at the winning threshold, with no
+    binarization and no second count. It warns once of no normal points.
+    """
+    if len(scores) != len(labels):
+        raise ValueError(
+            f"length mismatch: {len(scores)} scores vs {len(labels)} labels"
+        )
+    protocol = Protocol(protocol)
+    thresholds, counts = _sweep_counts(scores.scores, labels)
+    f1 = _rates(protocol, **counts)[2]
+    # argmax takes the first maximum, i.e. the largest threshold
+    best = int(np.argmax(f1))
+    winner = {
+        name: int(value[best] if np.ndim(value) else value)
+        for name, value in counts.items()
+    }
+    _warn_no_normal(winner["n_normal"])
+    return float(thresholds[best]), _report(protocol, winner)
 
 
 def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:

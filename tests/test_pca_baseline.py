@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tsadeval import pca_baseline
-
+from tsadeval import protocols
 from tsadeval.data_io import (
     AnomalySignal,
     MvtsFrame,
@@ -269,6 +268,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ScoredModel.load(path)
 
+    def test_non_finite_archive_is_refused_on_load(self, tmp_path):
+        path = tmp_path / "model.npz"
+        fit(random_frame(np.random.default_rng(9))).save(path)
+        with np.load(path) as bundle:
+            arrays = dict(bundle)
+        arrays["mean"][1] = np.nan
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="^mean must be finite$"):
+            ScoredModel.load(path)
+
     def test_fractional_window_is_refused_on_load(self, tmp_path):
         # a stored window is read as it was written, never truncated
         path = tmp_path / "model.npz"
@@ -293,6 +302,29 @@ class TestPersistence:
             (
                 dict(basis=np.eye(4)[:, :2]),
                 "^per-channel arrays disagree on channel count$",
+            ),
+            # an infinite spread would scale its channel to 0 everywhere
+            (dict(spread=[np.inf, 1.0, 1.0]), "^spread must be finite$"),
+            (dict(center=[0.0, np.nan, 0.0]), "^center must be finite$"),
+            (dict(clip_low=[-np.inf, -1, -1]), "^clip_low must be finite$"),
+            (dict(clip_high=[1.0, 1.0, np.inf]), "^clip_high must be finite$"),
+            (dict(mean=[np.nan, 0.0, 0.0]), "^mean must be finite$"),
+            (
+                dict(basis=np.array([[np.nan, 0.0], [0.0, 1.0], [0.0, 0.0]])),
+                "^basis must be finite$",
+            ),
+            (
+                dict(spread=[1.0, 0.0, 1.0]),
+                r"^smallest spread must be > 0, got 0\.0$",
+            ),
+            (
+                dict(spread=[1.0, 1.0, -2.0]),
+                r"^smallest spread must be > 0, got -2\.0$",
+            ),
+            # np.clip would return clip_high in the crossed channel
+            (
+                dict(clip_low=[-1.0, 2.0, -1.0]),
+                r"^smallest clip_high - clip_low must be >= 0, got -1\.0$",
             ),
         ],
     )
@@ -496,9 +528,10 @@ class TestSweepCost:
 
             return call
 
+        # patched where the sweep would look them up
         for name in ("score", "predictions_at_threshold"):
-            fn = getattr(pca_baseline, name)
-            monkeypatch.setattr(pca_baseline, name, counted(fn))
+            fn = getattr(protocols, name)
+            monkeypatch.setattr(protocols, name, counted(fn))
         rng = np.random.default_rng(n)
         scores = AnomalyScoreSeries(rng.random(n))
         labels = LabelSeries((rng.random(n) < 0.2).astype(np.int8))

@@ -2,14 +2,19 @@
 
 import dataclasses
 import itertools
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsadeval import pca_baseline
 from tsadeval import protocols as protocols_module
 from tsadeval.adversary import random_flag_trials
 from tsadeval.metrics import (
@@ -18,7 +23,7 @@ from tsadeval.metrics import (
     PredictionSeries,
     point_confusion,
 )
-from tsadeval.pca_baseline import AnomalyScoreSeries, sweep_threshold
+from tsadeval.pca_baseline import AnomalyScoreSeries
 from tsadeval.protocols import (
     DEPRECATED_PROTOCOLS,
     Protocol,
@@ -28,6 +33,7 @@ from tsadeval.protocols import (
     point_adjust,
     score,
     score_all,
+    sweep_threshold,
 )
 
 WORKED_LABELS = LabelSeries([0, 0, 0, 1, 1, 1, 1, 1, 0, 0])
@@ -450,6 +456,27 @@ class TestDispatch:
                 f1=0.75,
                 far=0.0,
             )
+
+
+class TestLayering:
+    def test_pca_baseline_re_exports_the_threshold_functions(self):
+        for name in ("sweep_threshold", "predictions_at_threshold"):
+            moved = getattr(protocols_module, name)
+            assert getattr(pca_baseline, name) is moved
+
+    def test_protocols_imports_no_detector(self):
+        # a fresh interpreter: this one has imported pca_baseline already
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, tsadeval.protocols; "
+                "assert 'tsadeval.pca_baseline' not in sys.modules",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 # every subset of the protocols, the empty one included

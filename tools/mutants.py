@@ -75,7 +75,7 @@ MUTANTS = [
     ),
     # the sweep breaks ties in F1 toward the smaller threshold
     (
-        "pca_baseline.py",
+        "protocols.py",
         "best = int(np.argmax(f1))",
         "best = f1.size - 1 - int(np.argmax(f1[::-1]))",
         ("tests/test_pca_baseline.py",),
@@ -226,6 +226,54 @@ MUTANTS = [
             "tests/test_metrics.py::TestValues::"
             "test_one_changed_element_makes_values_unequal[RandomFlagTrials]",
         ),
+    ),
+    # a score equal to the threshold is not flagged, so the prediction at
+    # the sweep's threshold misses the points that score exactly that
+    (
+        "protocols.py",
+        "return PredictionSeries(scores.scores >= threshold)",
+        "return PredictionSeries(scores.scores > threshold)",
+        (
+            "tests/test_pca_baseline.py::TestSweep::"
+            "test_brute_force_agreement",
+            "tests/test_pca_baseline.py::TestSweepReport",
+        ),
+    ),
+    # the sweep scores the prediction at its winner again instead of
+    # reporting from its own counts
+    (
+        "protocols.py",
+        "return float(thresholds[best]), _report(protocol, winner)",
+        "return float(thresholds[best]), score(\n"
+        "        labels, predictions_at_threshold(scores, thresholds[best]),\n"
+        "        protocol,\n    )",
+        (
+            "tests/test_pca_baseline.py::TestSweepCost::"
+            "test_one_score_call_per_sweep",
+        ),
+    ),
+    # a model takes a NaN or an infinity unless every value is one
+    (
+        "pca_baseline.py",
+        'if not np.isfinite(arr).all():\n'
+        '                raise ValueError(f"{f.name} must be finite")',
+        'if not np.isfinite(arr).any():\n'
+        '                raise ValueError(f"{f.name} must be finite")',
+        ("tests/test_pca_baseline.py::TestPersistence",),
+    ),
+    # a model takes a zero spread, which divides its channel by 0
+    (
+        "pca_baseline.py",
+        '_check_range("smallest spread", self.spread.min(), 0, ends="(]")',
+        '_check_range("smallest spread", self.spread.min(), 0)',
+        ("tests/test_pca_baseline.py::TestPersistence",),
+    ),
+    # a model takes clip bounds that cross in one channel but not all
+    (
+        "pca_baseline.py",
+        '_check_range("smallest clip_high - clip_low", gap.min(), 0)',
+        '_check_range("smallest clip_high - clip_low", gap.max(), 0)',
+        ("tests/test_pca_baseline.py::TestPersistence",),
     ),
 ]
 
