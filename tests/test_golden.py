@@ -36,6 +36,9 @@ EVENTS_END_EXCLUSIVE = [(5, 10), (20, 29), (45, 48)]
 
 INPUTS = {
     "labels.csv": "label\n" + "".join(f"{v}\n" for v in LABELS),
+    # no events: every threshold scores point-wise F1 0, so the sweep's
+    # first candidate, +inf, wins
+    "normal_labels.csv": "label\n" + "0\n" * len(LABELS),
     "predictions.csv": "prediction\n" + "".join(f"{v}\n" for v in PREDICTIONS),
     "scores.csv": "score\n" + "".join(f"{v!r}\n" for v in SCORES),
     "spec.json": json.dumps(SPEC, sort_keys=True) + "\n",
@@ -107,6 +110,47 @@ CASES = {
             "----------------------------------------------------------\n"
             "event-wise       0.312500   1.000000   0.476190   0.166667\n"
             "point-wise       0.708333   0.944444   0.809524   0.166667\n"
+        ),
+    ),
+    "evaluate-scores-all-normal": (
+        [["evaluate", "--labels", "normal_labels.csv", "--scores", "scores.csv",
+          "--out", "out"]],
+        {
+            "out/report.csv": (
+                "90f282c272042364602950b28d1b8012246215886a0c3ff6c7d1fc953bfa0419"
+            ),
+            "out/report.json": (
+                "5bdc6e4e874ecd66362b0fd2e6b6e98cde8b00f539159ca1d7f6aaa46e46d93d"
+            ),
+        },
+        (
+            "protocol        precision     recall         f1        far\n"
+            "----------------------------------------------------------\n"
+            "point-wise       0.000000   0.000000   0.000000   0.000000\n"
+            "point-adjust     0.000000   0.000000   0.000000   0.000000  (deprecated)\n"
+            "composite        0.000000   0.000000   0.000000   0.000000\n"
+            "event-wise       0.000000   0.000000   0.000000   0.000000\n"
+        ),
+    ),
+    # every point flagged
+    "evaluate-scores-fixed-neg-inf": (
+        [["evaluate", "--labels", "labels.csv", "--scores", "scores.csv",
+          "--threshold-policy", "fixed:-inf", "--out", "out"]],
+        {
+            "out/report.csv": (
+                "60442b316e6c3a81948233926116086dbd5e32d4810cb33a09556e7e4fe11f29"
+            ),
+            "out/report.json": (
+                "b90bb7f8431d8cd6fcf1578c5833765685903559a0d90858e5f7f5c328bea03a"
+            ),
+        },
+        (
+            "protocol        precision     recall         f1        far\n"
+            "----------------------------------------------------------\n"
+            "point-wise       0.300000   1.000000   0.461538   1.000000\n"
+            "point-adjust     0.300000   1.000000   0.461538   1.000000  (deprecated)\n"
+            "composite        0.300000   1.000000   0.461538   1.000000\n"
+            "event-wise       0.000000   1.000000   0.000000   1.000000\n"
         ),
     ),
     "attack-single-segment": (
