@@ -11,9 +11,9 @@ Commands:
 * baseline      fit, score and evaluate the PCA baseline
 * check-labels  compare point labels against an exported event list
 
-evaluate and baseline share one scoring step: --threshold-policy binarizes
-scores (never predictions), every --protocols entry is scored, and the
-rows become report.csv, the results and the printed table. So baseline
+evaluate and baseline share one scoring step: protocols.evaluate counts
+the output once, at the --threshold-policy threshold for scores, and its
+reports become report.csv, the results and the printed table. So baseline
 reports exactly what evaluate --scores reports on its scores.csv.
 
 Every command computes a `Report` and writes nothing. One function then
@@ -87,12 +87,14 @@ from tsadeval.pca_baseline import (
     fit,
     score_frame,
 )
+# predictions_at_threshold and sweep_threshold go unused here;
+# perfbench/tracer.py binds both
 from tsadeval.protocols import (
     DEPRECATED_PROTOCOLS,
     Protocol,
     ProtocolReport,
+    evaluate,
     predictions_at_threshold,
-    score_all,
     sweep_threshold,
 )
 
@@ -299,21 +301,16 @@ def _json_threshold(threshold):
 
 
 def _scored(args: argparse.Namespace, labels: LabelSeries, series) -> tuple:
-    """The one scoring step of evaluate and baseline. series holds either
-    predictions or scores, which --threshold-policy binarizes; the
-    predictions are then scored under every --protocols entry. Returns the
-    threshold (None for predictions) and a Report of the rows, report.csv,
-    the printed table and the step's config."""
-    threshold, preds = None, series
-    if isinstance(series, AnomalyScoreSeries):
-        threshold = args.threshold_policy
-        if not isinstance(threshold, float):
-            # its report is thrown away, and score_all warns of these labels
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                threshold, _ = sweep_threshold(series, labels, Protocol.POINT_WISE)
-        preds = predictions_at_threshold(series, threshold)
-    rows = [_report_row(r) for r in score_all(labels, preds, args.protocols)]
+    """The one scoring step of evaluate and baseline: protocols.evaluate of
+    series (predictions or scores) under every --protocols entry. Returns
+    the threshold (None for predictions) and a Report of the rows,
+    report.csv, the printed table and the step's config."""
+    policy = args.threshold_policy
+    threshold, reports = evaluate(
+        labels, series, None if policy == "best-pw-f1" else policy,
+        args.protocols,
+    )
+    rows = [_report_row(r) for r in reports]
     return threshold, Report(
         config={
             "protocols": [p.value for p in args.protocols],

@@ -15,7 +15,8 @@ be tabulated uniformly. Both count the prediction once, into one record of
 eight counts (_prediction_counts), however many protocols score_all is
 given, and build each report from it through _report, as the threshold
 sweep does from its own counts at the winning threshold. _report never
-warns; each of the three calls warns once of labels with no normal points.
+warns; each public call that builds reports warns once of labels with no
+normal points.
 
 This module is the one place that turns a detector's output into protocol
 counts, whatever form the output takes: a prediction (_prediction_counts),
@@ -24,7 +25,11 @@ sorted alarm positions, one per random-flag trial (_block_counts). Each
 gives _rates the same eight counts, and _rates alone picks the counts a
 protocol reads. Picking a threshold is part of evaluation, so the module
 also picks one from the sweep's counts (sweep_threshold) and binarizes
-any detector's scores at it (predictions_at_threshold).
+any detector's scores at it (predictions_at_threshold). evaluate is the
+one call from a detector's output to reports: it counts a prediction, or
+scores at a given threshold, once (_prediction_counts), and scores with
+no threshold once by the sweep, whose counts at the best point-wise
+threshold make the reports.
 Arrays of counts, one per threshold or trial, go through the same
 operations as score()'s scalars, so the sweep's and the trial engine's
 F1 equal score() on the corresponding prediction bit for bit; the tests
@@ -58,6 +63,7 @@ __all__ = [
     "Protocol",
     "DEPRECATED_PROTOCOLS",
     "ProtocolReport",
+    "evaluate",
     "point_adjust",
     "predictions_at_threshold",
     "score",
@@ -310,6 +316,25 @@ def predictions_at_threshold(
     return PredictionSeries(scores.scores >= threshold)
 
 
+def _sweep_winner(
+    scores: AnomalyScoreSeries, labels: LabelSeries, protocol: Protocol
+) -> tuple:
+    """(threshold, counts as Python ints) where the sweep's F1 under
+    protocol is best."""
+    if len(scores) != len(labels):
+        raise ValueError(
+            f"length mismatch: {len(scores)} scores vs {len(labels)} labels"
+        )
+    thresholds, counts = _sweep_counts(scores.scores, labels)
+    f1 = _rates(protocol, **counts)[2]
+    # argmax takes the first maximum, i.e. the largest threshold
+    best = int(np.argmax(f1))
+    return float(thresholds[best]), {
+        name: int(value[best] if np.ndim(value) else value)
+        for name, value in counts.items()
+    }
+
+
 def sweep_threshold(
     scores: AnomalyScoreSeries,
     labels: LabelSeries,
@@ -328,21 +353,35 @@ def sweep_threshold(
     report is built from those counts at the winning threshold, with no
     binarization and no second count. It warns once of no normal points.
     """
-    if len(scores) != len(labels):
-        raise ValueError(
-            f"length mismatch: {len(scores)} scores vs {len(labels)} labels"
-        )
     protocol = Protocol(protocol)
-    thresholds, counts = _sweep_counts(scores.scores, labels)
-    f1 = _rates(protocol, **counts)[2]
-    # argmax takes the first maximum, i.e. the largest threshold
-    best = int(np.argmax(f1))
-    winner = {
-        name: int(value[best] if np.ndim(value) else value)
-        for name, value in counts.items()
-    }
+    threshold, winner = _sweep_winner(scores, labels, protocol)
     _warn_no_normal(winner["n_normal"])
-    return float(thresholds[best]), _report(protocol, winner)
+    return threshold, _report(protocol, winner)
+
+
+def evaluate(
+    labels: LabelSeries,
+    output,
+    threshold: Optional[float] = None,
+    protocols: tuple[Protocol, ...] = tuple(Protocol),
+) -> tuple:
+    """(threshold, reports in the order of protocols) of a detector's
+    output. A PredictionSeries takes no threshold, and None comes back.
+    Scores are flagged where score >= threshold or, with none, reported
+    from the sweep's counts at its best point-wise threshold. Either way
+    the output is counted once. It warns once of no normal points."""
+    if isinstance(output, PredictionSeries):
+        if threshold is not None:
+            raise ValueError("a threshold applies only to scores")
+        counts = _prediction_counts(labels, output)
+    elif threshold is not None:
+        preds = predictions_at_threshold(output, threshold)
+        counts = _prediction_counts(labels, preds)
+    else:
+        threshold, counts = _sweep_winner(output, labels, Protocol.POINT_WISE)
+    reports = [_report(Protocol(p), counts) for p in protocols]
+    _warn_no_normal(counts["n_normal"], reports)
+    return threshold, reports
 
 
 def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:

@@ -517,8 +517,8 @@ class TestSweepReport:
 class TestSweepCost:
     @pytest.mark.parametrize("n", [1, 50, 5000])
     def test_one_score_call_per_sweep(self, n, monkeypatch):
-        # the report comes from the sweep's own counts: nothing is
-        # binarized or scored again
+        # the reports come from the sweep's own counts: nothing is
+        # binarized or counted again, by the sweep or by evaluate
         calls = []
 
         def counted(fn):
@@ -528,8 +528,11 @@ class TestSweepCost:
 
             return call
 
-        # patched where the sweep would look them up
-        for name in ("score", "predictions_at_threshold"):
+        # patched where the sweep and evaluate would look them up
+        for name in (
+            "score", "predictions_at_threshold", "_prediction_counts",
+            "_sweep_counts",
+        ):
             fn = getattr(protocols, name)
             monkeypatch.setattr(protocols, name, counted(fn))
         rng = np.random.default_rng(n)
@@ -538,7 +541,10 @@ class TestSweepCost:
         for protocol in Protocol:
             calls.clear()
             sweep_threshold(scores, labels, protocol)
-            assert calls == []
+            assert calls == ["_sweep_counts"]
+        calls.clear()
+        protocols.evaluate(labels, scores)
+        assert calls == ["_sweep_counts"]
 
     def test_all_anomalous_warns_once_per_sweep(self):
         scores = AnomalyScoreSeries(np.linspace(0.0, 1.0, 40))

@@ -30,7 +30,9 @@ from tsadeval.protocols import (
     ProtocolReport,
     _block_counts,
     _event_counts,
+    evaluate,
     point_adjust,
+    predictions_at_threshold,
     score,
     score_all,
     sweep_threshold,
@@ -535,6 +537,22 @@ class TestNoNormalPointsWarnOncePerCall:
                 lambda: sweep_threshold(self.SCORES, labels, protocol), times
             )
 
+    @pytest.mark.parametrize(
+        "output, threshold",
+        [(PREDS, None), (SCORES, 0.5), (SCORES, None)],
+        ids=["prediction", "fixed-threshold", "sweep"],
+    )
+    def test_evaluate(self, output, threshold):
+        for protocols in PROTOCOL_SUBSETS:
+            for labels, times in (
+                (self.ALL_ANOMALOUS, min(1, len(protocols))),
+                (self.WITH_NORMAL, 0),
+            ):
+                assert_warns_at_caller(
+                    lambda: evaluate(labels, output, threshold, protocols),
+                    times,
+                )
+
     @pytest.mark.parametrize("protocols", PROTOCOL_SUBSETS, ids=subset_id)
     def test_random_flag_trials(self, protocols):
         for labels, times in (
@@ -543,4 +561,119 @@ class TestNoNormalPointsWarnOncePerCall:
         ):
             assert_warns_at_caller(
                 lambda: random_flag_trials(labels, 3, 20, 1, protocols), times
+            )
+
+
+@st.composite
+def thresholded_scores(draw):
+    """(scores, label values, threshold): up to 30 points whose scores take
+    few values, so ties are common, and a threshold that is None (sweep for
+    one), one of the scores, +inf or -inf."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    flags = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    labels = draw(st.one_of(flags, st.just([0] * n), st.just([1] * n)))
+    value = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])
+    scores = draw(st.lists(value, min_size=n, max_size=n))
+    threshold = draw(
+        st.one_of(
+            st.none(), st.sampled_from(scores), st.sampled_from([np.inf, -np.inf])
+        )
+    )
+    return scores, labels, threshold
+
+
+def shuffled(protocols, order):
+    """protocols in the order that `order`, a permutation of range(4), gives."""
+    return tuple(protocols[i] for i in order if i < len(protocols))
+
+
+class TestEvaluateAgainstComposition:
+    """evaluate equals the composition it replaces: the sweep's point-wise
+    threshold (unless one is given), the prediction at it, and score_all.
+    reprs are equal only if every float has the same bits and every count
+    the same type and value."""
+
+    @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
+    @pytest.mark.parametrize("protocols", PROTOCOL_SUBSETS, ids=subset_id)
+    @settings(max_examples=40, deadline=None)
+    @given(thresholded_scores(), st.permutations(range(len(Protocol))))
+    @example(([0.5], [1], None), [0, 1, 2, 3])  # length 1
+    @example(([0.25, 1.0, 0.5], [0, 0, 0], None), [3, 2, 1, 0])  # no events
+    @example(([0.25, 1.0, 0.5], [1, 1, 1], None), [0, 1, 2, 3])  # all anomalous
+    @example(([0.5] * 4, [0, 1, 1, 0], None), [1, 0, 3, 2])  # all tied
+    @example(([0.0] * 5, [1, 0, 0, 0, 1], None), [0, 1, 2, 3])  # zero scores
+    @example(([0.0] * 5, [1, 0, 0, 0, 1], np.inf), [0, 1, 2, 3])
+    @example(([0.25, 1.0, 0.5], [0, 1, 0], -np.inf), [2, 0, 3, 1])
+    def test_scores(self, protocols, layout, order):
+        values, label_values, threshold = layout
+        scores = AnomalyScoreSeries(np.array(values))
+        labels = LabelSeries(label_values)
+        protocols = shuffled(protocols, order)
+        chosen = threshold
+        if chosen is None:
+            chosen = sweep_threshold(scores, labels, Protocol.POINT_WISE)[0]
+        expected = chosen, score_all(
+            labels, predictions_at_threshold(scores, chosen), protocols
+        )
+        assert repr(evaluate(labels, scores, threshold, protocols)) == repr(
+            expected
+        )
+
+    @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
+    @pytest.mark.parametrize("protocols", PROTOCOL_SUBSETS, ids=subset_id)
+    @settings(max_examples=40, deadline=None)
+    @given(flag_pairs(), st.permutations(range(len(Protocol))))
+    @example(([1], [1]), [0, 1, 2, 3])
+    def test_prediction(self, protocols, pair, order):
+        labels, preds = LabelSeries(pair[0]), PredictionSeries(pair[1])
+        protocols = shuffled(protocols, order)
+        assert repr(evaluate(labels, preds, None, protocols)) == repr(
+            (None, score_all(labels, preds, protocols))
+        )
+
+    @pytest.mark.parametrize("threshold", [0.5, np.inf, -np.inf])
+    def test_prediction_takes_no_threshold(self, threshold):
+        with pytest.raises(ValueError, match="only to scores"):
+            evaluate(WORKED_LABELS, WORKED_PREDS, threshold)
+
+
+class TestSweepShiftAndScale:
+    """Adding an integer c >= 0 to every score, or multiplying every score
+    by 2**k, moves each candidate threshold the same way and keeps the order
+    of the scores, so every report stays the same. Integer-valued scores
+    keep the arithmetic exact; +inf stays +inf."""
+
+    @pytest.mark.filterwarnings("ignore:false_alarm_rate over")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        flag_pairs().flatmap(
+            lambda pair: st.tuples(
+                st.just(pair[0]),
+                st.lists(
+                    st.integers(0, 4), min_size=len(pair[0]),
+                    max_size=len(pair[0]),
+                ),
+            )
+        ),
+        st.integers(0, 1000),
+        st.integers(0, 20),
+    )
+    @example(([1], [0]), 7, 3)
+    @example(([0, 0, 0], [2, 2, 2]), 1, 1)  # no events, all tied: +inf wins
+    @example(([1, 1, 0, 1], [0, 0, 0, 0]), 5, 2)
+    def test_reports_stay_and_threshold_moves(self, layout, c, k):
+        label_values, values = layout
+        labels = LabelSeries(label_values)
+        base = np.array(values, dtype=float)
+        scores = AnomalyScoreSeries(base)
+        for move in (lambda x: x + c, lambda x: x * 2.0**k):
+            moved = AnomalyScoreSeries(move(base))
+            for protocol in Protocol:
+                threshold, report = sweep_threshold(scores, labels, protocol)
+                assert repr(sweep_threshold(moved, labels, protocol)) == repr(
+                    (move(threshold), report)
+                )
+            threshold, reports = evaluate(labels, scores)
+            assert repr(evaluate(labels, moved)) == repr(
+                (move(threshold), reports)
             )

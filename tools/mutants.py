@@ -243,14 +243,39 @@ MUTANTS = [
     # reporting from its own counts
     (
         "protocols.py",
-        "return float(thresholds[best]), _report(protocol, winner)",
-        "return float(thresholds[best]), score(\n"
-        "        labels, predictions_at_threshold(scores, thresholds[best]),\n"
-        "        protocol,\n    )",
+        "return threshold, _report(protocol, winner)",
+        "return threshold, score(\n"
+        "        labels, predictions_at_threshold(scores, threshold), protocol\n"
+        "    )",
         (
             "tests/test_pca_baseline.py::TestSweepCost::"
             "test_one_score_call_per_sweep",
         ),
+    ),
+    # evaluate binarizes the sweep's winner and counts that prediction
+    # again instead of reporting from the sweep's counts
+    (
+        "protocols.py",
+        "threshold, counts = _sweep_winner(output, labels, Protocol.POINT_WISE)",
+        "threshold, _ = _sweep_winner(output, labels, Protocol.POINT_WISE)\n"
+        "        counts = _prediction_counts(\n"
+        "            labels, predictions_at_threshold(output, threshold)\n"
+        "        )",
+        (
+            "tests/test_pca_baseline.py::TestSweepCost::"
+            "test_one_score_call_per_sweep",
+        ),
+    ),
+    # evaluate picks the threshold that is best under the first protocol
+    # asked for, not under point-wise
+    (
+        "protocols.py",
+        "threshold, counts = _sweep_winner(output, labels, Protocol.POINT_WISE)",
+        "threshold, counts = _sweep_winner(\n"
+        "            output, labels,\n"
+        "            Protocol(protocols[0]) if protocols else Protocol.POINT_WISE,\n"
+        "        )",
+        ("tests/test_protocols.py::TestEvaluateAgainstComposition",),
     ),
     # a model takes a NaN or an infinity unless every value is one
     (
