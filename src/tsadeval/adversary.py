@@ -539,7 +539,7 @@ def random_flag_trials(
         counts = _block_counts(labels, alarms)
         hits[block] = counts["tp"]
         for p in protocols:
-            f1[p][block] = _rates(p, **counts)[2]
+            f1[p][block] = _rates(p, labels, **counts)[2]
     _warn_no_normal(labels.n_normal, protocols)
     return RandomFlagTrials(
         alpha=alpha, trials=trials, seed=seed, hits=hits, f1_by_protocol=f1

@@ -284,10 +284,6 @@ def _add_threshold_policy(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _policy_name(policy) -> str:
-    return f"fixed:{policy}" if isinstance(policy, float) else "best-pw-f1"
-
-
 def _json_threshold(threshold):
     """The threshold as report.json holds it: JSON has no infinity, so
     +-inf is the string "inf" or "-inf", which float() reads back."""
@@ -310,11 +306,13 @@ def _scored(args: argparse.Namespace, labels: LabelSeries, series) -> tuple:
         labels, series, None if policy == "best-pw-f1" else policy,
         args.protocols,
     )
+    if threshold is not None:  # predictions take no threshold policy
+        policy = f"fixed:{policy}" if isinstance(policy, float) else "best-pw-f1"
     rows = [_report_row(r) for r in reports]
     return threshold, Report(
         config={
             "protocols": [p.value for p in args.protocols],
-            "threshold_policy": _policy_name(args.threshold_policy),
+            "threshold_policy": policy,
         },
         results={"threshold": _json_threshold(threshold), "rows": rows},
         lines=_row_lines(rows),

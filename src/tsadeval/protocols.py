@@ -12,24 +12,26 @@
 
 score and score_all return ProtocolReports of one shape, so reports can
 be tabulated uniformly. Both count the prediction once, into one record of
-eight counts (_prediction_counts), however many protocols score_all is
-given, and build each report from it through _report, as the threshold
-sweep does from its own counts at the winning threshold. _report never
-warns; each public call that builds reports warns once of labels with no
-normal points.
+five counts (_prediction_counts), however many protocols score_all is
+given, and build each report from it and the labels through _report, as
+the threshold sweep does from its own counts at the winning threshold.
+_report never warns; each public call that builds reports warns once of
+labels with no normal points.
 
 This module is the one place that turns a detector's output into protocol
 counts, whatever form the output takes: a prediction (_prediction_counts),
 scores ranked at every candidate threshold (_sweep_counts) or rows of
 sorted alarm positions, one per random-flag trial (_block_counts). Each
-gives _rates the same eight counts, and _rates alone picks the counts a
-protocol reads. Picking a threshold is part of evaluation, so the module
-also picks one from the sweep's counts (sweep_threshold) and binarizes
-any detector's scores at it (predictions_at_threshold). evaluate is the
-one call from a detector's output to reports: it counts a prediction, or
-scores at a given threshold, once (_prediction_counts), and scores with
-no threshold once by the sweep, whose counts at the best point-wise
-threshold make the reports.
+gives _rates the same five counts, those the output decides, and _rates
+alone picks the counts a protocol reads and takes its denominators, the
+totals of anomalous points, events and normal points, from the labels.
+Picking a threshold is part of evaluation, so the module also picks one
+from the sweep's counts (sweep_threshold) and binarizes any detector's
+scores at it (predictions_at_threshold). evaluate is the one call from a
+detector's output to reports: it counts a prediction, or scores at a
+given threshold, once (_prediction_counts), and scores with no threshold
+once by the sweep, whose counts at the best point-wise threshold make
+the reports.
 Arrays of counts, one per threshold or trial, go through the same
 operations as score()'s scalars, so the sweep's and the trial engine's
 F1 equal score() on the corresponding prediction bit for bit; the tests
@@ -163,75 +165,76 @@ def point_adjust(
 
 
 def _event_counts(labels: LabelSeries, preds: PredictionSeries) -> dict:
-    """adjusted_tp, the detected events' summed length; tp_e/fn_e, events
-    detected/missed; fp_e, predicted segments touching no anomalous point."""
+    """adjusted_tp, the detected events' summed length; tp_e, events
+    detected; fp_e, predicted segments touching no anomalous point."""
     starts, ends = labels.starts, labels.ends
     detected = _detected_events(labels, preds)
-    tp_e = int(np.count_nonzero(detected))
     true_segments = _overlap_counts(preds.starts, preds.ends, starts, ends)
     return {
         "adjusted_tp": int((ends - starts + 1)[detected].sum()),
-        "tp_e": tp_e,
+        "tp_e": int(np.count_nonzero(detected)),
         "fp_e": preds.starts.size - int(np.count_nonzero(true_segments)),
-        "fn_e": labels.n_events - tp_e,
     }
 
 
 def _rates(
-    protocol: Protocol, *, tp, fp, fn, n_normal, adjusted_tp, tp_e, fp_e, fn_e
+    protocol: Protocol, labels: LabelSeries, *, tp, fp, adjusted_tp, tp_e, fp_e
 ):
     """(precision, recall, f1) of one protocol: the one place that picks
     the counts a protocol reads and applies its formula.
 
-    tp/fp/fn are the raw point counts. Point-adjust also reads adjusted_tp,
-    the detected events' summed length; composite reads tp_e/fn_e; and
-    event-wise reads tp_e/fp_e/fn_e and n_normal, the number of normal
-    points, for its false-alarm rate. Scalars give floats; arrays of
-    counts give arrays.
+    tp/fp are the raw point counts; point-adjust reads adjusted_tp, the
+    detected events' summed length, for tp; composite and event-wise read
+    tp_e, and event-wise also fp_e and its false-alarm rate. Denominators
+    that are totals of anomalous points, events or normal points come from
+    the labels. Scalars give floats; arrays of counts give arrays.
     """
     if protocol is Protocol.POINT_WISE:
-        return prf_from_counts(tp, fp, fn)
+        return prf_from_counts(tp, fp, labels.n_anomalous - tp)
     if protocol is Protocol.POINT_ADJUST:
         # adjustment turns each detected event fully positive, nothing else
-        return prf_from_counts(adjusted_tp, fp, tp + fn - adjusted_tp)
+        return prf_from_counts(
+            adjusted_tp, fp, labels.n_anomalous - adjusted_tp
+        )
     if protocol is Protocol.COMPOSITE:
-        precision, recall = _ratio(tp, tp + fp), _ratio(tp_e, tp_e + fn_e)
+        precision = _ratio(tp, tp + fp)
     else:
         # the FAR factor makes the all-positive prediction score 0 whenever
         # any normal point exists, a degenerate case the segment counts
         # alone would reward
-        base, recall = _ratio(tp_e, tp_e + fp_e), _ratio(tp_e, tp_e + fn_e)
-        precision = base * (1.0 - _ratio(fp, n_normal))
+        base = _ratio(tp_e, tp_e + fp_e)
+        precision = base * (1.0 - _ratio(fp, labels.n_normal))
+    recall = _ratio(tp_e, labels.n_events)
     return precision, recall, harmonic_f1(precision, recall)
 
 
 def _prediction_counts(labels: LabelSeries, preds: PredictionSeries) -> dict:
-    """The eight counts _rates reads, of one prediction: one
+    """The five counts _rates reads, of one prediction: one
     point_confusion and one _event_counts. The point-adjusted series is
     never built; fp_e counts the predicted segments that touch no
     anomalous point."""
     counts = point_confusion(labels, preds)
-    return dict(
-        tp=counts.tp, fp=counts.fp, fn=counts.fn,
-        n_normal=counts.fp + counts.tn, **_event_counts(labels, preds),
-    )
+    return dict(tp=counts.tp, fp=counts.fp, **_event_counts(labels, preds))
 
 
-def _report(protocol: Protocol, counts: dict) -> ProtocolReport:
-    """The report of one protocol from a record of the eight counts, each
-    a Python int. It never warns; the public calls that build reports do."""
-    precision, recall, f1 = _rates(protocol, **counts)
+def _report(
+    protocol: Protocol, labels: LabelSeries, counts: dict
+) -> ProtocolReport:
+    """The report of one protocol from the labels and a record of the five
+    counts, each a Python int. It never warns; the public calls that build
+    reports do."""
+    precision, recall, f1 = _rates(protocol, labels, **counts)
     event_aware = protocol in (Protocol.COMPOSITE, Protocol.EVENT_WISE)
     return ProtocolReport(
         protocol=protocol,
         precision=precision,
         recall=recall,
         f1=f1,
-        far=_ratio(counts["fp"], counts["n_normal"]),
+        far=_ratio(counts["fp"], labels.n_normal),
         tp_e=counts["tp_e"] if event_aware else None,
         # composite's precision is point-level, so it reports no fp_e
         fp_e=counts["fp_e"] if protocol is Protocol.EVENT_WISE else None,
-        fn_e=counts["fn_e"] if event_aware else None,
+        fn_e=labels.n_events - counts["tp_e"] if event_aware else None,
     )
 
 
@@ -241,8 +244,8 @@ def score(
     """Score one pair under one protocol."""
     protocol = Protocol(protocol)
     counts = _prediction_counts(labels, preds)
-    _warn_no_normal(counts["n_normal"])
-    return _report(protocol, counts)
+    _warn_no_normal(labels.n_normal)
+    return _report(protocol, labels, counts)
 
 
 def score_all(
@@ -253,14 +256,15 @@ def score_all(
     """Score one pair under several protocols, in the order given; the
     pair is counted once, whatever the number of protocols."""
     counts = _prediction_counts(labels, preds)
-    reports = [_report(Protocol(p), counts) for p in protocols]
-    _warn_no_normal(counts["n_normal"], reports)
+    reports = [_report(Protocol(p), labels, counts) for p in protocols]
+    _warn_no_normal(labels.n_normal, reports)
     return reports
 
 
 def _sweep_counts(scores: np.ndarray, labels: LabelSeries) -> tuple:
     """(thresholds, counts): every distinct score plus +inf, from high to
-    low, and _block_counts' counts of the predictions at each threshold.
+    low, and the five counts of the prediction at each threshold, one
+    int64 array each, with an entry per threshold.
 
     The prediction at threshold t is on where score >= t, so every count a
     protocol needs is "how many precomputed values are >= t". Each value is
@@ -272,9 +276,10 @@ def _sweep_counts(scores: np.ndarray, labels: LabelSeries) -> tuple:
     thresholds = np.concatenate(([np.inf], distinct[::-1]))
 
     def at_or_above(ranks: np.ndarray, weights=None) -> np.ndarray:
-        # summed weight (or number) of the ranks at or above each threshold
+        # summed weight (or number) of the ranks at or above each threshold,
+        # as int64: float64 weights sum exactly below 2**53 points
         counts = np.bincount(ranks, weights, minlength=distinct.size)
-        return np.concatenate(([0], np.cumsum(counts[::-1])))
+        return np.concatenate(([0], np.cumsum(counts[::-1], dtype=np.int64)))
 
     anomalous = labels.values.astype(bool)
     tp = at_or_above(rank[anomalous])
@@ -285,7 +290,6 @@ def _sweep_counts(scores: np.ndarray, labels: LabelSeries) -> tuple:
     starts, ends = labels.starts, labels.ends
     bounds = np.column_stack((starts, ends + 1)).ravel()
     peak = np.maximum.reduceat(np.append(rank, 0), bounds)[::2]
-    tp_e = at_or_above(peak)
 
     # event-wise fp_e counts the on-runs made only of normal points. Runs of
     # on normal points are on normal points less on normal-normal pairs;
@@ -301,11 +305,10 @@ def _sweep_counts(scores: np.ndarray, labels: LabelSeries) -> tuple:
     )
     pairs_with_normal = pair[~(anomalous[:-1] & anomalous[1:])]
     fp_e = fp - at_or_above(pairs_with_normal) + at_or_above(bridge)
+    # a detected event counts its whole length toward adjusted_tp
     return thresholds, dict(
-        tp=tp, fp=fp, fn=labels.n_anomalous - tp, n_normal=labels.n_normal,
-        # a detected event counts its whole length
-        adjusted_tp=at_or_above(peak, ends - starts + 1),
-        tp_e=tp_e, fp_e=fp_e, fn_e=starts.size - tp_e,
+        tp=tp, fp=fp, adjusted_tp=at_or_above(peak, ends - starts + 1),
+        tp_e=at_or_above(peak), fp_e=fp_e,
     )
 
 
@@ -326,12 +329,11 @@ def _sweep_winner(
             f"length mismatch: {len(scores)} scores vs {len(labels)} labels"
         )
     thresholds, counts = _sweep_counts(scores.scores, labels)
-    f1 = _rates(protocol, **counts)[2]
+    f1 = _rates(protocol, labels, **counts)[2]
     # argmax takes the first maximum, i.e. the largest threshold
     best = int(np.argmax(f1))
     return float(thresholds[best]), {
-        name: int(value[best] if np.ndim(value) else value)
-        for name, value in counts.items()
+        name: int(value[best]) for name, value in counts.items()
     }
 
 
@@ -355,8 +357,8 @@ def sweep_threshold(
     """
     protocol = Protocol(protocol)
     threshold, winner = _sweep_winner(scores, labels, protocol)
-    _warn_no_normal(winner["n_normal"])
-    return threshold, _report(protocol, winner)
+    _warn_no_normal(labels.n_normal)
+    return threshold, _report(protocol, labels, winner)
 
 
 def evaluate(
@@ -379,13 +381,14 @@ def evaluate(
         counts = _prediction_counts(labels, preds)
     else:
         threshold, counts = _sweep_winner(output, labels, Protocol.POINT_WISE)
-    reports = [_report(Protocol(p), counts) for p in protocols]
-    _warn_no_normal(counts["n_normal"], reports)
+    reports = [_report(Protocol(p), labels, counts) for p in protocols]
+    _warn_no_normal(labels.n_normal, reports)
     return threshold, reports
 
 
 def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:
-    """Every count _rates reads, one per row of sorted alarms.
+    """The five counts _rates reads, one int64 array each, with an entry
+    per row of sorted alarms.
 
     Row i of `alarms` holds one trial's distinct alarm positions in
     ascending order. Two passes touch every alarm: a gather of the labels
@@ -421,17 +424,13 @@ def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:
     opens[1:] = new_row | (lag[1:] != lag[:-1])
     # each row's first hits, their events' summed lengths, and true segments
     first = row[first_hit]
-    tp_e = np.bincount(first, minlength=rows)
     lengths = (ends - starts + 1)[event[first_hit]]
     # float64 weights sum exactly below 2**53 points
     adjusted_tp = np.bincount(first, lengths, minlength=rows).astype(np.int64)
     return {
         "tp": tp,
         "fp": alpha - tp,
-        "fn": labels.n_anomalous - tp,
-        "n_normal": labels.n_normal,
         "adjusted_tp": adjusted_tp,
-        "tp_e": tp_e,
+        "tp_e": np.bincount(first, minlength=rows),
         "fp_e": segments - np.bincount(row[opens], minlength=rows),
-        "fn_e": labels.n_events - tp_e,
     }

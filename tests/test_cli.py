@@ -114,6 +114,10 @@ class TestEvaluate:
         report = read_report(out)
         assert report["manifest"]["command"] == "evaluate"
         assert len(report["manifest"]["inputs"]) == 2
+        # predictions take no threshold, so no threshold policy applies
+        config = report["manifest"]["config"]
+        assert config["threshold"] is None
+        assert config["threshold_policy"] is None
         assert "point-wise" in capsys.readouterr().out
 
     def test_protocol_subset_order(self, tmp_path, worked_files):
@@ -161,6 +165,7 @@ class TestEvaluate:
         assert rc == 0
         report = read_report(out)
         assert report["results"]["threshold"] == 0.5
+        assert report["manifest"]["config"]["threshold_policy"] == "fixed:0.5"
         rows = {r["protocol"]: r for r in report["results"]["rows"]}
         # threshold 0.5 marks exactly points 5 and 9, the worked example
         assert rows["point-wise"]["f1"] == pytest.approx(0.285714, abs=1e-6)
@@ -188,6 +193,7 @@ class TestEvaluate:
         assert rc == 0
         report = read_report(out)
         assert report["results"]["threshold"] == pytest.approx(0.7)
+        assert report["manifest"]["config"]["threshold_policy"] == "best-pw-f1"
         rows = {r["protocol"]: r for r in report["results"]["rows"]}
         assert rows["point-wise"]["f1"] == 1.0
 

@@ -61,7 +61,7 @@ CASES = {
                 "eb358bdfe24a4e983354b6ac9a0ed42b728be0c6c8a5d4af395f5453dca89836"
             ),
             "out/report.json": (
-                "66f76032ca5ff03857dfab9f17037d1ed2a28f014ee69b15f15c02551feed1a0"
+                "747a197acacbc9babf18e886bef380f1ce5ec543a871467766489636aec55a29"
             ),
         },
         (

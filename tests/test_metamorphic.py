@@ -4,9 +4,8 @@ Every protocol reads events and predicted segments, never their order in
 time, so reversing a series leaves every count unchanged. Two series
 joined by one normal point that no output flags keep their events and
 predicted segments apart, so each count of the join is the sum of the
-two, except n_normal, which gains the joining point. For a sweep, the
-joining point scores below every other point, so no threshold but the
-last flags it.
+two. For a sweep, the joining point scores below every other point, so
+no threshold but the last flags it.
 """
 
 import numpy as np
@@ -43,11 +42,9 @@ def assert_counts_equal(got, expected):
 
 
 def joined(first, second):
-    """Each count of two series joined by one normal point: the sum of
-    their counts, with the joining point added to n_normal."""
-    total = {name: first[name] + second[name] for name in first}
-    total["n_normal"] += 1
-    return total
+    """Each count of two series joined by one normal point that no output
+    flags: the sum of their counts."""
+    return {name: first[name] + second[name] for name in first}
 
 
 def block(values, rows):
@@ -78,7 +75,7 @@ class TestTimeReversal:
             scores[::-1], LabelSeries(labels[::-1])
         )
         assert np.array_equal(reversed_thresholds, thresholds)
-        # thresholds and every candidate's eight counts
+        # thresholds and every candidate's five counts
         assert_counts_equal(backward, forward)
 
     @settings(max_examples=300, deadline=None)
@@ -189,15 +186,9 @@ class TestJoin:
             # the counts at the smallest own threshold at or above each t
             own, counts = _sweep_counts(scores, LabelSeries(labels))
             index = np.count_nonzero(own >= thresholds[:-1, None], axis=1) - 1
-            return {
-                name: value if np.ndim(value) == 0 else value[index]
-                for name, value in counts.items()
-            }
+            return {name: value[index] for name, value in counts.items()}
 
-        all_but_last = {
-            name: value if np.ndim(value) == 0 else value[:-1]
-            for name, value in both.items()
-        }
+        all_but_last = {name: value[:-1] for name, value in both.items()}
         assert_counts_equal(
             all_but_last, joined(at(scores1, labels1), at(scores2, labels2))
         )

@@ -341,33 +341,40 @@ class TestRates:
         # fractional counts, many of them 0, through every protocol's rates
         # (point-wise's are prf_from_counts')
         rng = np.random.default_rng(11)
-        names = ("tp", "fp", "fn", "adjusted_tp", "tp_e", "fp_e", "fn_e")
+        names = ("tp", "fp", "adjusted_tp", "tp_e", "fp_e")
+        # the labels' totals are the other denominators: labels with no
+        # events (no anomalous points), with no normal points, and with both
+        every_labels = (
+            LabelSeries([0, 0, 0]),
+            LabelSeries([1, 1, 1, 1]),
+            LabelSeries([0, 1, 1, 0, 1, 0, 0]),
+        )
 
         def assert_rows_match(counts):
-            tp, fp, fn, tp_e, fp_e, fn_e = counts
-            adjusted_tp = np.where(rng.random(tp.size) < 0.5, tp, tp + fn)
-            columns = (tp, fp, fn, adjusted_tp, tp_e, fp_e, fn_e)
+            tp, fp, gain, tp_e, fp_e = counts
+            adjusted_tp = np.where(rng.random(tp.size) < 0.5, tp, tp + gain)
+            columns = (tp, fp, adjusted_tp, tp_e, fp_e)
             # as score() passes them: ints where the count is whole
             rows = [
                 {n: int(v) if v == int(v) else v for n, v in zip(names, row)}
                 for row in zip(*(c.tolist() for c in columns))
             ]
-            assert not (tp + fp).all() and not (tp_e + fn_e).all()
-            for n_normal in (0, 5):
+            assert not (tp + fp).all() and not (tp_e + fp_e).all()
+            for labels in every_labels:
                 for protocol in Protocol:
                     by_name = dict(zip(names, columns))
-                    arrays = _rates(protocol, n_normal=n_normal, **by_name)
+                    arrays = _rates(protocol, labels, **by_name)
                     for i, row in enumerate(rows):
-                        scalars = _rates(protocol, n_normal=n_normal, **row)
+                        scalars = _rates(protocol, labels, **row)
                         assert all(type(v) is float for v in scalars)
                         assert tuple(a[i] for a in arrays) == scalars
 
-        fractional = rng.integers(0, 4, (6, 400)).astype(float)
-        fractional[:, 1::2] *= rng.random((6, 200))
+        fractional = rng.integers(0, 4, (5, 400)).astype(float)
+        fractional[:, 1::2] *= rng.random((5, 200))
         assert_rows_match(fractional)
         # whole counts as the sweep and the trial engine pass them: int64
         # arrays, which np.divide turns into float64 inside its loop
-        assert_rows_match(rng.integers(0, 4, (6, 400)))
+        assert_rows_match(rng.integers(0, 4, (5, 400)))
         # bool arrays too, as numerator and denominator alike
         flags = rng.random((2, 400)) < 0.5
         whole = rng.integers(0, 3, 400)

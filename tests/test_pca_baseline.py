@@ -27,7 +27,6 @@ from tsadeval.pca_baseline import (
 )
 from tsadeval.protocols import (
     Protocol,
-    _block_counts,
     _event_counts,
     _rates,
     _sweep_counts,
@@ -466,14 +465,12 @@ class TestSweepAgainstBruteForce:
         scores = AnomalyScoreSeries(np.array(values))
         labels = LabelSeries(label_values)
         thresholds, counts = _sweep_counts(scores.scores, labels)
-        no_alarms = np.zeros((1, 0), dtype=np.int64)
-        assert set(counts) == set(_block_counts(labels, no_alarms))
         for protocol in Protocol:
             assert sweep_threshold(scores, labels, protocol) == (
                 brute_force_sweep(scores, labels, protocol)
             )
             # not only the winner: the F1 at every candidate is score()'s
-            assert _rates(protocol, **counts)[2].tolist() == [
+            assert _rates(protocol, labels, **counts)[2].tolist() == [
                 score(labels, predictions_at_threshold(scores, t), protocol).f1
                 for t in thresholds.tolist()
             ]
@@ -482,12 +479,8 @@ class TestSweepAgainstBruteForce:
         for i, t in enumerate(thresholds.tolist()):
             preds = predictions_at_threshold(scores, t)
             raw = point_confusion(labels, preds)
-            expected = dict(
-                tp=raw.tp, fp=raw.fp, fn=raw.fn, n_normal=raw.fp + raw.tn,
-                **_event_counts(labels, preds),
-            )
-            at_t = {k: v[i] if np.ndim(v) else v for k, v in counts.items()}
-            assert at_t == expected
+            expected = dict(tp=raw.tp, fp=raw.fp, **_event_counts(labels, preds))
+            assert {k: v[i] for k, v in counts.items()} == expected
 
 
 class TestSweepReport:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from tsadeval import pca_baseline
 from tsadeval import protocols as protocols_module
 from tsadeval.adversary import random_flag_trials
+from tsadeval.data_io import synthetic_labels
 from tsadeval.metrics import (
     FAR_NO_NORMAL_WARNING,
     LabelSeries,
@@ -30,6 +31,8 @@ from tsadeval.protocols import (
     ProtocolReport,
     _block_counts,
     _event_counts,
+    _prediction_counts,
+    _sweep_counts,
     evaluate,
     point_adjust,
     predictions_at_threshold,
@@ -37,6 +40,8 @@ from tsadeval.protocols import (
     score_all,
     sweep_threshold,
 )
+
+from test_adversary import CRITERION_05_SPEC
 
 WORKED_LABELS = LabelSeries([0, 0, 0, 1, 1, 1, 1, 1, 0, 0])
 WORKED_PREDS = PredictionSeries([0, 0, 0, 0, 0, 1, 0, 0, 0, 1])
@@ -280,12 +285,6 @@ class TestBlockCountsAgainstScore:
         labels = LabelSeries(values)
         alarms = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
         counts = _block_counts(labels, alarms)
-        assert counts["n_normal"] == labels.n_normal
-        names = ("tp", "fp", "fn", "adjusted_tp", "tp_e", "fp_e", "fn_e")
-        assert set(counts) == {"n_normal", *names}
-        for name in names:
-            assert counts[name].dtype == np.int64
-            assert counts[name].shape == (len(rows),)
         for i, row in enumerate(rows):
             flags = np.zeros(len(values), dtype=np.int8)
             flags[row] = 1
@@ -294,10 +293,88 @@ class TestBlockCountsAgainstScore:
             adjusted = point_confusion(labels, point_adjust(labels, preds))
             events = _event_counts(labels, preds)
             expected = dict(
-                tp=raw.tp, fp=raw.fp, fn=raw.fn, adjusted_tp=adjusted.tp,
-                tp_e=events["tp_e"], fp_e=events["fp_e"], fn_e=events["fn_e"],
+                tp=raw.tp, fp=raw.fp, adjusted_tp=adjusted.tp,
+                tp_e=events["tp_e"], fp_e=events["fp_e"],
             )
-            assert {name: counts[name][i] for name in names} == expected
+            assert {name: value[i] for name, value in counts.items()} == (
+                expected
+            )
+
+
+class TestBlockCountsAgainstCombArithmetic:
+    """_block_counts at the attack's scale, where no per-row scoring runs.
+
+    Each row is a comb: every s-th point from phase p. Its hits on an
+    event [a, b] are the multiples of s in [a - p, b - p], a count of
+    arithmetic alone, and with s >= 2 no two alarms touch, so every alarm
+    is a predicted segment of its own.
+    """
+
+    def test_combs_over_criterion_05_mix(self):
+        labels = synthetic_labels(CRITERION_05_SPEC)
+        n = len(labels)
+        a, b = labels.starts, labels.ends
+        lengths = b - a + 1
+        assert labels.n_events == 35 and lengths.min() == 100
+        for s in (100, 450, 1000):
+            assert n % s == 0  # each row holds every point of its phase
+            phase = np.arange(s)[:, None]
+            alarms = phase + s * np.arange(n // s)
+            # floor((b - p) / s) - ceil((a - p) / s) + 1 hits per event
+            hits = np.maximum((b - phase) // s + (phase - a) // s + 1, 0)
+            detected = hits > 0
+            tp = hits.sum(axis=1)
+            expected = dict(
+                tp=tp,
+                fp=n // s - tp,
+                adjusted_tp=(lengths * detected).sum(axis=1),
+                tp_e=detected.sum(axis=1),
+                fp_e=n // s - tp,
+            )
+            counts = _block_counts(labels, alarms)
+            assert counts.keys() == expected.keys()
+            for name, value in expected.items():
+                assert np.array_equal(counts[name], value), (s, name)
+            if s <= 100:
+                # no event is shorter than the spacing
+                assert (counts["tp_e"] == 35).all()
+
+
+COUNT_NAMES = {"tp", "fp", "adjusted_tp", "tp_e", "fp_e"}
+
+
+class TestCountRecord:
+    """Every producer hands _rates the five counts the output decides and
+    nothing the labels alone decide: one int64 entry per row or threshold,
+    or one Python int each for a prediction."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(alarm_blocks())
+    @example(([1], [[]]))  # length 1, no alarms
+    @example(([0, 0, 0], [[0, 2], [1, 2]]))  # no events
+    @example(([1, 1, 1], [[0, 1, 2]]))  # no normal points
+    def test_keys_and_types_of_all_three_producers(self, block):
+        values, rows = block
+        labels = LabelSeries(values)
+        alarms = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+        # the prediction of the first row; scores that tie wherever the
+        # same number of rows flags a point
+        flags = np.zeros(len(values), dtype=np.int8)
+        flags[rows[0]] = 1
+        scores = np.zeros(len(values))
+        np.add.at(scores, alarms.ravel(), 1.0)
+        thresholds, swept = _sweep_counts(scores, labels)
+        entries = {"block": (alarms.shape[0],), "sweep": thresholds.shape}
+        for producer, counts in (
+            ("block", _block_counts(labels, alarms)), ("sweep", swept),
+        ):
+            assert counts.keys() == COUNT_NAMES, producer
+            for name, value in counts.items():
+                assert value.dtype == np.int64, (producer, name)
+                assert value.shape == entries[producer], (producer, name)
+        counts = _prediction_counts(labels, PredictionSeries(flags))
+        assert counts.keys() == COUNT_NAMES
+        assert all(type(value) is int for value in counts.values())
 
 
 class TestPointAdjustBehaviour:

@@ -59,6 +59,16 @@ MUTANTS = [
         "first_hit = np.zeros(hit.size, dtype=bool)",
         BLOCK_TESTS,
     ),
+    # _block_counts: a hit on an event's first point counts toward the
+    # event before; the comb rows put a hit on every event's first point
+    (
+        "protocols.py",
+        'event = np.searchsorted(starts, hit, side="right") - 1',
+        'event = np.searchsorted(starts, hit, side="left") - 1',
+        (
+            "tests/test_protocols.py::TestBlockCountsAgainstCombArithmetic",
+        ),
+    ),
     # _block_counts: a row of no alarms counts one predicted segment
     (
         "protocols.py",
@@ -83,8 +93,16 @@ MUTANTS = [
     # event-wise's false-alarm rate divides by all points, not the normal
     (
         "protocols.py",
-        "precision = base * (1.0 - _ratio(fp, n_normal))",
-        "precision = base * (1.0 - _ratio(fp, n_normal + tp + fn))",
+        "precision = base * (1.0 - _ratio(fp, labels.n_normal))",
+        "precision = base * (1.0 - _ratio(fp, len(labels)))",
+        ("tests/test_protocols.py",),
+    ),
+    # point-adjust's missed points are the anomalous points less the raw
+    # hits, not less the adjusted ones
+    (
+        "protocols.py",
+        "adjusted_tp, fp, labels.n_anomalous - adjusted_tp",
+        "adjusted_tp, fp, labels.n_anomalous - tp",
         ("tests/test_protocols.py",),
     ),
     # the dense sampler leaves each row in argpartition order
@@ -110,12 +128,12 @@ MUTANTS = [
         "    else:\n",
         ("tests/test_adversary.py::TestHitDistributions",),
     ),
-    # event-wise precision divides by the missed events, not the false
-    # segments
+    # event-wise precision divides by the events, not the detected events
+    # and the false segments
     (
         "protocols.py",
-        "base, recall = _ratio(tp_e, tp_e + fp_e), _ratio(tp_e, tp_e + fn_e)",
-        "base, recall = _ratio(tp_e, tp_e + fn_e), _ratio(tp_e, tp_e + fn_e)",
+        "base = _ratio(tp_e, tp_e + fp_e)",
+        "base = _ratio(tp_e, labels.n_events)",
         ("tests/test_protocols.py", "tests/test_pca_baseline.py"),
     ),
     # a series' count of 1s skips its first point
@@ -243,7 +261,7 @@ MUTANTS = [
     # reporting from its own counts
     (
         "protocols.py",
-        "return threshold, _report(protocol, winner)",
+        "return threshold, _report(protocol, labels, winner)",
         "return threshold, score(\n"
         "        labels, predictions_at_threshold(scores, threshold), protocol\n"
         "    )",
