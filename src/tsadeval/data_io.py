@@ -53,6 +53,7 @@ from tsadeval.metrics import (
     _check_count,
     _check_range,
     _read_only,
+    require_same_length,
     segmentize,
 )
 
@@ -283,7 +284,7 @@ def _records(lines, path: Path, line: int):
 def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
     """Read a headed CSV as (header, values).
 
-    kinds_for(path, header) checks the header (None if the file is empty)
+    An empty file is an error. kinds_for(path, header) checks the header
     and returns each column's kind: "number" (finite, as float() reads
     it), "flag" (0 or 1) or "bound" (int64, as int() reads it). No data
     rows is an error unless empty_ok. Line numbers count CSV records, the
@@ -303,6 +304,8 @@ def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(_records(fh, path, 1), None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
             kinds = kinds_for(path, header)
             pieces, first_line = [], 2
             rest = ()
@@ -387,8 +390,6 @@ class MvtsFrame(_Value):
 
 
 def _frame_kinds(path: Path, header) -> list:
-    if header is None:
-        raise ValueError(f"{path}: empty file")
     channels = len(header) - (header[-1:] == ["label"])
     if channels == 0:
         raise ValueError(f"{path}: no channel columns in header {header}")
@@ -429,20 +430,22 @@ def write_frame(frame: MvtsFrame, path: "str | Path") -> None:
             fh.write("\r\n".join(lines) + "\r\n")
 
 
-def _one_column(path: "str | Path", column: str, kind: str) -> np.ndarray:
-    """The values of a CSV whose header is the single column `column`."""
+def _fixed_header(expected: list, kinds: list):
+    """The kinds_for of a file whose header must be exactly `expected`."""
 
     def kinds_for(path: Path, header) -> list:
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        if header != [column]:
+        if header != expected:
             raise ValueError(
-                f"{path}: expected single-column header [{column!r}], "
-                f"got {header}"
+                f"{path}: expected header {expected}, got {header}"
             )
-        return [kind]
+        return kinds
 
-    return _read_csv(path, kinds_for)[1][:, 0]
+    return kinds_for
+
+
+def _one_column(path: "str | Path", column: str, kind: str) -> np.ndarray:
+    """The values of a CSV whose header is the single column `column`."""
+    return _read_csv(path, _fixed_header([column], [kind]))[1][:, 0]
 
 
 def load_label_series(path: "str | Path") -> LabelSeries:
@@ -472,14 +475,6 @@ def load_score_series(path: "str | Path") -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # events
-
-
-def _events_kinds(path: Path, header) -> list:
-    if header != ["start", "end"]:
-        raise ValueError(
-            f"{path}: expected header ['start', 'end'], got {header}"
-        )
-    return ["bound", "bound"]
 
 
 def _event_error(
@@ -532,7 +527,8 @@ def load_events(
             row, message = found
             raise ValueError(f"{path}: line {first_line + row}: {message}")
 
-    _, bounds = _read_csv(path, _events_kinds, check=check, empty_ok=True)
+    kinds_for = _fixed_header(["start", "end"], ["bound", "bound"])
+    _, bounds = _read_csv(path, kinds_for, check=check, empty_ok=True)
     bounds = bounds.astype(np.int64, copy=False)
     bounds[:, 1] -= shift
     return bounds
@@ -625,10 +621,7 @@ def check_label_consistency(
     off-by-one in somebody's event export shows up as a 1-point run at a
     segment boundary instead of a bare mismatch count.
     """
-    if len(integrated) != len(reconstructed):
-        raise ValueError(
-            f"length mismatch: {len(integrated)} vs {len(reconstructed)}"
-        )
+    require_same_length(integrated, reconstructed)
     diff = integrated.values - reconstructed.values
     runs = [
         DisagreementRun(segment=seg, direction="integrated-only")

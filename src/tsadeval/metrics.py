@@ -233,13 +233,12 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def require_same_length(
-    labels: LabelSeries, preds: PredictionSeries
-) -> None:
-    """Raise ValueError unless labels and predictions have equal length."""
+def require_same_length(labels: LabelSeries, preds) -> None:
+    """Raise ValueError unless labels and the series scored or compared
+    against them (predictions, scores or other labels) have equal length."""
     if len(labels) != len(preds):
         raise ValueError(
-            f"length mismatch: {len(labels)} labels vs {len(preds)} predictions"
+            f"length mismatch: {len(labels)} labels vs {len(preds)} values"
         )
 
 

@@ -164,19 +164,6 @@ def point_adjust(
     return PredictionSeries(preds.values | np.repeat(flags, lengths))
 
 
-def _event_counts(labels: LabelSeries, preds: PredictionSeries) -> dict:
-    """adjusted_tp, the detected events' summed length; tp_e, events
-    detected; fp_e, predicted segments touching no anomalous point."""
-    starts, ends = labels.starts, labels.ends
-    detected = _detected_events(labels, preds)
-    true_segments = _overlap_counts(preds.starts, preds.ends, starts, ends)
-    return {
-        "adjusted_tp": int((ends - starts + 1)[detected].sum()),
-        "tp_e": int(np.count_nonzero(detected)),
-        "fp_e": preds.starts.size - int(np.count_nonzero(true_segments)),
-    }
-
-
 def _rates(
     protocol: Protocol, labels: LabelSeries, *, tp, fp, adjusted_tp, tp_e, fp_e
 ):
@@ -209,12 +196,22 @@ def _rates(
 
 
 def _prediction_counts(labels: LabelSeries, preds: PredictionSeries) -> dict:
-    """The five counts _rates reads, of one prediction: one
-    point_confusion and one _event_counts. The point-adjusted series is
-    never built; fp_e counts the predicted segments that touch no
-    anomalous point."""
+    """The five counts _rates reads, of one prediction, each a Python int.
+    tp and fp come from one point_confusion; adjusted_tp is the detected
+    events' summed length, so the point-adjusted series is never built;
+    tp_e counts the detected events, and fp_e the predicted segments that
+    touch no anomalous point."""
     counts = point_confusion(labels, preds)
-    return dict(tp=counts.tp, fp=counts.fp, **_event_counts(labels, preds))
+    starts, ends = labels.starts, labels.ends
+    detected = _detected_events(labels, preds)
+    true_segments = _overlap_counts(preds.starts, preds.ends, starts, ends)
+    return dict(
+        tp=counts.tp,
+        fp=counts.fp,
+        adjusted_tp=int((ends - starts + 1)[detected].sum()),
+        tp_e=int(np.count_nonzero(detected)),
+        fp_e=preds.starts.size - int(np.count_nonzero(true_segments)),
+    )
 
 
 def _report(
@@ -270,16 +267,17 @@ def _sweep_counts(scores: np.ndarray, labels: LabelSeries) -> tuple:
     protocol needs is "how many precomputed values are >= t". Each value is
     a score, a minimum or a maximum of scores, so it is replaced by its
     rank among the distinct scores; a count is then a cumulative sum of a
-    bincount, O(T) after the one sort inside np.unique.
+    bincount, O(T) after the one sort inside np.unique. adjusted_tp is a
+    cumulative sum of event lengths in descending-peak order, read at
+    tp_e. Every count is an integer tally.
     """
     distinct, rank = np.unique(scores, return_inverse=True)
     thresholds = np.concatenate(([np.inf], distinct[::-1]))
 
-    def at_or_above(ranks: np.ndarray, weights=None) -> np.ndarray:
-        # summed weight (or number) of the ranks at or above each threshold,
-        # as int64: float64 weights sum exactly below 2**53 points
-        counts = np.bincount(ranks, weights, minlength=distinct.size)
-        return np.concatenate(([0], np.cumsum(counts[::-1], dtype=np.int64)))
+    def at_or_above(ranks: np.ndarray) -> np.ndarray:
+        # number of the ranks at or above each threshold
+        counts = np.bincount(ranks, minlength=distinct.size)
+        return np.concatenate(([0], np.cumsum(counts[::-1])))
 
     anomalous = labels.values.astype(bool)
     tp = at_or_above(rank[anomalous])
@@ -305,10 +303,14 @@ def _sweep_counts(scores: np.ndarray, labels: LabelSeries) -> tuple:
     )
     pairs_with_normal = pair[~(anomalous[:-1] & anomalous[1:])]
     fp_e = fp - at_or_above(pairs_with_normal) + at_or_above(bridge)
-    # a detected event counts its whole length toward adjusted_tp
+    # a detected event counts its whole length toward adjusted_tp. Events
+    # with tied peaks enter together, so the events detected at a threshold
+    # are the first tp_e in descending-peak order
+    tp_e = at_or_above(peak)
+    lengths = (ends - starts + 1)[np.argsort(peak)[::-1]]
+    adjusted_tp = np.concatenate(([0], np.cumsum(lengths)))[tp_e]
     return thresholds, dict(
-        tp=tp, fp=fp, adjusted_tp=at_or_above(peak, ends - starts + 1),
-        tp_e=at_or_above(peak), fp_e=fp_e,
+        tp=tp, fp=fp, adjusted_tp=adjusted_tp, tp_e=tp_e, fp_e=fp_e
     )
 
 
@@ -324,10 +326,7 @@ def _sweep_winner(
 ) -> tuple:
     """(threshold, counts as Python ints) where the sweep's F1 under
     protocol is best."""
-    if len(scores) != len(labels):
-        raise ValueError(
-            f"length mismatch: {len(scores)} scores vs {len(labels)} labels"
-        )
+    require_same_length(labels, scores)
     thresholds, counts = _sweep_counts(scores.scores, labels)
     f1 = _rates(protocol, labels, **counts)[2]
     # argmax takes the first maximum, i.e. the largest threshold
@@ -403,7 +402,8 @@ def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:
     position and flattened index rise together; a hit whose row or lag
     (position less index) differs from the previous hit's so opens a true
     segment, and the segments no hit opens are false. Each row's totals
-    are bincounts of the marked hits' row numbers.
+    are integer tallies over the marked hits' row numbers: bincounts of
+    them, and for adjusted_tp their events' lengths added at them.
     """
     starts, ends = labels.starts, labels.ends
     rows, alpha = alarms.shape
@@ -425,8 +425,8 @@ def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:
     # each row's first hits, their events' summed lengths, and true segments
     first = row[first_hit]
     lengths = (ends - starts + 1)[event[first_hit]]
-    # float64 weights sum exactly below 2**53 points
-    adjusted_tp = np.bincount(first, lengths, minlength=rows).astype(np.int64)
+    adjusted_tp = np.zeros(rows, dtype=np.int64)
+    np.add.at(adjusted_tp, first, lengths)
     return {
         "tp": tp,
         "fp": alpha - tp,

@@ -152,7 +152,7 @@ LOADER_ERRORS = [
     pytest.param(
         load_prediction_series,
         "pred\n1\n",
-        "expected single-column header ['prediction'], got ['pred']",
+        "expected header ['prediction'], got ['pred']",
         id="predictions-header",
     ),
     pytest.param(
@@ -168,12 +168,7 @@ LOADER_ERRORS = [
         id="scores-overflow",
     ),
     pytest.param(load_score_series, "", "empty file", id="scores-empty"),
-    pytest.param(
-        load_events,
-        "",
-        "expected header ['start', 'end'], got None",
-        id="events-empty",
-    ),
+    pytest.param(load_events, "", "empty file", id="events-empty"),
     pytest.param(
         load_events,
         "start,end\n1,2\n\n",
@@ -1060,9 +1055,7 @@ def ref_column(path, column, parse):
     if header is None:
         raise ValueError(f"{path}: empty file")
     if header != [column]:
-        raise ValueError(
-            f"{path}: expected single-column header [{column!r}], got {header}"
-        )
+        raise ValueError(f"{path}: expected header {[column]}, got {header}")
     out = [parse(row[0], path, n, column) for n, row in ref_rows(path, 1)]
     if not out:
         raise ValueError(f"{path}: no data rows")
@@ -1081,6 +1074,8 @@ def ref_labels(path):
 
 def ref_events(path, end_exclusive):
     header = ref_header(path)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
     if header != ["start", "end"]:
         raise ValueError(
             f"{path}: expected header ['start', 'end'], got {header}"

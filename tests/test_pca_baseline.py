@@ -15,7 +15,7 @@ from tsadeval.data_io import (
     SyntheticSpec,
     generate_train_test,
 )
-from tsadeval.metrics import LabelSeries, PredictionSeries, point_confusion
+from tsadeval.metrics import LabelSeries, PredictionSeries
 from tsadeval.pca_baseline import (
     AnomalyScoreSeries,
     PcaConfig,
@@ -27,7 +27,7 @@ from tsadeval.pca_baseline import (
 )
 from tsadeval.protocols import (
     Protocol,
-    _event_counts,
+    _prediction_counts,
     _rates,
     _sweep_counts,
     score,
@@ -478,8 +478,7 @@ class TestSweepAgainstBruteForce:
         # at every candidate is checked against the prediction's
         for i, t in enumerate(thresholds.tolist()):
             preds = predictions_at_threshold(scores, t)
-            raw = point_confusion(labels, preds)
-            expected = dict(tp=raw.tp, fp=raw.fp, **_event_counts(labels, preds))
+            expected = _prediction_counts(labels, preds)
             assert {k: v[i] for k, v in counts.items()} == expected
 
 

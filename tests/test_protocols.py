@@ -30,7 +30,6 @@ from tsadeval.protocols import (
     Protocol,
     ProtocolReport,
     _block_counts,
-    _event_counts,
     _prediction_counts,
     _sweep_counts,
     evaluate,
@@ -231,7 +230,7 @@ class TestScoreAllAgainstScore:
 
     def test_counts_the_pair_once(self, monkeypatch):
         calls = []
-        for name in ("point_confusion", "_event_counts"):
+        for name in ("point_confusion", "_prediction_counts"):
             fn = getattr(protocols_module, name)
 
             def counted(*args, fn=fn):
@@ -244,7 +243,7 @@ class TestScoreAllAgainstScore:
             calls.clear()
             reports = score_all(WORKED_LABELS, WORKED_PREDS, tuple(chosen))
             assert len(reports) == len(chosen)
-            assert sorted(calls) == ["_event_counts", "point_confusion"]
+            assert sorted(calls) == ["_prediction_counts", "point_confusion"]
 
 
 @st.composite
@@ -291,7 +290,7 @@ class TestBlockCountsAgainstScore:
             preds = PredictionSeries(flags)
             raw = point_confusion(labels, preds)
             adjusted = point_confusion(labels, point_adjust(labels, preds))
-            events = _event_counts(labels, preds)
+            events = _prediction_counts(labels, preds)
             expected = dict(
                 tp=raw.tp, fp=raw.fp, adjusted_tp=adjusted.tp,
                 tp_e=events["tp_e"], fp_e=events["fp_e"],

@@ -76,6 +76,14 @@ MUTANTS = [
         "segments = 1 + np.count_nonzero(",
         ("tests/test_protocols.py::TestBlockCountsAgainstScore",),
     ),
+    # _block_counts: a detected event adds one point less than its length
+    # to adjusted_tp
+    (
+        "protocols.py",
+        "np.add.at(adjusted_tp, first, lengths)",
+        "np.add.at(adjusted_tp, first, lengths - 1)",
+        ("tests/test_protocols.py::TestBlockCountsAgainstScore",),
+    ),
     # every event ends one point late
     (
         "metrics.py",
@@ -120,6 +128,14 @@ MUTANTS = [
         "fp_e = fp - at_or_above(pairs_with_normal)",
         ("tests/test_pca_baseline.py",),
     ),
+    # _sweep_counts: adjusted_tp sums the event lengths in ascending-peak
+    # order, so it credits the events detected last, not first
+    (
+        "protocols.py",
+        "lengths = (ends - starts + 1)[np.argsort(peak)[::-1]]",
+        "lengths = (ends - starts + 1)[np.argsort(peak)]",
+        ("tests/test_pca_baseline.py::TestSweepAgainstBruteForce",),
+    ),
     # hit_probabilities: the binomial ratio on an all-anomalous series,
     # where s is empty and the contamination rate is 1
     (
@@ -157,6 +173,15 @@ MUTANTS = [
         "data_io.py",
         'if text.count("\\r") != text.count("\\r\\n"):',
         "if False:",
+        ("tests/test_data_io.py",),
+    ),
+    # the reader hands an empty file's missing header to the loader's
+    # header check instead of refusing the file itself
+    (
+        "data_io.py",
+        "            if header is None:\n"
+        '                raise ValueError(f"{path}: empty file")\n',
+        "",
         ("tests/test_data_io.py",),
     ),
     # fit centres each channel on its mean, not its median
