@@ -12,20 +12,20 @@ read, all headers mandatory, all indices 0-based):
 * predictions:  single ``prediction`` column,
 * scores:       single ``score`` column of finite floats.
 
-One reader, ``_read_csv``, parses every file. Past the header it splits
-blocks of lines on their commas without ``csv.reader`` when they hold no
-quote, end their lines in LF or CRLF, and have the header's field count:
-``csv.reader`` would make the same tokens of them. From the first block
-that fails this, or holds a bad cell, ``csv.reader`` parses the rest, and
-only that path words an error, so values and errors do not depend on
-which path ran. A block of a single flag column whose every line is
-exactly ``0`` or ``1`` is converted from its bytes, without float
-parsing; any other spelling of a flag takes the numpy conversion. One
-writer, ``_write_rows``, writes every CSV but frames, whose body
-``write_frame`` joins as text to the same bytes. All writers are atomic
-(temp file in the target directory, then rename), so a crashed run never
-leaves a half-written artifact behind; files get the mode ``open()``
-would give.
+One reader, ``_read_csv``, parses every file, on a fast path and an
+exact one. Past the header the fast path splits blocks of lines on their
+commas when they hold no quote, end their lines in LF or CRLF, and have
+the header's field count: ``csv.reader`` would make the same tokens of
+them. From the first block that fails this, or holds a bad cell, the
+exact path parses the rest one ``csv.reader`` record at a time, and only
+it words an error, so values and errors do not depend on the path. A
+block of a single flag column whose every line is exactly ``0`` or ``1``
+is converted from its bytes, without float parsing; any other spelling
+of a flag takes the numpy conversion. One writer, ``_write_rows``,
+writes every CSV but frames, whose body ``write_frame`` joins as text to
+the same bytes. All writers are atomic (temp file in the target
+directory, then rename), so a crashed run never leaves a half-written
+artifact behind; files get the mode ``open()`` would give.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def atomic_write_text(path: "str | Path", text: str) -> None:
 # ---------------------------------------------------------------------------
 # CSV reading and writing
 
-# Rows converted or formatted at once; only one block of rows is held as
+# Rows write_frame formats at once; only one block of rows is held as
 # Python objects, however long the file.
 _BLOCK_ROWS = 1024
 # Characters read at once, then on to the end of a line, until a block
@@ -197,35 +197,20 @@ def _parse_row(row: list, header: list, kinds: list, path, line_no: int):
     return np.array([cells])
 
 
-def _converted(tokens, kinds: list, rows: int):
+def _converted(tokens, kinds: list):
     """tokens, row after row, as a (rows, len(kinds)) array from one numpy
     conversion, or None unless every cell passes its kind's check (a
-    number, finite, 0 or 1 for a flag) and each row has len(kinds)
-    cells."""
+    number, finite, 0 or 1 for a flag)."""
     dtype = np.int64 if "bound" in kinds else float
     try:
         values = np.array(tokens, dtype=dtype)
     except (ValueError, OverflowError):
         return None
-    if values.size != rows * len(kinds):
-        return None
-    values = values.reshape(rows, len(kinds))
+    values = values.reshape(-1, len(kinds))
     flags = values[:, [kind == "flag" for kind in kinds]]
     if np.isfinite(values).all() and ((flags == 0) | (flags == 1)).all():
         return values
     return None
-
-
-def _pieces(block: list, first_line: int, header, kinds, path):
-    """Yield (first line, values) of a block of csv.reader rows: all rows
-    at once if they pass every check, else row by row, so that the first
-    bad cell in file order raises."""
-    values = _converted(block, kinds, len(block))
-    if values is not None:
-        yield first_line, values
-        return
-    for line_no, row in enumerate(block, start=first_line):
-        yield line_no, _parse_row(row, header, kinds, path, line_no)
 
 
 def _plain_block(text: str, kinds: list):
@@ -236,8 +221,8 @@ def _plain_block(text: str, kinds: list):
     That holds when the text holds no quote and its lines end in \\n or
     \\r\\n (csv.reader ends a record at a lone \\r too), each line has
     len(kinds) - 1 commas, and no field can exceed csv's field size limit.
-    Each line is then one record, its tokens are csv.reader's, and the
-    numpy call that converts them is _pieces' own. A lone flag column
+    Each line is then one record, its tokens are csv.reader's, and numpy
+    reads them as _parse_row's float() and int() do. A lone flag column
     whose lines are all exactly 0 or 1 skips that call: its values are
     its bytes less b"0", as the same floats.
     """
@@ -266,7 +251,7 @@ def _plain_block(text: str, kinds: list):
         if commas != {len(kinds) - 1}:
             return None
         tokens = ",".join(rows).split(",")
-    return _converted(tokens, kinds, len(rows))
+    return _converted(tokens, kinds)
 
 
 def _records(lines, path: Path, line: int):
@@ -291,14 +276,13 @@ def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
     header being line 1. check(values, first_line) sees each piece of rows
     before later rows are parsed, so its errors keep file order too.
 
-    csv.reader reads the header. The body is then read in blocks of whole
-    lines of about _BLOCK_CHARS characters, and a block that _plain_block
-    accepts is split on its commas without csv.reader. The first block it
+    csv.reader reads the header; the body takes a fast path, then an exact
+    one. Blocks of whole lines of about _BLOCK_CHARS characters that
+    _plain_block accepts are split on their commas. The first block it
     refuses (a quote, a lone \\r, a wrong field count, a bad cell) and the
-    rest of the file go through csv.reader, _BLOCK_ROWS records at a time;
-    a block that fails its checks there is parsed row by row, and that
-    path alone words the errors. Both paths make the same tokens and
-    convert them with the same numpy call, so they return the same values.
+    rest of the file go through csv.reader, one record at a time through
+    _parse_row, which alone words the errors. Both paths read the same
+    tokens as float() and int() do, so they return the same values.
     """
     path = Path(path)
     try:
@@ -320,14 +304,12 @@ def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
                     check(values, first_line)
                 pieces.append(values)
                 first_line += len(values)
-            reader = _records(rest, path, first_line)
-            while block := list(itertools.islice(reader, _BLOCK_ROWS)):
-                pieces_of_block = _pieces(block, first_line, header, kinds, path)
-                for line_no, values in pieces_of_block:
-                    if check is not None:
-                        check(values, line_no)
-                    pieces.append(values)
-                first_line += len(block)
+            records = _records(rest, path, first_line)
+            for line_no, row in enumerate(records, start=first_line):
+                values = _parse_row(row, header, kinds, path, line_no)
+                if check is not None:
+                    check(values, line_no)
+                pieces.append(values)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not pieces and not empty_ok:

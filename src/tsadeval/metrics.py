@@ -88,9 +88,7 @@ def as_binary_array(flags: FlagsLike) -> np.ndarray:
     arr = np.asarray(flags)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D sequence, got shape {arr.shape}")
-    if arr.dtype == bool:
-        return _read_only(arr, np.int8)
-    if arr.dtype.kind not in "iuf":
+    if arr.dtype.kind not in "biuf":
         raise ValueError(f"flags must be numeric 0/1, got dtype {arr.dtype}")
     bad = (arr != 0) & (arr != 1)
     if bad.any():

@@ -232,8 +232,6 @@ def _smooth_trailing(raw: np.ndarray, window: int) -> np.ndarray:
     values divided by the full window, so the operation is causal and the
     total score mass is conserved up to the tail.
     """
-    if window == 1:
-        return raw
     kernel = np.full(window, 1.0 / window)
     return np.convolve(raw, kernel, mode="full")[: raw.size]
 

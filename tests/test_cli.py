@@ -694,6 +694,9 @@ INPUT_ERRORS = {
     "attack-total-points-without-segment-length": [
         "attack", "--total-points", "10", "--alpha", "1",
     ],
+    "evaluate-labels-not-utf8": [
+        "evaluate", "--labels", "notutf8.csv", "--scores", "scores3.csv",
+    ],
     "evaluate-score-field-over-csv-limit": [
         "evaluate", "--labels", "labels.csv", "--scores", "bigcell.csv",
     ],
@@ -939,6 +942,8 @@ def test_input_error_leaves_out_uncreated(
     limit = csv.field_size_limit()
     (tmp_path / "bigcell.csv").write_text(f"score\n0.5\n{' ' * limit}1\n")
     (tmp_path / "bighead.csv").write_text("l" * (limit + 1) + "\n1\n")
+    # text cannot hold the byte that is no UTF-8
+    (tmp_path / "notutf8.csv").write_bytes(b"label\n0\n\xff\n1\n")
     rng = np.random.default_rng(0)
     for name, labels in [
         ("train.csv", None), ("test.csv", None), ("labelled.csv", WORKED_LABELS)
@@ -965,6 +970,8 @@ def test_input_error_leaves_out_uncreated(
     # a spec's own check names the file and the key
     if "mistyped.json" in argv:
         assert "mistyped.json: total_points" in err
+    if "notutf8.csv" in argv:
+        assert "notutf8.csv: not UTF-8 text (invalid start byte)" in err
     # nothing is written, and an output in a missing directory is named as
     # given, not by the temp file it would have been written through
     assert sorted(tmp_path.rglob("*")) == before

@@ -120,8 +120,8 @@ class TestAtomicWrites:
 
 
 # (loader, file text, expected message) for the loaders that
-# test_malformed_inputs (frames only) does not cover, plus errors that
-# depend on where a block of _BLOCK_ROWS rows starts
+# test_malformed_inputs (frames only) does not cover, plus errors a
+# thousand rows or more past the header
 LOADER_ERRORS = [
     pytest.param(load_label_series, "", "empty file", id="labels-empty"),
     pytest.param(load_label_series, "label\n", "no data rows", id="labels-no-rows"),
@@ -424,17 +424,32 @@ class TestSingleColumnLoaders:
         body = "score\n" + "0.5\n" * plain + '"0.25"\n0.75\n'
         path = tmp_path / "s.csv"
         path.write_text(body)
-        pieces = mock.patch.object(data_io, "_pieces", wraps=data_io._pieces)
-        with pieces as csv_rows:
+        parse = mock.patch.object(
+            data_io, "_parse_row", wraps=data_io._parse_row
+        )
+        with parse as parsed:
             values = load_score_series(path)
         assert values.tolist() == [0.5] * plain + [0.25, 0.75]
-        assert csv_rows.call_args.args[:2] == ([["0.25"], ["0.75"]], plain + 2)
+        records = [(c.args[0], c.args[4]) for c in parsed.call_args_list]
+        assert records == [(["0.25"], plain + 2), (["0.75"], plain + 3)]
         path.write_text(body + "x\n")
         with pytest.raises(
             ValueError,
             match=f"line {plain + 4}: column 'score': not a number: 'x'",
         ):
             load_score_series(path)
+
+    @pytest.mark.parametrize(
+        "lines", [1, data_io._BLOCK_CHARS], ids=["first-block", "later-block"]
+    )
+    def test_bytes_that_are_not_utf8(self, tmp_path, lines):
+        # the byte stops the read wherever it falls, in the first block of
+        # lines or past it
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"label\n" + b"0\n" * lines + b"\xff\n1\n")
+        message = "bad.csv: not UTF-8 text (invalid start byte)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_label_series(path)
 
     def test_field_over_the_csv_limit(self, tmp_path):
         # float() would read the padded cell, csv.reader refuses it; its
@@ -475,7 +490,7 @@ class TestFlagBytes:
         with converted as numpy_conversion:
             values = load(path).values
         numpy_conversion.assert_not_called()
-        expected = data_io._converted(flags.tolist(), ["flag"], rows)
+        expected = data_io._converted(flags.tolist(), ["flag"])
         assert values.tolist() == expected[:, 0].tolist()
         block = data_io._plain_block(newline.join(flags[:100]), ["flag"])
         assert block.dtype == expected.dtype

@@ -175,6 +175,26 @@ MUTANTS = [
         "if False:",
         ("tests/test_data_io.py",),
     ),
+    # the block the plain reader refuses never reaches csv.reader, so its
+    # lines are lost
+    (
+        "data_io.py",
+        'rest = itertools.chain(io.StringIO(text, newline=""), fh)',
+        "rest = fh",
+        ("tests/test_data_io.py::test_loaders_match_per_row_reference",),
+    ),
+    # the csv.reader records skip the loader's check, so an event that
+    # ends before it starts is taken
+    (
+        "data_io.py",
+        "                if check is not None:\n"
+        "                    check(values, line_no)\n",
+        "",
+        (
+            "tests/test_data_io.py::TestFrameRoundTrip::"
+            "test_malformed_inputs_of_every_loader",
+        ),
+    ),
     # the reader hands an empty file's missing header to the loader's
     # header check instead of refusing the file itself
     (
