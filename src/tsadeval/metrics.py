@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
@@ -326,7 +327,11 @@ def false_alarm_rate(counts: ConfusionCounts) -> float:
 
 
 def _warn_no_normal(n_normal: int, scored=True) -> None:
-    """If anything was scored over no normal points, warn at the caller's
-    caller that the FAR reads 0.0; each public scoring call does so once."""
+    """If anything was scored over no normal points, warn that the FAR
+    reads 0.0, at the first line outside the module that calls this: a
+    public call that scores through another still points at its caller."""
     if scored and not n_normal:
-        warnings.warn(FAR_NO_NORMAL_WARNING, stacklevel=3)
+        module, level = sys._getframe(1).f_code.co_filename, 2
+        while sys._getframe(level - 1).f_code.co_filename == module:
+            level += 1
+        warnings.warn(FAR_NO_NORMAL_WARNING, stacklevel=level)

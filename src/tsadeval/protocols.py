@@ -13,10 +13,9 @@
 score and score_all return ProtocolReports of one shape, so reports can
 be tabulated uniformly. Both count the prediction once, into one record of
 five counts (_prediction_counts), however many protocols score_all is
-given, and build each report from it and the labels through _report, as
-the threshold sweep does from its own counts at the winning threshold.
-_report never warns; each public call that builds reports warns once of
-labels with no normal points.
+given. Every public scorer ends in _reports, which builds each report
+from one record and the labels, and which alone warns, once, of labels
+with no normal points, at the first line outside this module.
 
 This module is the one place that turns a detector's output into protocol
 counts, whatever form the output takes: a prediction (_prediction_counts),
@@ -214,35 +213,36 @@ def _prediction_counts(labels: LabelSeries, preds: PredictionSeries) -> dict:
     )
 
 
-def _report(
-    protocol: Protocol, labels: LabelSeries, counts: dict
-) -> ProtocolReport:
-    """The report of one protocol from the labels and a record of the five
-    counts, each a Python int. It never warns; the public calls that build
-    reports do."""
-    precision, recall, f1 = _rates(protocol, labels, **counts)
-    event_aware = protocol in (Protocol.COMPOSITE, Protocol.EVENT_WISE)
-    return ProtocolReport(
-        protocol=protocol,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        far=_ratio(counts["fp"], labels.n_normal),
-        tp_e=counts["tp_e"] if event_aware else None,
-        # composite's precision is point-level, so it reports no fp_e
-        fp_e=counts["fp_e"] if protocol is Protocol.EVENT_WISE else None,
-        fn_e=labels.n_events - counts["tp_e"] if event_aware else None,
-    )
+def _reports(labels: LabelSeries, counts: dict, protocols: tuple) -> list:
+    """The reports of protocols, in order, from the labels and a record of
+    the five counts, each a Python int: the one step from counts to
+    reports. It warns once of labels with no normal points if it built a
+    report."""
+    reports = []
+    for protocol in map(Protocol, protocols):
+        precision, recall, f1 = _rates(protocol, labels, **counts)
+        event_aware = protocol in (Protocol.COMPOSITE, Protocol.EVENT_WISE)
+        report = ProtocolReport(
+            protocol=protocol,
+            precision=precision,
+            recall=recall,
+            f1=f1,
+            far=_ratio(counts["fp"], labels.n_normal),
+            tp_e=counts["tp_e"] if event_aware else None,
+            # composite's precision is point-level, so it reports no fp_e
+            fp_e=counts["fp_e"] if protocol is Protocol.EVENT_WISE else None,
+            fn_e=labels.n_events - counts["tp_e"] if event_aware else None,
+        )
+        reports.append(report)
+    _warn_no_normal(labels.n_normal, reports)
+    return reports
 
 
 def score(
     labels: LabelSeries, preds: PredictionSeries, protocol: Protocol
 ) -> ProtocolReport:
     """Score one pair under one protocol."""
-    protocol = Protocol(protocol)
-    counts = _prediction_counts(labels, preds)
-    _warn_no_normal(labels.n_normal)
-    return _report(protocol, labels, counts)
+    return score_all(labels, preds, (Protocol(protocol),))[0]
 
 
 def score_all(
@@ -252,10 +252,7 @@ def score_all(
 ) -> list[ProtocolReport]:
     """Score one pair under several protocols, in the order given; the
     pair is counted once, whatever the number of protocols."""
-    counts = _prediction_counts(labels, preds)
-    reports = [_report(Protocol(p), labels, counts) for p in protocols]
-    _warn_no_normal(labels.n_normal, reports)
-    return reports
+    return _reports(labels, _prediction_counts(labels, preds), protocols)
 
 
 def _sweep_counts(scores: np.ndarray, labels: LabelSeries) -> tuple:
@@ -356,8 +353,7 @@ def sweep_threshold(
     """
     protocol = Protocol(protocol)
     threshold, winner = _sweep_winner(scores, labels, protocol)
-    _warn_no_normal(labels.n_normal)
-    return threshold, _report(protocol, labels, winner)
+    return threshold, _reports(labels, winner, (protocol,))[0]
 
 
 def evaluate(
@@ -380,9 +376,7 @@ def evaluate(
         counts = _prediction_counts(labels, preds)
     else:
         threshold, counts = _sweep_winner(output, labels, Protocol.POINT_WISE)
-    reports = [_report(Protocol(p), labels, counts) for p in protocols]
-    _warn_no_normal(labels.n_normal, reports)
-    return threshold, reports
+    return threshold, _reports(labels, counts, protocols)
 
 
 def _block_counts(labels: LabelSeries, alarms: np.ndarray) -> dict:

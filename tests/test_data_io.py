@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from tsadeval import data_io
 from tsadeval.data_io import (
-    _BLOCK_ROWS,
+    _BLOCK_CHARS,
     AnomalySignal,
     MvtsFrame,
     SyntheticSpec,
@@ -119,9 +119,15 @@ class TestAtomicWrites:
         )
 
 
+# rows of "0.25\n" whose characters are one short of a block's read
+FILLING_ROWS = (_BLOCK_CHARS - 1) // len("0.25\n")
+
 # (loader, file text, expected message) for the loaders that
-# test_malformed_inputs (frames only) does not cover, plus errors a
-# thousand rows or more past the header
+# test_malformed_inputs (frames only) does not cover, plus errors a block
+# of _BLOCK_CHARS characters or more past the header. A block is the read
+# of _BLOCK_CHARS characters plus the rest of the line it cuts, or the
+# whole next line if it cuts none; test_block_placement shows where each
+# "-block" case's bad row falls
 LOADER_ERRORS = [
     pytest.param(load_label_series, "", "empty file", id="labels-empty"),
     pytest.param(load_label_series, "label\n", "no data rows", id="labels-no-rows"),
@@ -234,22 +240,28 @@ LOADER_ERRORS = [
         "line 2: column 'score': not a number: '1\\x0c2'",
         id="scores-form-feed",
     ),
+    # the bad cell x sits in a later block than the first bad cell, 7
     pytest.param(
         load_frame,
-        "c0,label\n0.5,0\n0.5,7\n" + "0.5,0\n" * _BLOCK_ROWS + "x,0\n",
+        "c0,label\n0.5,0\n0.5,7\n"
+        + "0.5,0\n" * (_BLOCK_CHARS // len("0.5,0\n"))
+        + "x,0\n",
         "line 3: column 'label': expected 0 or 1, got '7'",
         id="frame-first-bad-cell-wins",
     ),
+    # the rows fill all of a block's read but its last character, x
     pytest.param(
         load_score_series,
-        "score\n" + "0.5\n" * (_BLOCK_ROWS - 1) + "x\n0.5\n",
-        f"line {_BLOCK_ROWS + 1}: column 'score': not a number: 'x'",
+        "score\n" + "0.25\n" * FILLING_ROWS + "x\n0.25\n",
+        f"line {FILLING_ROWS + 2}: column 'score': not a number: 'x'",
         id="scores-last-row-of-block",
     ),
+    # the read ends at a line's end, so the block takes one more line
     pytest.param(
         load_prediction_series,
-        "prediction\n" + "1\n" * _BLOCK_ROWS + "2\n",
-        f"line {_BLOCK_ROWS + 2}: column 'prediction': expected 0 or 1",
+        "prediction\n" + "1\n" * (_BLOCK_CHARS // 2 + 1) + "2\n",
+        f"line {_BLOCK_CHARS // 2 + 3}: column 'prediction': "
+        "expected 0 or 1",
         id="predictions-first-row-of-block",
     ),
 ]
@@ -334,6 +346,28 @@ class TestFrameRoundTrip:
         path.write_text(body)
         with pytest.raises(ValueError, match=re.escape(message)):
             loader(path)
+
+    def test_block_placement(self, tmp_path):
+        # the lines of each block _plain_block is handed, in file order
+        cases = {case.id: case.values[:2] for case in LOADER_ERRORS}
+
+        def blocks(case):
+            loader, body = cases[case]
+            path = tmp_path / "bad.csv"
+            path.write_text(body)
+            spy = mock.patch.object(
+                data_io, "_plain_block", wraps=data_io._plain_block
+            )
+            with spy as plain, pytest.raises(ValueError):
+                loader(path)
+            return [c.args[0].splitlines() for c in plain.call_args_list]
+
+        (first,) = blocks("frame-first-bad-cell-wins")
+        assert first[1] == "0.5,7" and "x,0" not in first
+        (first,) = blocks("scores-last-row-of-block")
+        assert first[-2:] == ["0.25", "x"]
+        first, second = blocks("predictions-first-row-of-block")
+        assert set(first) == {"1"} and second == ["2"]
 
     def test_error_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1209,23 +1243,16 @@ def outcome(load, *args):
 
 
 @settings(max_examples=400, deadline=None)
-@given(
-    csv_cases(),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=1, max_value=40),
-    st.booleans(),
-)
+@given(csv_cases(), st.integers(min_value=1, max_value=40), st.booleans())
 def test_loaders_match_per_row_reference(
-    tmp_path_factory, case, block, block_chars, excl
+    tmp_path_factory, case, block_chars, excl
 ):
     # small blocks, so that a dozen rows cross several block boundaries,
     # read with and without csv.reader
     name, text = case
     path = tmp_path_factory.mktemp("csv") / "in.csv"
     path.write_text(text, newline="")
-    with mock.patch.object(data_io, "_BLOCK_ROWS", block), mock.patch.object(
-        data_io, "_BLOCK_CHARS", block_chars
-    ):
+    with mock.patch.object(data_io, "_BLOCK_CHARS", block_chars):
         got = outcome(loaded, name, path, excl)
     assert got == outcome(referenced, name, path, excl)
 

@@ -16,12 +16,17 @@ from hypothesis import strategies as st
 
 from tsadeval import pca_baseline
 from tsadeval import protocols as protocols_module
-from tsadeval.adversary import random_flag_trials
+from tsadeval.adversary import (
+    AttackSetup,
+    monte_carlo_f1_pa,
+    random_flag_trials,
+)
 from tsadeval.data_io import synthetic_labels
 from tsadeval.metrics import (
     FAR_NO_NORMAL_WARNING,
     LabelSeries,
     PredictionSeries,
+    false_alarm_rate,
     point_confusion,
 )
 from tsadeval.pca_baseline import AnomalyScoreSeries
@@ -571,12 +576,15 @@ def subset_id(protocols):
 
 def assert_warns_at_caller(call, times):
     """call() warns of no normal points `times` times, and of nothing else;
-    each warning points at this file, where the call was made."""
+    each warning points at the line of this file where the call was made,
+    the first line of the one-line function `call`."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         call()
     assert [str(w.message) for w in caught] == [FAR_NO_NORMAL_WARNING] * times
     assert [w.filename for w in caught] == [__file__] * times
+    line = call.__code__.co_firstlineno
+    assert [w.lineno for w in caught] == [line] * times
 
 
 class TestNoNormalPointsWarnOncePerCall:
@@ -638,6 +646,22 @@ class TestNoNormalPointsWarnOncePerCall:
             assert_warns_at_caller(
                 lambda: random_flag_trials(labels, 3, 20, 1, protocols), times
             )
+
+    def test_monte_carlo_f1_pa(self):
+        # it scores through random_flag_trials, which warns inside the
+        # same module; the warning still points here
+        for setup, times in (
+            (AttackSetup(6, 6, 3), 1),
+            (AttackSetup(6, 5, 3), 0),
+        ):
+            assert_warns_at_caller(
+                lambda: monte_carlo_f1_pa(setup, 20, 1), times
+            )
+
+    def test_false_alarm_rate(self):
+        for labels, times in ((self.ALL_ANOMALOUS, 1), (self.WITH_NORMAL, 0)):
+            counts = point_confusion(labels, self.PREDS)
+            assert_warns_at_caller(lambda: false_alarm_rate(counts), times)
 
 
 @st.composite

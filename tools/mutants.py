@@ -1,5 +1,5 @@
-"""Run the committed mutants of the counting, loading and fitting code
-against the tests.
+"""Run the committed mutants of the counting, loading, fitting and
+warning code against the tests.
 
 Each mutant is one textual edit of one file under src/, plus the tests
 that must catch it. The script copies src/ to a temporary directory,
@@ -306,7 +306,7 @@ MUTANTS = [
     # reporting from its own counts
     (
         "protocols.py",
-        "return threshold, _report(protocol, labels, winner)",
+        "return threshold, _reports(labels, winner, (protocol,))[0]",
         "return threshold, score(\n"
         "        labels, predictions_at_threshold(scores, threshold), protocol\n"
         "    )",
@@ -339,6 +339,21 @@ MUTANTS = [
         "            Protocol(protocols[0]) if protocols else Protocol.POINT_WISE,\n"
         "        )",
         ("tests/test_protocols.py::TestEvaluateAgainstComposition",),
+    ),
+    # the no-normal-points warning points at the line inside the library
+    # that scored, not at the first line outside it
+    (
+        "metrics.py",
+        "level += 1",
+        "break",
+        ("tests/test_protocols.py::TestNoNormalPointsWarnOncePerCall",),
+    ),
+    # the warning points one frame past the first line outside the library
+    (
+        "metrics.py",
+        "stacklevel=level)",
+        "stacklevel=level + 1)",
+        ("tests/test_protocols.py::TestNoNormalPointsWarnOncePerCall",),
     ),
     # a model takes a NaN or an infinity unless every value is one
     (
