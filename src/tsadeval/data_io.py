@@ -18,14 +18,16 @@ commas when they hold no quote, end their lines in LF or CRLF, and have
 the header's field count: ``csv.reader`` would make the same tokens of
 them. From the first block that fails this, or holds a bad cell, the
 exact path parses the rest one ``csv.reader`` record at a time, and only
-it words an error, so values and errors do not depend on the path. A
-block of a single flag column whose every line is exactly ``0`` or ``1``
-is converted from its bytes, without float parsing; any other spelling
-of a flag takes the numpy conversion. One writer, ``_write_rows``,
-writes every CSV but frames, whose body ``write_frame`` joins as text to
-the same bytes. All writers are atomic (temp file in the target
-directory, then rename), so a crashed run never leaves a half-written
-artifact behind; files get the mode ``open()`` would give.
+it words an error, so values and errors do not depend on the path. Both
+paths build blocks, and a loader's check runs once, on every value read,
+even when a bad cell stops the read. A block of a single flag column
+whose every line is exactly ``0`` or ``1`` is converted from its bytes,
+without float parsing; any other spelling of a flag takes the numpy
+conversion. One writer, ``_write_rows``, writes every CSV but frames,
+whose body ``write_frame`` joins as text to the same bytes. All writers
+are atomic (temp file in the target directory, then rename), so a
+crashed run never leaves a half-written artifact behind; files get the
+mode ``open()`` would give.
 """
 
 from __future__ import annotations
@@ -126,8 +128,8 @@ def atomic_write_text(path: "str | Path", text: str) -> None:
 # ---------------------------------------------------------------------------
 # CSV reading and writing
 
-# Rows write_frame formats at once; only one block of rows is held as
-# Python objects, however long the file.
+# Rows write_frame formats, or _read_csv's exact path converts, at once;
+# only one block of rows is held as Python objects, however long the file.
 _BLOCK_ROWS = 1024
 # Characters read at once, then on to the end of a line, until a block
 # needs csv.reader
@@ -165,8 +167,8 @@ def write_csv(
 
 
 def _parse_row(row: list, header: list, kinds: list, path, line_no: int):
-    """A row as a 1-row array, parsed cell by cell: raises on its first bad
-    cell, naming the line and column."""
+    """A row's values as Python numbers, parsed cell by cell: raises on its
+    first bad cell, naming the line and column."""
     where = f"{path}: line {line_no}"
     if len(row) != len(kinds):
         fields = "field" if len(kinds) == 1 else "fields"
@@ -175,13 +177,12 @@ def _parse_row(row: list, header: list, kinds: list, path, line_no: int):
         )
     if "bound" in kinds:
         try:
-            return np.array([[int(tok) for tok in row]], dtype=np.int64)
+            bounds = [int(tok) for tok in row]
         except ValueError:
             raise ValueError(f"{where}: non-integer bounds {row!r}") from None
-        except OverflowError:
-            raise ValueError(
-                f"{where}: bounds beyond 64-bit integers {row!r}"
-            ) from None
+        if not all(-(1 << 63) <= bound < 1 << 63 for bound in bounds):
+            raise ValueError(f"{where}: bounds beyond 64-bit integers {row!r}")
+        return bounds
     cells = []
     for token, column, kind in zip(row, header, kinds):
         cell = f"{where}: column {column!r}"
@@ -194,7 +195,7 @@ def _parse_row(row: list, header: list, kinds: list, path, line_no: int):
         if kind == "flag" and value not in (0.0, 1.0):
             raise ValueError(f"{cell}: expected 0 or 1, got {token!r}")
         cells.append(value)
-    return np.array([cells])
+    return cells
 
 
 def _converted(tokens, kinds: list):
@@ -273,16 +274,18 @@ def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
     and returns each column's kind: "number" (finite, as float() reads
     it), "flag" (0 or 1) or "bound" (int64, as int() reads it). No data
     rows is an error unless empty_ok. Line numbers count CSV records, the
-    header being line 1. check(values, first_line) sees each piece of rows
-    before later rows are parsed, so its errors keep file order too.
+    header being line 1. check(values) runs once, on every row read, also
+    when a bad cell, a csv.Error or bytes that are not UTF-8 stop the read
+    first, so its errors keep file order too.
 
     csv.reader reads the header; the body takes a fast path, then an exact
     one. Blocks of whole lines of about _BLOCK_CHARS characters that
     _plain_block accepts are split on their commas. The first block it
     refuses (a quote, a lone \\r, a wrong field count, a bad cell) and the
     rest of the file go through csv.reader, one record at a time through
-    _parse_row, which alone words the errors. Both paths read the same
-    tokens as float() and int() do, so they return the same values.
+    _parse_row, which alone words the errors, converting _BLOCK_ROWS at
+    once. Both paths read the same tokens as float() and int() do, so they
+    return the same values.
     """
     path = Path(path)
     try:
@@ -291,30 +294,36 @@ def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
             if header is None:
                 raise ValueError(f"{path}: empty file")
             kinds = kinds_for(path, header)
-            pieces, first_line = [], 2
-            rest = ()
-            while text := fh.read(_BLOCK_CHARS):
-                text += fh.readline()  # up to the end of the line cut by read
-                values = _plain_block(text, kinds)
-                if values is None:
-                    # the lines as the file gives them: \r, \n and \r\n end one
-                    rest = itertools.chain(io.StringIO(text, newline=""), fh)
-                    break
+            dtype = np.int64 if "bound" in kinds else float
+            blocks, rows, rest = [], [], ()
+            try:
+                while text := fh.read(_BLOCK_CHARS):
+                    text += fh.readline()  # to the end of the line cut
+                    values = _plain_block(text, kinds)
+                    if values is None:
+                        # the lines as given: \r, \n and \r\n end one
+                        lines = io.StringIO(text, newline="")
+                        rest = itertools.chain(lines, fh)
+                        break
+                    blocks.append(values)
+                first_line = 2 + sum(map(len, blocks))
+                records = _records(rest, path, first_line)
+                for line_no, row in enumerate(records, start=first_line):
+                    rows.append(_parse_row(row, header, kinds, path, line_no))
+                    if len(rows) == _BLOCK_ROWS:
+                        blocks.append(np.array(rows, dtype))
+                        rows = []
+            finally:
+                # all rows read, also on an error; free the list before joining
+                rows = np.array(rows, dtype).reshape(-1, len(kinds))
+                values = np.concatenate(blocks + [rows])
                 if check is not None:
-                    check(values, first_line)
-                pieces.append(values)
-                first_line += len(values)
-            records = _records(rest, path, first_line)
-            for line_no, row in enumerate(records, start=first_line):
-                values = _parse_row(row, header, kinds, path, line_no)
-                if check is not None:
-                    check(values, line_no)
-                pieces.append(values)
+                    check(values)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not pieces and not empty_ok:
+    if not len(values) and not empty_ok:
         raise ValueError(f"{path}: no data rows")
-    return header, np.concatenate(pieces or [np.empty((0, len(kinds)))])
+    return header, values
 
 
 def sha256_digest(path: "str | Path") -> str:
@@ -476,10 +485,10 @@ def _event_error(
     row = int(np.argmax(bad))
     start, end = bounds[row].tolist()
     end -= shift
-    if start < 0:
-        return row, f"segment start must be >= 0, got {start}"
-    if end < start:
-        return row, f"segment end {end} precedes start {start}"
+    try:
+        Segment(start, end)
+    except ValueError as exc:  # a negative start, or an end before it
+        return row, str(exc)
     return row, (
         f"event ({start}, {end}) exceeds series of length {total_points}"
     )
@@ -503,15 +512,14 @@ def load_events(
     if total_points is not None:
         _check_count("total_points", total_points, 1)
 
-    def check(bounds: np.ndarray, first_line: int) -> None:
+    def check(bounds: np.ndarray) -> None:
         found = _event_error(bounds, shift, total_points)
         if found is not None:
             row, message = found
-            raise ValueError(f"{path}: line {first_line + row}: {message}")
+            raise ValueError(f"{path}: line {2 + row}: {message}")
 
     kinds_for = _fixed_header(["start", "end"], ["bound", "bound"])
     _, bounds = _read_csv(path, kinds_for, check=check, empty_ok=True)
-    bounds = bounds.astype(np.int64, copy=False)
     bounds[:, 1] -= shift
     return bounds
 

@@ -65,7 +65,6 @@ class Segment:
     end: int
 
     def __post_init__(self) -> None:
-        # data_io._event_error words the same faults of a bounds row
         _check_range("segment start", self.start, 0)
         if not self.end >= self.start:
             raise ValueError(

@@ -127,7 +127,7 @@ FILLING_ROWS = (_BLOCK_CHARS - 1) // len("0.25\n")
 # of _BLOCK_CHARS characters or more past the header. A block is the read
 # of _BLOCK_CHARS characters plus the rest of the line it cuts, or the
 # whole next line if it cuts none; test_block_placement shows where each
-# "-block" case's bad row falls
+# "-block" case's bad row falls. A bytes body is written as it is
 LOADER_ERRORS = [
     pytest.param(load_label_series, "", "empty file", id="labels-empty"),
     pytest.param(load_label_series, "label\n", "no data rows", id="labels-no-rows"),
@@ -206,6 +206,17 @@ LOADER_ERRORS = [
         "start,end\n5,4\n1,2\nx,3\n",
         "line 2: segment end 4 precedes start 5",
         id="events-segment-before-cell",
+    ),
+    # a quoted cell sends the rows to csv.reader; the bytes that are not
+    # UTF-8 lie past what the first block's read decodes, and the bad
+    # segment before them is reported
+    pytest.param(
+        load_events,
+        b'start,end\n"5",4\n'
+        + b"1,2\n" * (2 * _BLOCK_CHARS // len("1,2\n"))
+        + b"\xff\n",
+        "line 2: segment end 4 precedes start 5",
+        id="events-segment-before-non-utf8",
     ),
     pytest.param(
         lambda path: load_events(path, end_exclusive=True),
@@ -343,7 +354,10 @@ class TestFrameRoundTrip:
         self, tmp_path, loader, body, message
     ):
         path = tmp_path / "bad.csv"
-        path.write_text(body)
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body)
         with pytest.raises(ValueError, match=re.escape(message)):
             loader(path)
 
@@ -1243,16 +1257,22 @@ def outcome(load, *args):
 
 
 @settings(max_examples=400, deadline=None)
-@given(csv_cases(), st.integers(min_value=1, max_value=40), st.booleans())
+@given(
+    csv_cases(),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+)
 def test_loaders_match_per_row_reference(
-    tmp_path_factory, case, block_chars, excl
+    tmp_path_factory, case, block_chars, block_rows, excl
 ):
-    # small blocks, so that a dozen rows cross several block boundaries,
-    # read with and without csv.reader
+    # small blocks of characters and of csv.reader rows, so that a dozen
+    # rows cross several block boundaries, read with and without csv.reader
     name, text = case
     path = tmp_path_factory.mktemp("csv") / "in.csv"
     path.write_text(text, newline="")
-    with mock.patch.object(data_io, "_BLOCK_CHARS", block_chars):
+    with mock.patch.object(data_io, "_BLOCK_CHARS", block_chars), \
+            mock.patch.object(data_io, "_BLOCK_ROWS", block_rows):
         got = outcome(loaded, name, path, excl)
     assert got == outcome(referenced, name, path, excl)
 

@@ -48,11 +48,16 @@ def model(frame):
 
 @pytest.fixture(scope="module")
 def csvs(frame, tmp_path_factory):
-    """The frame as a CSV with a label column and as one without."""
+    """The frame as a CSV with a label column, the same with every body cell
+    quoted, and the frame as a CSV without labels."""
     folder = tmp_path_factory.mktemp("frames")
     labels = LabelSeries(np.arange(ROWS) % 100 < 3)
-    paths = {"labelled": folder / "labelled.csv", "plain": folder / "plain.csv"}
+    names = ("labelled", "quoted", "plain")
+    paths = {name: folder / f"{name}.csv" for name in names}
     write_frame(MvtsFrame(frame.values, labels=labels), paths["labelled"])
+    header, *body = paths["labelled"].read_text().splitlines()
+    quoted = ('"' + line.replace(",", '","') + '"' for line in body)
+    paths["quoted"].write_text("\n".join([header, *quoted]) + "\n")
     write_frame(frame, paths["plain"])
     return paths
 
@@ -76,6 +81,10 @@ CASES = {
     ),
     "load_frame-plain": (
         2.5, lambda frame, model, csvs: load_frame(csvs["plain"])
+    ),
+    # csv.reader's records, converted a block of rows at a time
+    "load_frame-quoted": (
+        2.5, lambda frame, model, csvs: load_frame(csvs["quoted"])
     ),
 }
 

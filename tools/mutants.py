@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -179,21 +180,44 @@ MUTANTS = [
     # lines are lost
     (
         "data_io.py",
-        'rest = itertools.chain(io.StringIO(text, newline=""), fh)',
+        "rest = itertools.chain(lines, fh)",
         "rest = fh",
         ("tests/test_data_io.py::test_loaders_match_per_row_reference",),
     ),
-    # the csv.reader records skip the loader's check, so an event that
-    # ends before it starts is taken
+    # the reader skips the loader's check, so an event that ends before it
+    # starts is taken
     (
         "data_io.py",
         "                if check is not None:\n"
-        "                    check(values, line_no)\n",
+        "                    check(values)\n",
         "",
         (
             "tests/test_data_io.py::TestFrameRoundTrip::"
             "test_malformed_inputs_of_every_loader",
         ),
+    ),
+    # the loader's check runs only when the read ends without an error, so
+    # a bad cell after a bad event is reported instead of the event
+    (
+        "data_io.py",
+        "            finally:\n                # all rows read",
+        "            except BaseException:\n"
+        "                raise\n"
+        "            else:\n"
+        "                # all rows read",
+        (
+            "tests/test_data_io.py::TestFrameRoundTrip::"
+            "test_malformed_inputs_of_every_loader",
+            "tests/test_data_io.py::test_loaders_match_per_row_reference",
+        ),
+    ),
+    # the exact path's row list is never emptied once a block is made of
+    # it, so its rows are read twice
+    (
+        "data_io.py",
+        "                        rows = []\n",
+        "",
+        ("tests/test_data_io.py::test_loaders_match_per_row_reference",),
     ),
     # the reader hands an empty file's missing header to the loader's
     # header check instead of refusing the file itself
@@ -404,8 +428,15 @@ def run_tests(src: Path, tests, scratch: Path) -> int:
     return done.returncode
 
 
+def _stop(signum, frame):
+    """SIGTERM as SystemExit: subprocess.run kills the running pytest on
+    the way out, and the temporary directory is removed."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str]) -> int:
     chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
+    signal.signal(signal.SIGTERM, _stop)
     with tempfile.TemporaryDirectory(prefix="tsadeval-mutants-") as tmp:
         scratch = Path(tmp)
         src = scratch / "src"
