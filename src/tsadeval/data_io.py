@@ -516,7 +516,8 @@ def load_events(
         found = _event_error(bounds, shift, total_points)
         if found is not None:
             row, message = found
-            raise ValueError(f"{path}: line {2 + row}: {message}")
+            # an error later in the file may be pending; only this one shows
+            raise ValueError(f"{path}: line {2 + row}: {message}") from None
 
     kinds_for = _fixed_header(["start", "end"], ["bound", "bound"])
     _, bounds = _read_csv(path, kinds_for, check=check, empty_ok=True)

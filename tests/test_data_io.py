@@ -591,6 +591,16 @@ class TestEvents:
         write_events(np.array([[3, 7]]), path, end_exclusive=True)
         assert path.read_text().splitlines()[1] == "3,8"
 
+    def test_bad_event_hides_the_bad_cell_after_it(self, tmp_path):
+        # the reader checks the events on lines 2-3 while the error of line
+        # 4 is pending; a traceback shows only the first error in the file
+        path = tmp_path / "e.csv"
+        path.write_text("start,end\n5,4\n1,2\nx,3\n")
+        with pytest.raises(ValueError, match="line 2: segment") as caught:
+            load_events(path)
+        error = caught.value
+        assert error.__context__ is None or error.__suppress_context__
+
     def test_header_only_file_has_no_events(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("start,end\n")

@@ -211,6 +211,17 @@ MUTANTS = [
             "tests/test_data_io.py::test_loaders_match_per_row_reference",
         ),
     ),
+    # a bad event's error is shown as raised while handling the later error
+    # still pending in the reader
+    (
+        "data_io.py",
+        '{message}") from None',
+        '{message}")',
+        (
+            "tests/test_data_io.py::TestEvents::"
+            "test_bad_event_hides_the_bad_cell_after_it",
+        ),
+    ),
     # the exact path's row list is never emptied once a block is made of
     # it, so its rows are read twice
     (
