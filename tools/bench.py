@@ -6,20 +6,21 @@ Usage, from anywhere:
     python tools/bench.py LABEL [--seconds 24] [--seed 1]
 
 Each workload runs through perfbench.harness.run_workload, as
-perfbench/run.py runs it: untraced for its end-to-end metrics, then traced
-for its per-layer metrics. The file goes to the root of the checkout, and
-an existing file is never overwritten. Per workload it holds `correct`,
-`attempted` and `failed` over both runs, `end_to_end` and `per_layer`;
-for the whole file, the seed, the seconds per run, the commit (`git
-rev-parse HEAD`, or null outside a git checkout) and whether the tree
-held uncommitted changes, the usable cores and the Python and numpy
-versions.
+perfbench/run.py runs it, in a process of its own: untraced for its
+end-to-end metrics, then traced for its per-layer metrics. The file goes
+to the root of the checkout, and an existing file is never overwritten.
+Per workload it holds `correct`, `attempted` and `failed` over both
+runs, `end_to_end` and `per_layer`; for the whole file, the seed, the
+seconds per run, the commit (`git rev-parse HEAD`, or null outside a git
+checkout) and whether tracked files held uncommitted changes, the usable
+cores and the Python and numpy versions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -59,12 +60,17 @@ def write_bench(label: str, seconds: float, seed: int, folder: Path = ROOT,
     from perfbench.run import WORKLOAD_NAMES
     from perfbench.workloads import Sizes
 
+    sizes = sizes or Sizes()
     workloads = {}
+    # each workload in a fresh interpreter, as perfbench/run.py runs it,
+    # untraced first: the peak RSS a run reports is its process's so far
+    spawn = multiprocessing.get_context("spawn")
     for name in WORKLOAD_NAMES:
-        runs = [
-            run_workload(name, seed, seconds, trace, sizes or Sizes())
-            for trace in (False, True)
-        ]
+        with spawn.Pool(1) as pool:
+            runs = [
+                pool.apply(run_workload, (name, seed, seconds, trace, sizes))
+                for trace in (False, True)
+            ]
         for run in runs:
             for failure in run["failures"]:
                 print(f"FAILED: {name}: {failure}", file=sys.stderr)
