@@ -54,11 +54,9 @@ from tsadeval.adversary import (
     SamplingModel,
     WorstCaseRow,
     f1_pa_distribution,
-    prob_perfect_recall,
     random_flag_trials,
     single_segment_labels,
     worst_case_f1_pa,
-    worst_case_precision_pa,
     worst_case_table,
 )
 from tsadeval.data_io import (
@@ -423,16 +421,13 @@ def _cmd_attack(args: argparse.Namespace) -> Report:
     }
     files = []
     if setup is not None:
+        (row,) = worst_case_table(
+            setup.anomalous_length, setup.contamination_rate, [setup.alpha]
+        )
         analytic = {
-            "prob_perfect_recall": prob_perfect_recall(
-                setup.contamination_rate, setup.alpha
-            ),
-            "worst_precision_pa": worst_case_precision_pa(
-                setup.anomalous_length, setup.alpha
-            ),
-            "worst_f1_pa": worst_case_f1_pa(
-                setup.anomalous_length, setup.alpha
-            ),
+            "prob_perfect_recall": row.p_perfect_recall,
+            "worst_precision_pa": row.worst_precision_pa,
+            "worst_f1_pa": row.worst_f1_pa,
         }
         for model in SamplingModel:
             dist = f1_pa_distribution(setup, model)

@@ -525,9 +525,10 @@ def load_events(
     return bounds
 
 
-def _bounds(events) -> np.ndarray:
-    """`events` as (n, 2) int64 bounds; bounds of another shape, or of a
-    non-integer dtype that the cast would truncate, are an error."""
+def _bounds(events, total_points: Optional[int] = None) -> np.ndarray:
+    """`events` as (n, 2) int64 bounds, checked: another shape or a non-integer
+    dtype that the cast would truncate is an error, and so is a row that
+    `_event_error(bounds, total_points=total_points)` refuses, in its words."""
     bounds = np.asarray(events)
     if bounds.shape == (0,):  # an empty sequence: no events
         bounds = bounds.reshape(0, 2)
@@ -535,14 +536,18 @@ def _bounds(events) -> np.ndarray:
         raise ValueError(f"events must have shape (n, 2), got {bounds.shape}")
     if bounds.size and not np.issubdtype(bounds.dtype, np.integer):
         raise ValueError(f"events must be integers, got dtype {bounds.dtype}")
-    return bounds.astype(np.int64, copy=False)
+    bounds = bounds.astype(np.int64, copy=False)
+    found = _event_error(bounds, total_points=total_points)
+    if found is not None:
+        raise ValueError(found[1])
+    return bounds
 
 
 def write_events(
     events: np.ndarray, path: "str | Path", end_exclusive: bool = False
 ) -> None:
-    """Write (n, 2) inclusive event bounds as a `start,end` CSV; with
-    end_exclusive=True each end is written one past the event."""
+    """Write (n, 2) inclusive event bounds, checked by `_bounds`, as a `start,end`
+    CSV; with end_exclusive=True each end is written one past the event."""
     shift = 1 if end_exclusive else 0
     rows = _bounds(events).tolist()
     _write_rows(path, ["start", "end"], ([s, e + shift] for s, e in rows))
@@ -553,15 +558,12 @@ def labels_from_events(events: np.ndarray, total_points: int) -> LabelSeries:
     length.
 
     Rows may come in any order; overlapping or adjacent events simply
-    union. An empty sequence holds no events. Bounds of any other shape
-    than (n, 2) or of a non-integer dtype, a negative start, an end before
-    its start or an event reaching past the series end is an error.
+    union. An empty sequence holds no events. Bounds that `_bounds` refuses
+    are an error: another shape than (n, 2), a non-integer dtype, a negative
+    start, an end before its start or an event past the series end.
     """
     _check_count("total_points", total_points, 1)
-    bounds = _bounds(events)
-    found = _event_error(bounds, total_points=total_points)
-    if found is not None:
-        raise ValueError(found[1])
+    bounds = _bounds(events, total_points)
     values = np.zeros(total_points, dtype=np.int8)
     for start, end in bounds.tolist():
         values[start : end + 1] = 1

@@ -293,7 +293,7 @@ def _sweep_counts(scores: np.ndarray, labels: LabelSeries) -> tuple:
     # is joined twice, so it is added back once. A pair is on at the
     # smaller of its two ranks.
     pair = np.minimum(rank[:-1], rank[1:])
-    gap = np.column_stack((ends[:-1] + 1, starts[1:])).ravel()
+    gap = bounds[1:-1]  # (ends[:-1] + 1, starts[1:]), interleaved
     bridge = np.minimum(
         np.minimum.reduceat(rank, gap)[::2],
         np.minimum(rank[ends[:-1]], rank[starts[1:]]),

@@ -574,6 +574,12 @@ class TestFlagBytes:
             load_label_series(path)
 
 
+# small bounds, so that rows collide and cross, and the int64 extremes
+EVENT_BOUND = st.integers(-3, 40) | st.sampled_from(
+    [int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)]
+)
+
+
 class TestEvents:
     def test_round_trip(self, tmp_path):
         events = np.array([[3, 7], [20, 20]], dtype=np.int64)
@@ -637,6 +643,9 @@ class TestEvents:
         [
             ([[1.5, 2.7]], "events must be integers, got dtype float64"),
             ([[1, 2, 3]], "events must have shape (n, 2), got (1, 3)"),
+            # the words labels_from_events and load_events give
+            ([[-2, 4]], "segment start must be >= 0, got -2"),
+            ([[5, 3]], "segment end 3 precedes start 5"),
         ],
     )
     def test_bad_bounds_are_not_written(self, tmp_path, events, message):
@@ -644,6 +653,26 @@ class TestEvents:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             write_events(events, path)
         assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(EVENT_BOUND, EVENT_BOUND), max_size=6))
+    def test_written_events_read_back_equal(self, tmp_path_factory, pairs):
+        # the writer refuses the first row that is no Segment, in Segment's
+        # words; every array it writes, the loader reads back equal
+        events = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        path = tmp_path_factory.mktemp("events") / "e.csv"
+        try:
+            for start, end in pairs:
+                Segment(start, end)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                write_events(events, path)
+            assert not path.exists()
+            return
+        write_events(events, path)
+        loaded = load_events(path)
+        assert loaded.dtype == np.int64
+        assert np.array_equal(loaded, events)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "e.csv"

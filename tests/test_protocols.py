@@ -737,6 +737,45 @@ class TestEvaluateAgainstComposition:
             evaluate(WORKED_LABELS, WORKED_PREDS, threshold)
 
 
+@st.composite
+def signed_layouts(draw):
+    """(label flags, integer-valued scores): signed, all negative, all
+    negative with many ties, or all tied."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    low, high = draw(st.sampled_from([(-5, 5), (-1000, -1), (-3, -1), (-7, -7)]))
+    scores = draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+    return labels, scores
+
+
+class TestSweepOnSignedScores:
+    """_sweep_counts ranks raw scores, so a negative score is no special
+    case: at every threshold t its five counts are those of the prediction
+    score >= t. Shifting every score by -c shifts every threshold by -c
+    and keeps every count. Integer-valued scores keep the arithmetic
+    exact; +inf stays +inf."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_layouts(), st.integers(0, 1000))
+    @example(([1, 0, 1], [-3, -3, -3]), 5)  # all tied
+    @example(([0, 1, 1, 0, 1], [-1, 2, -4, 0, -2]), 0)  # an event at the end
+    @example(([1, 1, 1], [-9, -2, -5]), 1000)  # no normal points
+    def test_counts_equal_the_prediction_counts(self, layout, c):
+        label_values, values = layout
+        labels = LabelSeries(label_values)
+        scores = np.array(values, dtype=float)
+        thresholds, counts = _sweep_counts(scores, labels)
+        assert thresholds.tolist() == [np.inf] + sorted(set(values))[::-1]
+        for i, t in enumerate(thresholds.tolist()):
+            expected = _prediction_counts(labels, PredictionSeries(scores >= t))
+            assert {k: v[i] for k, v in counts.items()} == expected
+        shifted, moved = _sweep_counts(scores - c, labels)
+        assert np.array_equal(shifted, thresholds - c)
+        assert moved.keys() == counts.keys()
+        for name, value in counts.items():
+            assert np.array_equal(moved[name], value), name
+
+
 class TestSweepShiftAndScale:
     """Adding an integer c >= 0 to every score, or multiplying every score
     by 2**k, moves each candidate threshold the same way and keeps the order

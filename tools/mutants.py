@@ -413,6 +413,32 @@ MUTANTS = [
         '_check_range("smallest clip_high - clip_low", gap.max(), 0)',
         ("tests/test_pca_baseline.py::TestPersistence",),
     ),
+    # _bounds checks the event rule only against a series length, so the
+    # writer writes a negative start or an end before its start
+    (
+        "data_io.py",
+        "    found = _event_error(bounds, total_points=total_points)\n"
+        "    if found is not None:",
+        "    found = _event_error(bounds, total_points=total_points)\n"
+        "    if found is not None and total_points is not None:",
+        (
+            "tests/test_data_io.py::TestEvents::"
+            "test_bad_bounds_are_not_written",
+            "tests/test_data_io.py::TestEvents::"
+            "test_written_events_read_back_equal",
+        ),
+    ),
+    # _sweep_counts: the bridge minima are taken over the events, not over
+    # the normal gaps between them
+    (
+        "protocols.py",
+        "gap = bounds[1:-1]",
+        "gap = bounds[:-2]",
+        (
+            "tests/test_pca_baseline.py::TestSweepAgainstBruteForce",
+            "tests/test_protocols.py::TestSweepOnSignedScores",
+        ),
+    ),
 ]
 
 
