@@ -83,15 +83,12 @@ __all__ = [
 ]
 
 
-def single_segment_labels(
-    total_points: int, segment_length: int, start: Optional[int] = None
-) -> LabelSeries:
-    """Labels with one anomalous segment; centered unless start is given."""
+def single_segment_labels(total_points: int, segment_length: int) -> LabelSeries:
+    """Labels with one anomalous segment of segment_length points, centred:
+    it starts at (total_points - segment_length) // 2."""
     _check_count("total_points", total_points, 1)
     _check_count("segment_length", segment_length, 1, total_points)
-    if start is None:
-        start = (total_points - segment_length) // 2
-    _check_count("start", start, 0, total_points - segment_length)
+    start = (total_points - segment_length) // 2
     values = np.zeros(total_points, dtype=np.int8)
     values[start : start + segment_length] = 1
     return LabelSeries(values)

@@ -138,12 +138,10 @@ _BLOCK_CHARS = 1 << 16
 
 def _cell(value):
     """Spell a cell: a float (numpy's too) as the repr of a Python float,
-    the shortest text that reads back exactly; None as empty; a bool as
-    true/false; anything else as csv spells it."""
+    the shortest text that reads back exactly; a bool as true/false;
+    anything else, None included (as empty), as csv spells it."""
     if isinstance(value, float):
         return repr(float(value))
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     return value
@@ -543,14 +541,10 @@ def _bounds(events, total_points: Optional[int] = None) -> np.ndarray:
     return bounds
 
 
-def write_events(
-    events: np.ndarray, path: "str | Path", end_exclusive: bool = False
-) -> None:
-    """Write (n, 2) inclusive event bounds, checked by `_bounds`, as a `start,end`
-    CSV; with end_exclusive=True each end is written one past the event."""
-    shift = 1 if end_exclusive else 0
-    rows = _bounds(events).tolist()
-    _write_rows(path, ["start", "end"], ([s, e + shift] for s, e in rows))
+def write_events(events: np.ndarray, path: "str | Path") -> None:
+    """Write (n, 2) inclusive event bounds, checked by `_bounds`, as a
+    `start,end` CSV that `load_events` reads back equal."""
+    _write_rows(path, ["start", "end"], _bounds(events).tolist())
 
 
 def labels_from_events(events: np.ndarray, total_points: int) -> LabelSeries:

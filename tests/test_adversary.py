@@ -110,7 +110,7 @@ class TestClosedForms:
     def test_end_to_end_worst_case(self):
         # place exactly one alarm inside the event and alpha-1 outside;
         # the real scorer must reproduce the closed form
-        labels = single_segment_labels(200, 40, start=100)
+        labels = single_segment_labels(200, 40)
         values = np.zeros(200, dtype=np.int8)
         values[110] = 1
         values[:9] = 1

@@ -594,8 +594,6 @@ class TestEvents:
         path = tmp_path / "e.csv"
         path.write_text("start,end\n3,8\n")
         assert load_events(path, end_exclusive=True).tolist() == [[3, 7]]
-        write_events(np.array([[3, 7]]), path, end_exclusive=True)
-        assert path.read_text().splitlines()[1] == "3,8"
 
     def test_bad_event_hides_the_bad_cell_after_it(self, tmp_path):
         # the reader checks the events on lines 2-3 while the error of line

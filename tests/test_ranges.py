@@ -80,9 +80,6 @@ NAN_CASES = {
     "single_segment_labels-length": (
         "segment_length", lambda: single_segment_labels(10, NAN)
     ),
-    "single_segment_labels-start": (
-        "start", lambda: single_segment_labels(10, 5, start=NAN)
-    ),
     "AttackSetup-total": ("total_points", lambda: AttackSetup(NAN, 5, 2)),
     "AttackSetup-length": (
         "anomalous_length", lambda: AttackSetup(10, NAN, 2)
@@ -211,8 +208,6 @@ def test_signal_strength_open_lower_end(strength, message):
 def test_dependent_bounds_name_the_sibling_value():
     with pytest.raises(ValueError, match=re.escape("in [1, 10], got 11")):
         AttackSetup(10, 5, 11)
-    with pytest.raises(ValueError, match=re.escape("lie in [0, 5], got 6")):
-        single_segment_labels(10, 5, start=6)
     with pytest.raises(ValueError, match=re.escape("(0.5, 1], got 0.2")):
         PcaConfig(clip_quantiles=(0.5, 0.2))
     with pytest.raises(ValueError, match=re.escape("in (0, 0.1), got 0.2")):

@@ -439,6 +439,28 @@ MUTANTS = [
             "tests/test_protocols.py::TestSweepOnSignedScores",
         ),
     ),
+    # _cell spells a numpy float as its repr, np.float64(...), where a
+    # Python float's repr is wanted; far-study's table holds numpy floats
+    (
+        "data_io.py",
+        "return repr(float(value))",
+        "return repr(value)",
+        (
+            "tests/test_golden.py::"
+            "test_outputs_match_pinned_hashes[far-study]",
+        ),
+    ),
+    # _cell spells a bool as True/False, not true/false, as in the
+    # deprecated_protocol column of report.csv
+    (
+        "data_io.py",
+        'return "true" if value else "false"',
+        "return str(value)",
+        (
+            "tests/test_golden.py::"
+            "test_outputs_match_pinned_hashes[evaluate-predictions]",
+        ),
+    ),
 ]
 
 
