@@ -13,21 +13,22 @@ read, all headers mandatory, all indices 0-based):
 * scores:       single ``score`` column of finite floats.
 
 One reader, ``_read_csv``, parses every file, on a fast path and an
-exact one. Past the header the fast path splits blocks of lines on their
-commas when they hold no quote, end their lines in LF or CRLF, and have
-the header's field count: ``csv.reader`` would make the same tokens of
-them. From the first block that fails this, or holds a bad cell, the
-exact path parses the rest one ``csv.reader`` record at a time, and only
-it words an error, so values and errors do not depend on the path. Both
-paths build blocks, and a loader's check runs once, on every value read,
-even when a bad cell stops the read. A block of a single flag column
-whose every line is exactly ``0`` or ``1`` is converted from its bytes,
-without float parsing; any other spelling of a flag takes the numpy
-conversion. One writer, ``_write_rows``, writes every CSV but frames,
-whose body ``write_frame`` joins as text to the same bytes. All writers
-are atomic (temp file in the target directory, then rename), so a
-crashed run never leaves a half-written artifact behind; files get the
-mode ``open()`` would give.
+exact one. Past the header the fast path ends lines where ``csv.reader``
+ends records, at LF, CRLF or a lone CR, and splits blocks of lines on
+their commas when they hold no quote and have the header's field count:
+``csv.reader`` would make the same tokens of them. From the first block
+that fails this, or holds a bad cell, the exact path parses the rest one
+``csv.reader`` record at a time, and only it words an error, so values
+and errors do not depend on the path. Both paths build blocks, and a
+loader's check runs once, on every value read, even when a bad cell
+stops the read. A block of a single flag column whose every line is
+exactly ``0`` or ``1`` is converted from its bytes, without float
+parsing; any other spelling of a flag takes the numpy conversion. One
+writer, ``_write_rows``, writes every CSV but frames, whose body
+``write_frame`` joins as text to the same bytes. All writers are atomic
+(temp file in the target directory, then rename), so a crashed run never
+leaves a half-written artifact behind; files get the mode ``open()``
+would give.
 """
 
 from __future__ import annotations
@@ -217,20 +218,19 @@ def _plain_block(text: str, kinds: list):
     csv.reader would split each line on its commas alone and every cell
     passes its check; else None.
 
-    That holds when the text holds no quote and its lines end in \\n or
-    \\r\\n (csv.reader ends a record at a lone \\r too), each line has
-    len(kinds) - 1 commas, and no field can exceed csv's field size limit.
-    Each line is then one record, its tokens are csv.reader's, and numpy
-    reads them as _parse_row's float() and int() do. A lone flag column
-    whose lines are all exactly 0 or 1 skips that call: its values are
-    its bytes less b"0", as the same floats.
+    Lines end where csv.reader ends a record, at \\n, \\r\\n or a lone
+    \\r, so each becomes \\n first. csv.reader splits on commas alone when
+    the text holds no quote, each line has len(kinds) - 1 commas, and no
+    field can exceed csv's field size limit. Each line is then one
+    record, its tokens are csv.reader's, and numpy reads them as
+    _parse_row's float() and int() do. A lone flag column whose lines are
+    all exactly 0 or 1 skips that call: its values are its bytes less
+    b"0", as the same floats.
     """
     if '"' in text or len(text) > csv.field_size_limit():
         return None
     if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):
-            return None
-        text = text.replace("\r\n", "\n")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if kinds == ["flag"]:
         # every line exactly 0 or 1: the characters alternate between a
         # flag and a newline, and the flags' bytes less b"0" are the values
@@ -254,12 +254,12 @@ def _plain_block(text: str, kinds: list):
 
 
 def _records(lines, path: Path, line: int):
-    """csv.reader's records of `lines`, the first being line `line`; its
-    csv.Error (a field over csv.field_size_limit()) becomes a ValueError
-    that names the line of the record it stopped in."""
+    """csv.reader's records of `lines` as (line number, record), the first
+    being line `line`; its csv.Error (a field over csv.field_size_limit())
+    becomes a ValueError that names the line of the record it stopped in."""
     try:
         for record in csv.reader(lines):
-            yield record
+            yield line, record
             line += 1
     except csv.Error as exc:
         raise ValueError(f"{path}: line {line}: {exc}") from None
@@ -279,16 +279,16 @@ def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
     csv.reader reads the header; the body takes a fast path, then an exact
     one. Blocks of whole lines of about _BLOCK_CHARS characters that
     _plain_block accepts are split on their commas. The first block it
-    refuses (a quote, a lone \\r, a wrong field count, a bad cell) and the
-    rest of the file go through csv.reader, one record at a time through
-    _parse_row, which alone words the errors, converting _BLOCK_ROWS at
-    once. Both paths read the same tokens as float() and int() do, so they
-    return the same values.
+    refuses (a quote, a wrong field count, an over-long field, a bad cell)
+    and the rest of the file go through csv.reader, one record at a time
+    through _parse_row, which alone words the errors, converting
+    _BLOCK_ROWS at once. Both paths read the same tokens as float() and
+    int() do, so they return the same values.
     """
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = next(_records(fh, path, 1), None)
+            _, header = next(_records(fh, path, 1), (None, None))
             if header is None:
                 raise ValueError(f"{path}: empty file")
             kinds = kinds_for(path, header)
@@ -304,9 +304,8 @@ def _read_csv(path: "str | Path", kinds_for, check=None, empty_ok=False):
                         rest = itertools.chain(lines, fh)
                         break
                     blocks.append(values)
-                first_line = 2 + sum(map(len, blocks))
-                records = _records(rest, path, first_line)
-                for line_no, row in enumerate(records, start=first_line):
+                records = _records(rest, path, 2 + sum(map(len, blocks)))
+                for line_no, row in records:
                     rows.append(_parse_row(row, header, kinds, path, line_no))
                     if len(rows) == _BLOCK_ROWS:
                         blocks.append(np.array(rows, dtype))

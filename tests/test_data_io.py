@@ -467,9 +467,11 @@ class TestSingleColumnLoaders:
 
     def test_quoted_cell_after_a_plain_block(self, tmp_path):
         # the first block of lines is read without csv.reader, the quote
-        # hands its block and the rest of the file to csv.reader
+        # hands its block and the rest of the file to csv.reader, whose
+        # records are converted _BLOCK_ROWS at a time
         plain = data_io._BLOCK_CHARS // len("0.5\n") + 1
-        body = "score\n" + "0.5\n" * plain + '"0.25"\n0.75\n'
+        exact = data_io._BLOCK_ROWS
+        body = "score\n" + "0.5\n" * plain + '"0.25"\n' + "0.75\n" * exact
         path = tmp_path / "s.csv"
         path.write_text(body)
         parse = mock.patch.object(
@@ -477,13 +479,14 @@ class TestSingleColumnLoaders:
         )
         with parse as parsed:
             values = load_score_series(path)
-        assert values.tolist() == [0.5] * plain + [0.25, 0.75]
+        assert values.tolist() == [0.5] * plain + [0.25] + [0.75] * exact
         records = [(c.args[0], c.args[4]) for c in parsed.call_args_list]
-        assert records == [(["0.25"], plain + 2), (["0.75"], plain + 3)]
+        assert records[:2] == [(["0.25"], plain + 2), (["0.75"], plain + 3)]
+        assert len(records) == exact + 1
         path.write_text(body + "x\n")
         with pytest.raises(
             ValueError,
-            match=f"line {plain + 4}: column 'score': not a number: 'x'",
+            match=f"line {plain + exact + 3}: column 'score': not a number",
         ):
             load_score_series(path)
 
@@ -519,7 +522,7 @@ class TestSingleColumnLoaders:
 class TestFlagBytes:
     """A lone flag column of plain 0/1 lines is converted from its bytes."""
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize(
         "header, load",
         [("label", load_label_series), ("prediction", load_prediction_series)],
@@ -553,7 +556,7 @@ class TestFlagBytes:
         values = load_label_series(path).values.tolist()
         assert values == [1] * plain + [1, 1, 0, 1, 0]
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_bad_flag_after_the_first_block_names_its_line(
         self, tmp_path, newline
     ):
@@ -572,6 +575,86 @@ class TestFlagBytes:
         path.write_text("label\n" + body)
         with pytest.raises(ValueError, match="expected 1 field, got 0"):
             load_label_series(path)
+
+
+class TestLineEnds:
+    """Plain blocks end their lines where csv.reader ends records."""
+
+    @pytest.mark.parametrize(
+        "header, row, load",
+        [
+            ("score", "{a!r}", lambda p: load_score_series(p).tolist()),
+            ("c0,c1,label", "{a!r},{b!r},{flag}", frame_contents),
+        ],
+        ids=["scores", "frame"],
+    )
+    def test_lone_cr_file_reads_like_its_lf_twin_without_csv_reader(
+        self, tmp_path, header, row, load
+    ):
+        rng = np.random.default_rng(40)
+        values = rng.normal(size=(_BLOCK_CHARS // 8, 2)).tolist()
+        flags = rng.integers(0, 2, len(values)).tolist()
+        lines = [header] + [
+            row.format(a=a, b=b, flag=flag)
+            for (a, b), flag in zip(values, flags)
+        ]
+        lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
+        lf.write_text("\n".join(lines) + "\n", newline="")
+        cr.write_text("\r".join(lines) + "\r", newline="")
+        assert cr.stat().st_size > 2 * _BLOCK_CHARS
+        exact = mock.patch.object(
+            data_io, "_parse_row", side_effect=AssertionError("csv.reader")
+        )
+        with exact:
+            assert load(cr) == load(lf)
+
+    def test_crlf_cut_by_a_read_ends_one_line(self, tmp_path):
+        # the first read stops between a CR and its LF; reading on to the
+        # line's end brings the LF into the block, which makes no blank line
+        first = "0.5" + "0" * ((_BLOCK_CHARS - 4) % 5)
+        lines = [first] + ["0.5"] * (_BLOCK_CHARS // 5)
+        body = "\r\n".join(lines) + "\r\n"
+        assert body[_BLOCK_CHARS - 1 : _BLOCK_CHARS + 1] == "\r\n"
+        path = tmp_path / "s.csv"
+        path.write_text("score\r\n" + body, newline="")
+        plain = mock.patch.object(
+            data_io, "_plain_block", wraps=data_io._plain_block
+        )
+        exact = mock.patch.object(
+            data_io, "_parse_row", side_effect=AssertionError("csv.reader")
+        )
+        with plain as blocks, exact:
+            values = load_score_series(path)
+        assert values.tolist() == [0.5] * len(lines)
+        assert blocks.call_args_list[0].args[0] == body[: _BLOCK_CHARS + 1]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("x", "column 'score': not a number: 'x'"),
+            (
+                " " * csv.field_size_limit() + "1",
+                f"field larger than field limit ({csv.field_size_limit()})",
+            ),
+        ],
+        ids=["bad-cell", "field-over-the-csv-limit"],
+    )
+    def test_error_after_two_plain_blocks_names_its_line(
+        self, tmp_path, newline, bad, message
+    ):
+        plain = 2 * _BLOCK_CHARS // len("0.5" + newline) + 3
+        path = tmp_path / "s.csv"
+        lines = ["score", *["0.5"] * plain, bad, "0.5"]
+        path.write_text(newline.join(lines) + newline, newline="")
+        spy = mock.patch.object(
+            data_io, "_plain_block", wraps=data_io._plain_block
+        )
+        with spy as blocks, pytest.raises(ValueError) as caught:
+            load_score_series(path)
+        # two blocks read on the fast path, then the one it refuses
+        assert blocks.call_count == 3
+        assert str(caught.value) == f"{path}: line {plain + 2}: {message}"
 
 
 # small bounds, so that rows collide and cross, and the int64 extremes

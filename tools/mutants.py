@@ -172,9 +172,27 @@ MUTANTS = [
     # of a cell
     (
         "data_io.py",
-        'if text.count("\\r") != text.count("\\r\\n"):',
-        "if False:",
+        'text = text.replace("\\r\\n", "\\n").replace("\\r", "\\n")',
+        'text = text.replace("\\r\\n", "\\n")',
         ("tests/test_data_io.py",),
+    ),
+    # the plain reader folds a lone CR before CRLF, so each CRLF becomes a
+    # blank line and every CRLF file goes to csv.reader
+    (
+        "data_io.py",
+        'text = text.replace("\\r\\n", "\\n").replace("\\r", "\\n")',
+        'text = text.replace("\\r", "\\n").replace("\\r\\n", "\\n")',
+        ("tests/test_data_io.py::TestLineEnds",),
+    ),
+    # csv.reader's records are numbered one line late
+    (
+        "data_io.py",
+        "yield line, record",
+        "yield line + 1, record",
+        (
+            "tests/test_data_io.py::TestFrameRoundTrip::"
+            "test_malformed_inputs_of_every_loader",
+        ),
     ),
     # the block the plain reader refuses never reaches csv.reader, so its
     # lines are lost
@@ -228,7 +246,11 @@ MUTANTS = [
         "data_io.py",
         "                        rows = []\n",
         "",
-        ("tests/test_data_io.py::test_loaders_match_per_row_reference",),
+        (
+            "tests/test_data_io.py::TestSingleColumnLoaders::"
+            "test_quoted_cell_after_a_plain_block",
+            "tests/test_data_io.py::test_loaders_match_per_row_reference",
+        ),
     ),
     # the reader hands an empty file's missing header to the loader's
     # header check instead of refusing the file itself
