@@ -486,7 +486,9 @@ class TestSingleColumnLoaders:
         path.write_text(body + "x\n")
         with pytest.raises(
             ValueError,
-            match=f"line {plain + exact + 3}: column 'score': not a number",
+            match=(
+                f"line {plain + exact + 3}: column 'score': not a number: 'x'"
+            ),
         ):
             load_score_series(path)
 
@@ -628,7 +630,6 @@ class TestLineEnds:
         assert values.tolist() == [0.5] * len(lines)
         assert blocks.call_args_list[0].args[0] == body[: _BLOCK_CHARS + 1]
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize(
         "bad, message",
         [
@@ -640,13 +641,15 @@ class TestLineEnds:
         ],
         ids=["bad-cell", "field-over-the-csv-limit"],
     )
-    def test_error_after_two_plain_blocks_names_its_line(
-        self, tmp_path, newline, bad, message
+    def test_error_after_two_lone_cr_blocks_names_its_line(
+        self, tmp_path, bad, message
     ):
-        plain = 2 * _BLOCK_CHARS // len("0.5" + newline) + 3
+        # LF and CRLF files are held to the same lines by LOADER_ERRORS,
+        # TestFlagBytes and test_field_over_the_csv_limit
+        plain = 2 * _BLOCK_CHARS // len("0.5\r") + 3
         path = tmp_path / "s.csv"
         lines = ["score", *["0.5"] * plain, bad, "0.5"]
-        path.write_text(newline.join(lines) + newline, newline="")
+        path.write_text("\r".join(lines) + "\r", newline="")
         spy = mock.patch.object(
             data_io, "_plain_block", wraps=data_io._plain_block
         )
